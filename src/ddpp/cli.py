@@ -142,7 +142,10 @@ def cmd_partition(args):
 
 
 def _campaign_unit(args, seed, n_sources):
-    """All runs sharing one dataset: every (R, strategy) pair for this seed."""
+    """All runs sharing one dataset: every (R, strategy) pair for this seed.
+
+    Returns the result lines, the ground-truth cache key and its entry.
+    """
     if args.data:
         dataset = _load_dataset(args, n_sources)
     else:
@@ -161,10 +164,11 @@ def _campaign_unit(args, seed, n_sources):
                                            transport=args.transport,
                                            ground_truth=gt)
             lines.append(result.to_json_dict())
+    gt_key = f"seed={seed},N={n_sources},m={dataset.dims},kT={args.kT}"
     gt_entry = {"indices": [int(i) for i in gt.indices],
                 "logdet": dpp.subset_logdet(dataset.features, gt.indices),
                 "scale": dataset.scale}
-    return lines, gt_entry
+    return lines, gt_key, gt_entry
 
 
 def cmd_run(args):
@@ -180,11 +184,11 @@ def cmd_run(args):
         futures = [pool.submit(_campaign_unit, args, seed, N)
                    for seed, N in units]
         with open(results_path, "w") as fh:  # single writer, submission order
-            for (seed, N), fut in zip(units, futures):
-                lines, gt_entry = fut.result()
+            for fut in futures:
+                lines, gt_key, gt_entry = fut.result()
                 for line in lines:
                     fh.write(json.dumps(line) + "\n")
-                gt_cache[f"seed={seed},N={N},m={args.m},kT={args.kT}"] = gt_entry
+                gt_cache[gt_key] = gt_entry
     with open(os.path.join(args.out, "gt_cache.json"), "w") as fh:
         json.dump(gt_cache, fh, indent=1)
     _write_manifest(args.out, args, extra={"seeds": seeds})

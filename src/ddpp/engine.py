@@ -10,7 +10,7 @@ strategies reuse the same transports and ledger so the bandwidth accounting
 is comparable across methods.
 """
 
-import math
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,6 +59,12 @@ class ExperimentConfig:
             raise InvalidConfigError("total_select must divide evenly over intervals")
         if self.sparsity < 0:
             raise InvalidConfigError("sparsity budget must be non-negative")
+        sends_feedback = (self.strategy == "ddpp" and self.intervals >= 2
+                          and self.n_sources >= 2)
+        if sends_feedback and self.sparsity * self.dims < 1:
+            raise InvalidConfigError(
+                f"feedback budget R*m = {self.sparsity * self.dims:g} "
+                "is below one element")
         if not 0 < self.epsilon:
             raise InvalidConfigError("epsilon must be positive")
         if self.strategy not in STRATEGIES:
@@ -133,12 +139,18 @@ class ExperimentResult:
 
 
 class SourceWorker:
-    """Holds one source's rows and its send history; no shared state."""
+    """Holds one source's rows and its send history; sees only its own source.
 
-    def __init__(self, source_id, rows, config):
+    ``local_greedy(k)`` is this source's memoized greedy on its own kernel
+    (``Dataset.local_greedy`` bound to the source id); the first picks made
+    without feedback are a prefix of it.
+    """
+
+    def __init__(self, source_id, rows, config, local_greedy):
         self.source_id = source_id
         self.rows = rows
         self.config = config
+        self.local_greedy = local_greedy
         self.sent = []
         self.exhausted = False
 
@@ -152,10 +164,12 @@ class SourceWorker:
             working = self.rows
         new = []
         if k > 0:
-            result = dpp.greedy_map(gram(working), k,
-                                    preselected=self.sent, excluded=self.sent)
-            new = result.indices
-            if result.rank_exhausted and len(new) < k:
+            if feedback_frame is None and not self.sent:
+                new = self.local_greedy(self.config.per_source_quota).indices[:k]
+            else:
+                new = dpp.greedy_map(gram(working), k, preselected=self.sent,
+                                     excluded=self.sent).indices
+            if len(new) < k:
                 self.exhausted = True
             self.sent.extend(new)
         batch = SampleBatch(source_id=self.source_id, interval=interval,
@@ -297,7 +311,8 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     ledger = BandwidthLedger(config.n_sources, dataset.dims,
                              sparsity=config.sparsity)
     store = _CenterStore(config.n_sources, dataset.dims)
-    workers = [SourceWorker(i, dataset.source_rows(i), config)
+    workers = [SourceWorker(i, dataset.source_rows(i), config,
+                            functools.partial(dataset.local_greedy, i))
                for i in range(config.n_sources)]
     sketch_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _SALT_SKETCH]))
@@ -364,7 +379,7 @@ def run_baseline(config, dataset, ground_truth=None):
     if config.strategy == "greedi":
         selections = []
         for i in range(N):
-            res = dpp.greedy_map(gram(dataset.source_rows(i)), config.per_source_quota)
+            res = dataset.local_greedy(i, config.per_source_quota)
             exhausted |= res.rank_exhausted
             selections.append(res.indices)
         _send_selection(config, dataset, ledger, store, selections)
@@ -378,13 +393,13 @@ def run_baseline(config, dataset, ground_truth=None):
                 ledger.record_probe(i)
                 candidates.append(None)  # winner selects later
             else:
-                res = dpp.greedy_map(gram(rows), min(k_T, rows.shape[0]))
+                res = dataset.local_greedy(i, min(k_T, rows.shape[0]))
                 candidates.append(res.indices)
                 scores.append(dpp.subset_logdet(rows, res.indices))
         winner = int(np.argmax(scores))
         if candidates[winner] is None:
-            res = dpp.greedy_map(gram(dataset.source_rows(winner)),
-                                 min(k_T, dataset.source_rows(winner).shape[0]))
+            n_winner = len(dataset.partition.assignments[winner])
+            res = dataset.local_greedy(winner, min(k_T, n_winner))
             candidates[winner] = res.indices
             exhausted |= res.rank_exhausted
         exhausted |= len(candidates[winner]) < k_T
@@ -396,7 +411,8 @@ def run_baseline(config, dataset, ground_truth=None):
         assignments = dataset.partition.assignments
         if config.strategy == "random":
             chosen = rng.choice(dataset.n, size=k_T, replace=False)
-            lookup = {g: (i, a.index(g)) for i, a in enumerate(assignments) for g in a}
+            lookup = {g: (i, j) for i, a in enumerate(assignments)
+                      for j, g in enumerate(a)}
             selections = [[] for _ in range(N)]
             for g in chosen.tolist():
                 i, j = lookup[g]

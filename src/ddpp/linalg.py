@@ -15,6 +15,8 @@ from .errors import InvalidInputError, NotPositiveDefiniteError, NotPsdError
 # Eigen/singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
+# Rows per block of the symmetry check; bounds its temporary to 64 x n.
+SYMMETRY_BLOCK = 64
 # Escalating diagonal jitter tried before declaring a Cholesky failure;
 # Gram matrices of near-duplicate samples are only semi-definite.
 JITTER_LADDER = (1e-12, 1e-10, 1e-8)
@@ -35,8 +37,10 @@ def require_symmetric(M, name="matrix", tol=SYMMETRY_TOL):
     M = as_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {M.shape}")
-    if M.size and np.max(np.abs(M - M.T)) > tol:
-        raise InvalidInputError(f"{name} is not symmetric within {tol}")
+    for r in range(0, M.shape[0], SYMMETRY_BLOCK):
+        diff = M[r:r + SYMMETRY_BLOCK] - M[:, r:r + SYMMETRY_BLOCK].T
+        if np.abs(diff, out=diff).max() > tol:
+            raise InvalidInputError(f"{name} is not symmetric within {tol}")
     return M
 
 

@@ -104,6 +104,27 @@ class TestRun:
                        "--clusters", "4", "--R", "2", "--compression", "none")
         assert code == 3
 
+    def test_zero_feedback_budget_exit_code(self, tmp_path, capsys):
+        code = run_cli("run", "--out", str(tmp_path / "x"), *RUN_ARGS[:-2],
+                       "--R", "0")
+        assert code == 2
+        assert "below one element" in capsys.readouterr().err
+
+    def test_gt_cache_keyed_by_data_file_dimension(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert run_cli("gen", "--out", str(gen), "--n", "24", "--m", "6",
+                       "--clusters", "3", "--sources", "2", "--seed", "5") == 0
+        out = tmp_path / "run"
+        # --m stays at its default (64); the file's rows are 6-dimensional
+        assert run_cli("run", "--out", str(out),
+                       "--data", str(gen / "features.ddpm"),
+                       "--partition-file", str(gen / "partition.json"),
+                       "--strategies", "greedi", "--seeds", "1", "--N", "2",
+                       "--kT", "4", "--tT", "2", "--R", "4") == 0
+        with open(out / "gt_cache.json") as fh:
+            assert list(json.load(fh)) == ["seed=0,N=2,m=6,kT=4"]
+        assert read_jsonl(out / "results.jsonl")[0]["m"] == 6
+
     def test_thread_pool_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DDPP_THREADS", "2")
         out = tmp_path / "pooled"

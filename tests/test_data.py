@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddpp import data, dpp
+from ddpp import data, dpp, linalg
 from ddpp.errors import IngestError, InvalidConfigError, InvalidInputError
 
 
@@ -198,3 +198,53 @@ class TestPositivityScale:
         assert ds.features.shape == (60, 64)
         assert ds.partition.n_sources == 2
         assert ds.labels is not None
+
+
+class TestLocalGreedy:
+    @staticmethod
+    def dataset(rank=None):
+        rng = np.random.default_rng(420)
+        Z = rng.normal(size=(24, 6))
+        if rank is not None:  # every source spans only `rank` directions
+            Z = Z[:, :rank] @ rng.normal(size=(rank, 6))
+        part = data.partition(24, 2, policy="uniform_random", seed=0)
+        return data.Dataset(features=Z, partition=part)
+
+    @pytest.mark.parametrize("rank", [None, 3])
+    @pytest.mark.parametrize("order", [(0, 2, 5, 3, 8, 1, 8, 12),
+                                       (12, 8, 5, 3, 2, 1, 0)])
+    def test_every_request_equals_a_direct_run(self, rank, order):
+        ds = self.dataset(rank)
+        for i in range(2):
+            kernel = linalg.gram(ds.source_rows(i))
+            for k in order:
+                got = ds.local_greedy(i, k)
+                want = dpp.greedy_map(kernel, k)
+                assert got.indices == want.indices
+                assert got.stepwise_logdets == want.stepwise_logdets
+                assert got.rank_exhausted == want.rank_exhausted
+
+    def test_served_results_are_copies(self):
+        ds = self.dataset()
+        ds.local_greedy(0, 4).indices.append(99)
+        assert 99 not in ds.local_greedy(0, 4).indices
+
+    def test_memo_is_not_part_of_the_value(self):
+        a, b = self.dataset(), self.dataset()
+        a.local_greedy(0, 3)
+        assert repr(a) == repr(b)
+        assert data.Dataset(features=a.features, partition=a.partition) \
+            ._greedy_memo == {}
+
+    def test_rescaled_copy_starts_cold(self):
+        ds = self.dataset()
+        ds = data.Dataset(features=0.01 * ds.features, partition=ds.partition)
+        ds.local_greedy(0, 3)
+        scaled = data.apply_positivity_scale(ds, 3)
+        assert scaled is not ds and scaled._greedy_memo == {}
+
+    def test_negative_k_rejected(self):
+        ds = self.dataset()
+        ds.local_greedy(0, 3)
+        with pytest.raises(InvalidInputError):
+            ds.local_greedy(0, -1)

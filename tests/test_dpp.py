@@ -125,6 +125,20 @@ class TestGreedyMap:
         res = dpp.greedy_map(np.zeros((4, 4)), 2)
         assert res.indices == [] and res.rank_exhausted
 
+    @pytest.mark.parametrize("rank", [None, 4])
+    def test_prefix_stable(self, rank):
+        # Dataset.local_greedy serves shorter requests as prefixes of one run.
+        rng = np.random.default_rng(108)
+        L = random_psd(rng, 12, rank=rank)
+        K = 9
+        full = dpp.greedy_map(L, K)
+        assert full.rank_exhausted == (rank is not None)
+        for k in range(K):
+            short = dpp.greedy_map(L, k)
+            assert short.indices == full.indices[:k]
+            assert short.stepwise_logdets == full.stepwise_logdets[:k]
+            assert short.rank_exhausted == (len(full.indices) < k)
+
 
 class TestBruteForceMap:
     def test_diagonal(self):

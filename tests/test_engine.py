@@ -30,6 +30,18 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             config(compression="zip").validate()
 
+    def test_feedback_budget_below_one_element(self):
+        # R*m = 0.5 < 1: split_budget could not build a packet
+        with pytest.raises(InvalidConfigError, match="below one element"):
+            config(sparsity=1 / 16).validate()
+        with pytest.raises(InvalidConfigError):
+            config(sparsity=0.0).validate()
+        config(sparsity=1 / 8).validate()  # exactly one element
+        # nothing is fed back: the budget is never used
+        config(sparsity=0.0, strategy="greedi").validate()
+        config(sparsity=0.0, intervals=1).validate()
+        config(sparsity=0.0, n_sources=1).validate()
+
     def test_interval_quota_even_split(self):
         cfg = config(n_sources=2, total_select=12, intervals=2)
         assert [cfg.interval_quota(0, t) for t in (1, 2)] == [3, 3]
@@ -153,6 +165,18 @@ class TestDdppPipeline:
         assert res.rank_exhausted
         assert len(res.selected_global_indices) < 8
 
+    def test_rank_exhaustion_in_first_interval_flagged(self):
+        # each source spans one direction: one pick where two are owed
+        Z = np.vstack([np.outer(np.arange(1.0, 4.0), [1.0, 0.0]),
+                       np.outer(np.arange(1.0, 4.0), [0.0, 1.0])])
+        ds = data.Dataset(features=Z,
+                          partition=data.SourcePartition(((0, 1, 2), (3, 4, 5))))
+        res = engine.run_ddpp(config(dims=2, total_select=4, intervals=1,
+                                     sparsity=2.0), ds,
+                              ground_truth=dpp.greedy_map_rows(Z, 2))
+        assert res.rank_exhausted
+        assert res.selected_global_indices == [2, 5]
+
     def test_full_budget_proposed_matches_exact_packets(self):
         ds = small_dataset(seed=7, n_sources=2)
         exact = engine.run_ddpp(config(compression="none"), ds)
@@ -214,6 +238,52 @@ class TestBaselines:
         for s in ("greedi", "greedymax", "maxdiv", "random", "stratified"):
             res = engine.run_baseline(config(strategy=s), ds)
             assert res.ledger["downlink_elements"] == 0
+
+
+class TestSharedLocalGreedy:
+    """Dataset.local_greedy shared across strategies changes no result."""
+
+    RUNS = [("greedi", "proposed"), ("greedymax", "proposed"),
+            ("maxdiv", "proposed"), ("ddpp", "proposed"), ("ddpp", "svd"),
+            ("ddpp", "random_sketch"), ("ddpp", "none")]
+
+    @staticmethod
+    def rank_deficient():
+        Z = np.vstack([np.eye(2)] * 8) * 3.0  # rank 2 everywhere
+        part = data.partition(16, 2, policy="uniform_random", seed=0)
+        return data.Dataset(features=Z, partition=part)
+
+    @pytest.mark.parametrize("make, overrides", [
+        (lambda: small_dataset(seed=18, n_sources=2), {}),
+        (lambda: small_dataset(seed=19, n_sources=4, total_select=8),
+         dict(n_sources=4)),
+        (lambda: small_dataset(seed=20, n_sources=2, total_select=6),
+         dict(total_select=6, intervals=3)),
+        (rank_deficient, dict(dims=2, sparsity=2.0)),
+    ])
+    def test_warm_equals_cold(self, make, overrides):
+        def run(ds, strategy, compression):
+            cfg = config(**{**overrides, "strategy": strategy,
+                            "compression": compression})
+            gt = engine.run_ground_truth(ds, cfg.total_select)
+            return engine.run_experiment(cfg, ds, ground_truth=gt).comparable()
+
+        cold = {key: run(make(), *key) for key in self.RUNS}
+        warm_ds = make()
+        warm = {key: run(warm_ds, *key) for key in reversed(self.RUNS)}
+        assert warm == cold
+        assert warm_ds._greedy_memo  # the warm runs did share the memo
+
+    def test_threaded_transports_share_the_memo(self):
+        ds = small_dataset(seed=21, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6)
+        cold = engine.run_ddpp(cfg, small_dataset(seed=21, n_sources=3,
+                                                  total_select=6))
+        engine.run_baseline(config(n_sources=3, total_select=6,
+                                   strategy="greedymax"), ds)
+        for transport in ("threads", "tcp"):
+            warm = engine.run_ddpp(cfg, ds, transport=transport)
+            assert warm.comparable() == cold.comparable()
 
 
 class TestCompressionVariants:
