@@ -9,14 +9,12 @@ Only finally selected samples ever travel uplink.
 
 from . import csi, data, dpp, engine, errors, linalg, metrics, protocol
 from .engine import (ExperimentConfig, ExperimentResult, run_baseline,
-                     run_compression_variant, run_ddpp, run_experiment,
-                     run_ground_truth)
+                     run_ddpp, run_experiment, run_ground_truth)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "csi", "data", "dpp", "engine", "errors", "linalg", "metrics", "protocol",
-    "ExperimentConfig", "ExperimentResult", "run_baseline",
-    "run_compression_variant", "run_ddpp", "run_experiment",
-    "run_ground_truth", "__version__",
+    "ExperimentConfig", "ExperimentResult", "run_baseline", "run_ddpp",
+    "run_experiment", "run_ground_truth", "__version__",
 ]

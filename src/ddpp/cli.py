@@ -255,7 +255,11 @@ def cmd_report(args):
 
 
 def _write_pca_csv(args, lines):
-    """Scatter coordinates for one seed, with a selected flag per sample."""
+    """Scatter coordinates for one seed, with a selected flag per sample.
+
+    The dataset is rebuilt the way the run built it: loaded from the run's
+    ``--data`` file when it had one, otherwise regenerated from the seed.
+    """
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.results)),
                                  "manifest.json")
     with open(manifest_path) as fh:
@@ -269,9 +273,13 @@ def _write_pca_csv(args, lines):
     coerced = {k: f(resolved[k]) for k, f in [
         ("ni", int), ("m", int), ("clusters", int), ("kT", int),
         ("spread", float), ("scale", float), ("radius_jitter", float),
-        ("norm_tail", float), ("mean_sparsity", float), ("skew", float)]}
+        ("norm_tail", float), ("mean_sparsity", float), ("skew", float),
+        ("partition_seed", int)]}
     ns = argparse.Namespace(**{**resolved, **coerced})
-    dataset = _gen_dataset(args.pca_seed, line["N"], ns)
+    if ns.data:
+        dataset = _load_dataset(ns, line["N"])
+    else:
+        dataset = _gen_dataset(args.pca_seed, line["N"], ns)
     coords = metrics.pca2d(dataset.features)
     chosen = set(line["selected_indices"])
     out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")

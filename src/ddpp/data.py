@@ -12,13 +12,12 @@ trailing integer label column (the caller flags it).
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dpp
 from .errors import IngestError, InvalidConfigError, InvalidInputError
-from .linalg import gram
 
 MAGIC_DATASET = b"DDPM"
 DATASET_VERSION = 1
@@ -56,20 +55,12 @@ class SourcePartition:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features plus their source partition; labels ride along if present.
-
-    A Dataset memoizes each source's local greedy (``local_greedy``), so its
-    features must not be mutated in place.
-    """
+    """Features plus their source partition; labels ride along if present."""
 
     features: np.ndarray
     partition: SourcePartition
     labels: np.ndarray = None
     scale: float = 1.0
-    # Source id -> longest local greedy run so far.  Indices and log-dets
-    # only, never a kernel; not part of the value.
-    _greedy_memo: dict = field(default_factory=dict, init=False,
-                               compare=False, repr=False)
 
     @property
     def n(self):
@@ -81,26 +72,6 @@ class Dataset:
 
     def source_rows(self, i):
         return self.features[list(self.partition.assignments[i])]
-
-    def local_greedy(self, i, k):
-        """``dpp.greedy_map(gram(source_rows(i)), k)``, computed once per source.
-
-        Greedy MAP is prefix-stable: the first k picks of a longer run are,
-        bit for bit, the k-pick run.  So the longest run asked for so far
-        serves every shorter request, and a rank-exhausted run serves every
-        request; a longer request reruns and replaces it.  Only source i's
-        worker asks for key i during a run, and every stored entry is a valid
-        run, so concurrent workers need no lock.
-        """
-        if k < 0:
-            raise InvalidInputError("k must be non-negative")
-        entry = self._greedy_memo.get(i)
-        if entry is None or (k > len(entry.indices) and not entry.rank_exhausted):
-            entry = dpp.greedy_map(gram(self.source_rows(i)), k)
-            self._greedy_memo[i] = entry
-        return dpp.MapResult(indices=entry.indices[:k],
-                             stepwise_logdets=entry.stepwise_logdets[:k],
-                             rank_exhausted=len(entry.indices) < k)
 
 
 def save_ddpm(path, Z, labels=None):

@@ -10,7 +10,6 @@ strategies reuse the same transports and ledger so the bandwidth accounting
 is comparable across methods.
 """
 
-import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import csi, dpp, metrics
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import gram, logdet_psd, symmetrize
+from .linalg import logdet_psd, symmetrize
 from .protocol import (BandwidthLedger, FeedbackMsg, SampleBatch,
                        decode_batch, decode_feedback, encode_batch,
                        encode_feedback, loopback_pair, tcp_pair)
@@ -59,8 +58,8 @@ class ExperimentConfig:
             raise InvalidConfigError("total_select must divide evenly over intervals")
         if self.sparsity < 0:
             raise InvalidConfigError("sparsity budget must be non-negative")
-        sends_feedback = (self.strategy == "ddpp" and self.intervals >= 2
-                          and self.n_sources >= 2)
+        sends_feedback = (self.strategy == "ddpp"
+                          and self.feedback_at(self.intervals))
         if sends_feedback and self.sparsity * self.dims < 1:
             raise InvalidConfigError(
                 f"feedback budget R*m = {self.sparsity * self.dims:g} "
@@ -72,6 +71,14 @@ class ExperimentConfig:
         if self.compression not in COMPRESSIONS:
             raise InvalidConfigError(f"unknown compression {self.compression!r}")
         return self
+
+    def feedback_at(self, interval):
+        """Whether the center sends feedback before 1-based ``interval``.
+
+        Center and sources both follow this schedule; a source that expects
+        a frame the center never sends would block in ``recv``.
+        """
+        return interval >= 2 and self.n_sources >= 2
 
     @property
     def per_source_quota(self):
@@ -139,18 +146,12 @@ class ExperimentResult:
 
 
 class SourceWorker:
-    """Holds one source's rows and its send history; sees only its own source.
+    """Holds one source's rows and its send history; sees only its own source."""
 
-    ``local_greedy(k)`` is this source's memoized greedy on its own kernel
-    (``Dataset.local_greedy`` bound to the source id); the first picks made
-    without feedback are a prefix of it.
-    """
-
-    def __init__(self, source_id, rows, config, local_greedy):
+    def __init__(self, source_id, rows, config):
         self.source_id = source_id
         self.rows = rows
         self.config = config
-        self.local_greedy = local_greedy
         self.sent = []
         self.exhausted = False
 
@@ -164,11 +165,8 @@ class SourceWorker:
             working = self.rows
         new = []
         if k > 0:
-            if feedback_frame is None and not self.sent:
-                new = self.local_greedy(self.config.per_source_quota).indices[:k]
-            else:
-                new = dpp.greedy_map(gram(working), k, preselected=self.sent,
-                                     excluded=self.sent).indices
+            new = dpp.greedy_map_rows(working, k, preselected=self.sent,
+                                      excluded=self.sent).indices
             if len(new) < k:
                 self.exhausted = True
             self.sent.extend(new)
@@ -180,9 +178,7 @@ class SourceWorker:
 def _source_loop(worker, channel, config):
     """Autonomous source endpoint: both sides know the feedback schedule."""
     for t in range(1, config.intervals + 1):
-        frame = None
-        if t >= 2 and config.n_sources >= 2:
-            frame = channel.recv()
+        frame = channel.recv() if config.feedback_at(t) else None
         channel.send(worker.step(t, frame, config.interval_quota(worker.source_id, t)))
 
 
@@ -221,8 +217,8 @@ class _Drivers:
         frames = []
         for i, w in enumerate(self.workers):
             if self.transport == "loopback":
-                expects = interval >= 2 and self.config.n_sources >= 2
-                frame = self.source_ends[i].recv() if expects else None
+                frame = (self.source_ends[i].recv()
+                         if self.config.feedback_at(interval) else None)
                 self.source_ends[i].send(
                     w.step(interval, frame, self.config.interval_quota(i, interval)))
             frames.append(self.center_ends[i].recv())
@@ -311,8 +307,7 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     ledger = BandwidthLedger(config.n_sources, dataset.dims,
                              sparsity=config.sparsity)
     store = _CenterStore(config.n_sources, dataset.dims)
-    workers = [SourceWorker(i, dataset.source_rows(i), config,
-                            functools.partial(dataset.local_greedy, i))
+    workers = [SourceWorker(i, dataset.source_rows(i), config)
                for i in range(config.n_sources)]
     sketch_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _SALT_SKETCH]))
@@ -321,7 +316,7 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     try:
         for t in range(1, config.intervals + 1):
             t0 = time.perf_counter()
-            if t >= 2 and config.n_sources >= 2:
+            if config.feedback_at(t):
                 for i in range(config.n_sources):
                     projector = csi.compute_projector(store.foreign_rows(i),
                                                       dataset.dims)
@@ -379,11 +374,11 @@ def run_baseline(config, dataset, ground_truth=None):
     if config.strategy == "greedi":
         selections = []
         for i in range(N):
-            res = dataset.local_greedy(i, config.per_source_quota)
+            res = dpp.greedy_map_rows(dataset.source_rows(i),
+                                      config.per_source_quota)
             exhausted |= res.rank_exhausted
             selections.append(res.indices)
         _send_selection(config, dataset, ledger, store, selections)
-        _validate_greedi_second_round(dataset, store, k_T)
     elif config.strategy in ("greedymax", "maxdiv"):
         candidates, scores = [], []
         for i in range(N):
@@ -393,13 +388,13 @@ def run_baseline(config, dataset, ground_truth=None):
                 ledger.record_probe(i)
                 candidates.append(None)  # winner selects later
             else:
-                res = dataset.local_greedy(i, min(k_T, rows.shape[0]))
+                res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
                 candidates.append(res.indices)
                 scores.append(dpp.subset_logdet(rows, res.indices))
         winner = int(np.argmax(scores))
         if candidates[winner] is None:
-            n_winner = len(dataset.partition.assignments[winner])
-            res = dataset.local_greedy(winner, min(k_T, n_winner))
+            rows = dataset.source_rows(winner)
+            res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
             candidates[winner] = res.indices
             exhausted |= res.rank_exhausted
         exhausted |= len(candidates[winner]) < k_T
@@ -425,21 +420,6 @@ def run_baseline(config, dataset, ground_truth=None):
         _send_selection(config, dataset, ledger, store, selections)
     timings = [time.perf_counter() - t0]
     return _finish(config, dataset, store, ledger, timings, ground_truth, exhausted)
-
-
-def _validate_greedi_second_round(dataset, store, k_T):
-    """The center-side re-ranking cannot change a union of exactly k_T items."""
-    rows = np.vstack([store.vectors[g] for g in store.order])
-    res = dpp.greedy_map(gram(rows), k_T)
-    if not res.rank_exhausted and set(res.indices) != set(range(len(store.order))):
-        raise InvalidInputError("second-round greedy diverged from the union")
-
-
-def run_compression_variant(config, dataset, transport="loopback", ground_truth=None):
-    """The feedback pipeline with an alternative packet construction."""
-    if config.compression not in ("svd", "random_sketch"):
-        raise InvalidConfigError("compression variant must be svd or random_sketch")
-    return run_ddpp(config, dataset, transport=transport, ground_truth=ground_truth)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):

@@ -56,10 +56,6 @@ class SpectralDecomp:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns are eigenvectors, orthonormal
 
-    def reconstruct(self):
-        V = self.eigenvectors
-        return symmetrize(V @ np.diag(self.eigenvalues) @ V.T)
-
 
 def gram(Z):
     """Similarity kernel L = Z Z^T of a feature matrix (one sample per row).

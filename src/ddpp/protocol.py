@@ -243,13 +243,6 @@ class BandwidthLedger:
         }
 
 
-def ledger_record(ledger, direction, source_id, element_count, byte_count,
-                  interval=None, indices=None):
-    """Functional spelling of BandwidthLedger.record."""
-    return ledger.record(direction, source_id, element_count, byte_count,
-                         interval=interval, indices=indices)
-
-
 class LoopbackChannel:
     """In-process FIFO duplex endpoint pair; deterministic and allocation-free."""
 

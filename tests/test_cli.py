@@ -162,6 +162,26 @@ class TestReport:
         assert len(rows) == 1 + 24  # N * ni samples
         assert sum(int(r.rsplit(",", 1)[1]) for r in rows[1:]) == 4
 
+    def test_pca_scatter_of_a_data_file(self, tmp_path):
+        # 30 file rows, where N * ni would be 24: the scatter is of the file
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(5).normal(size=(30, 6)),
+                   delimiter=",")
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--partition-policy", "uniform_random",
+                       "--strategies", "ddpp", "--seeds", "1", "--N", "2",
+                       "--kT", "4", "--tT", "2", "--R", "4", "--ni", "12") == 0
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--results", str(out / "results.jsonl"),
+                       "--out", str(rep), "--pca-seed", "0",
+                       "--pca-strategy", "ddpp") == 0
+        rows = (rep / "pca_seed0.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 30
+        flagged = [i for i, r in enumerate(rows) if r.endswith(",1")]
+        selected = read_jsonl(out / "results.jsonl")[0]["selected_indices"]
+        assert flagged == sorted(selected) and len(flagged) == 4
+
     def test_empty_results_fail(self, tmp_path):
         empty = tmp_path / "none.jsonl"
         empty.write_text("")

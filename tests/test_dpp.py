@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ddpp import csi, dpp, linalg
+from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
 
 
@@ -114,12 +114,23 @@ class TestGreedyMap:
             dpp.subset_logdet(Z, res.indices), abs=1e-8)
 
     def test_rows_variant_identical_to_gram_variant(self):
+        # Sources select with greedy_map_rows; it must pick what the
+        # materialized kernel would, in the shapes sources actually run.
         rng = np.random.default_rng(107)
-        Z = rng.normal(size=(30, 6))
-        a = dpp.greedy_map(linalg.gram(Z), 5)
-        b = dpp.greedy_map_rows(Z, 5)
-        assert a.indices == b.indices
-        assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
+        bench = data.make_benchmark_dataset(seed=0, n_sources=2, dims=64,
+                                            total_select=40)
+        cases = [  # (Z, k, held, rank exhausted)
+            (rng.normal(size=(30, 6)), 5, [], False),
+            (rng.normal(size=(30, 12)), 5, [3, 17, 8, 25], False),  # later interval
+            (rng.normal(size=(30, 3)) @ rng.normal(size=(3, 6)), 5, [], True),
+            (bench.source_rows(1), 40, [], False),
+        ]
+        for Z, k, held, exhausted in cases:
+            a = dpp.greedy_map(linalg.gram(Z), k, preselected=held, excluded=held)
+            b = dpp.greedy_map_rows(Z, k, preselected=held, excluded=held)
+            assert a.indices == b.indices
+            assert a.rank_exhausted == b.rank_exhausted == exhausted
+            assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
 
     def test_zero_kernel_exhausts_immediately(self):
         res = dpp.greedy_map(np.zeros((4, 4)), 2)
@@ -127,7 +138,7 @@ class TestGreedyMap:
 
     @pytest.mark.parametrize("rank", [None, 4])
     def test_prefix_stable(self, rank):
-        # Dataset.local_greedy serves shorter requests as prefixes of one run.
+        # ddpp's first-interval picks are a prefix of greedi's per-source run.
         rng = np.random.default_rng(108)
         L = random_psd(rng, 12, rank=rank)
         K = 9

@@ -150,7 +150,7 @@ class TestSpectralDecomp:
         dec = linalg.spectral_decomp(M)
         V = dec.eigenvectors
         assert np.max(np.abs(V.T @ V - np.eye(8))) <= 1e-8
-        assert np.max(np.abs(dec.reconstruct() - M)) <= 1e-9
+        assert np.max(np.abs(V @ np.diag(dec.eigenvalues) @ V.T - M)) <= 1e-9
         assert all(a >= b for a, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
 
     def test_eigenvalue_sum_equals_trace(self):

@@ -138,11 +138,6 @@ class TestLedger:
         with pytest.raises(BudgetViolationError):
             ledger.record("uplink", 0, 4, 25, indices=[2])
 
-    def test_functional_spelling(self):
-        ledger = protocol.BandwidthLedger(n_sources=1, dims=4)
-        protocol.ledger_record(ledger, "uplink", 0, 4, 25)
-        assert ledger.snapshot()["uplink_elements"] == 4
-
     def test_unknown_direction(self):
         ledger = protocol.BandwidthLedger(n_sources=1, dims=4)
         with pytest.raises(InvalidInputError):
