@@ -24,7 +24,7 @@ H = csi.compute_projector(Z[[0]], 2)
 print("projector after receiving [3, 0]:")
 print(H.matrix.round(6))
 print("pre-coded source-1 rows (momentum doubles the uncovered direction):")
-print(csi.precode(Z[3:], H.matrix, momentum=True).round(3))
+print(csi.precode(Z[3:], csi.exact_packet(H), momentum=True).round(3))
 
 fed = engine.run_ddpp(engine.ExperimentConfig(
     n_sources=2, dims=2, total_select=2, intervals=2, sparsity=2.0,

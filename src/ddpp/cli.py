@@ -80,10 +80,17 @@ def _gen_dataset(seed, n_sources, args):
         seed=seed, n=n, m=args.m, n_clusters=args.clusters,
         spread=args.spread, scale=args.scale, radius_jitter=args.radius_jitter,
         norm_tail=args.norm_tail, mean_sparsity=args.mean_sparsity)
-    part = data.partition(n, n_sources, policy=args.partition_policy,
+    part = data.partition(n, n_sources, policy=_partition_policy(args, labels),
                           seed=seed, cluster_labels=labels, skew=args.skew)
     ds = data.Dataset(features=Z, partition=part, labels=labels)
     return data.apply_positivity_scale(ds, args.kT)
+
+
+def _partition_policy(args, labels):
+    """``run``'s --partition-policy, else cluster_skewed if labels exist."""
+    if args.partition_policy:
+        return args.partition_policy
+    return "cluster_skewed" if labels is not None else "uniform_random"
 
 
 def _load_dataset(args, n_sources):
@@ -94,7 +101,8 @@ def _load_dataset(args, n_sources):
         with open(args.partition_file) as fh:
             part = data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
     else:
-        part = data.partition(Z.shape[0], n_sources, policy=args.partition_policy,
+        part = data.partition(Z.shape[0], n_sources,
+                              policy=_partition_policy(args, labels),
                               seed=args.partition_seed, cluster_labels=labels,
                               skew=args.skew)
     ds = data.Dataset(features=Z, partition=part, labels=labels)
@@ -379,7 +387,7 @@ def build_parser():
     p.add_argument("--transport", default="loopback",
                    choices=["loopback", "threads", "tcp"])
     _add_synth_args(p)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(func=cmd_run, partition_policy=None)
 
     p = sub.add_parser("report", help="aggregate results into CSV tables")
     p.add_argument("--results", required=True)

@@ -69,6 +69,9 @@ class CsiPacket:
             raise InvalidInputError("principal block length mismatch")
         if self.residual_vectors.shape != (self.residual_rank, self.dims):
             raise InvalidInputError("residual vector shape mismatch")
+        for name in ("principal_block", "residual_values", "residual_vectors"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidInputError(f"{name} contains non-finite entries")
         dims = list(self.selected_dims)
         if any(b <= a for a, b in zip(dims, dims[1:])) or \
                 any(not 0 <= d < self.dims for d in dims):
@@ -224,14 +227,34 @@ def reconstruct(packet):
     return symmetrize(out)
 
 
-def precode(Z, H_hat, momentum=True):
-    """Multiply features by W = I + H_hat^{1/2} (momentum) or H_hat^{1/2}.
+def precode(Z, packet, momentum=True):
+    """Multiply features by W = I + H^{1/2} (momentum) or H^{1/2}.
+
+    H is the matrix ``reconstruct(packet)`` would build, but no m x m array
+    is formed.  With P the orthonormal m x k basis of the selected
+    coordinates plus the residual vectors' span off them (k <= r0 + r1),
+    H = P M P^T for a k x k matrix M, so H^{1/2} = P M^{1/2} P^T exactly
+    and its negative eigenvalues are M's.
 
     The momentum form is conservative: imperfect feedback then shrinks
     already-covered directions instead of deleting them outright.
     """
+    packet.validate()
     Z = as_matrix(Z, "feature matrix")
-    H_hat = as_matrix(H_hat, "reconstructed projector")
-    root = psd_sqrt(H_hat)
-    W = np.eye(H_hat.shape[0]) + root if momentum else root
-    return Z @ W
+    m = packet.dims
+    if Z.shape[1] != m:
+        raise InvalidInputError(f"expected {m} feature columns, got {Z.shape[1]}")
+    selected = list(packet.selected_dims)
+    r0 = len(selected)
+    V = packet.residual_vectors
+    off_block = V.copy()
+    off_block[:, selected] = 0.0
+    Q = orthonormal_row_basis(off_block)
+    P = np.zeros((m, r0 + Q.shape[0]))
+    P[selected, np.arange(r0)] = 1.0
+    P[:, r0:] = Q.T
+    VP = V @ P
+    M = (VP.T * packet.residual_values) @ VP
+    M[:r0, :r0] += unpack_lower_triangle(packet.principal_block, r0)
+    root = (Z @ P) @ psd_sqrt(symmetrize(M)) @ P.T
+    return Z + root if momentum else root

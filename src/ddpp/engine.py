@@ -19,9 +19,10 @@ import numpy as np
 from . import csi, dpp, metrics
 from .errors import InvalidConfigError, InvalidInputError
 from .linalg import logdet_psd, symmetrize
-from .protocol import (BandwidthLedger, FeedbackMsg, SampleBatch,
-                       decode_batch, decode_feedback, encode_batch,
-                       encode_feedback, loopback_pair, tcp_pair)
+from .protocol import (MAGIC_ERROR, BandwidthLedger, FeedbackMsg, SampleBatch,
+                       decode_batch, decode_error, decode_feedback,
+                       encode_batch, encode_error, encode_feedback,
+                       loopback_pair, tcp_pair)
 
 STRATEGIES = ("ddpp", "greedi", "greedymax", "maxdiv", "random", "stratified")
 COMPRESSIONS = ("proposed", "svd", "random_sketch", "none")
@@ -159,8 +160,8 @@ class SourceWorker:
         """Consume optional feedback, pick k new items, return a batch frame."""
         if feedback_frame is not None:
             msg = decode_feedback(feedback_frame)
-            h_hat = csi.reconstruct(msg.packet)
-            working = csi.precode(self.rows, h_hat, momentum=self.config.momentum)
+            working = csi.precode(self.rows, msg.packet,
+                                  momentum=self.config.momentum)
         else:
             working = self.rows
         new = []
@@ -176,10 +177,22 @@ class SourceWorker:
 
 
 def _source_loop(worker, channel, config):
-    """Autonomous source endpoint: both sides know the feedback schedule."""
-    for t in range(1, config.intervals + 1):
-        frame = channel.recv() if config.feedback_at(t) else None
-        channel.send(worker.step(t, frame, config.interval_quota(worker.source_id, t)))
+    """Autonomous source endpoint: both sides know the feedback schedule.
+
+    A failure goes to the center as an error frame; a source thread that
+    just died would leave the center waiting in ``recv`` for good.
+    """
+    t = 0
+    try:
+        for t in range(1, config.intervals + 1):
+            frame = channel.recv() if config.feedback_at(t) else None
+            channel.send(worker.step(t, frame,
+                                     config.interval_quota(worker.source_id, t)))
+    except Exception as exc:  # the thread's boundary: report, then end
+        try:
+            channel.send(encode_error(worker.source_id, t, exc))
+        except OSError:
+            pass  # the center has closed the connection already
 
 
 class _Drivers:
@@ -221,13 +234,20 @@ class _Drivers:
                          if self.config.feedback_at(interval) else None)
                 self.source_ends[i].send(
                     w.step(interval, frame, self.config.interval_quota(i, interval)))
-            frames.append(self.center_ends[i].recv())
+            frame = self.center_ends[i].recv()
+            if frame[:4] == MAGIC_ERROR:
+                raise decode_error(frame)
+            frames.append(frame)
         return [decode_batch(f) for f in frames]
 
     def close(self):
+        # The center's ends close first: after a failure, that wakes every
+        # source still waiting in recv, so the joins below do not wait.
+        for ch in self.center_ends:
+            ch.close()
         for th in self.threads:
             th.join(timeout=30)
-        for ch in self.center_ends + self.source_ends:
+        for ch in self.source_ends:
             ch.close()
 
 

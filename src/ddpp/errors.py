@@ -15,6 +15,8 @@ class NotPositiveDefiniteError(DdppError):
     ``pivot`` is the 0-based index of the leading minor that failed.
     """
 
+    pivot = None  # as rebuilt from a wire frame
+
     def __init__(self, pivot, message=None):
         self.pivot = pivot
         super().__init__(message or f"matrix not positive definite (pivot {pivot})")
@@ -30,6 +32,8 @@ class TooLargeError(DdppError):
 
 class DecodeError(DdppError):
     """Wire frame failed to decode.  ``offset`` is the failing byte offset."""
+
+    offset = None  # as rebuilt from a wire frame
 
     def __init__(self, offset, message):
         self.offset = offset
@@ -54,6 +58,8 @@ class InvalidConfigError(DdppError, ValueError):
 
 class IngestError(DdppError):
     """Dataset file rejected.  ``row`` is the offending 0-based row, if known."""
+
+    row = None  # as rebuilt from a wire frame
 
     def __init__(self, message, row=None):
         self.row = row

@@ -1,6 +1,6 @@
 """Message schema, bit-exact serialization, and bandwidth accounting.
 
-Two frame types travel between sources and the center:
+Three frame types travel between sources and the center:
 
 ``DDPB`` (sample batch, uplink)::
 
@@ -15,6 +15,12 @@ Two frame types travel between sources and the center:
     | r0 * u64 selected dims | (r0^2+r0)/2 * f64 packed block
     | r1 * f64 residual values | r1*m * f64 residual vectors
 
+``DDPE`` (source failure, uplink in place of a batch)::
+
+    magic "DDPE" | u16 version | u32 source_id | u32 interval
+    | u32 name length | error class name (utf-8)
+    | u32 message length | message (utf-8)
+
 Everything is little-endian; floats are IEEE f64 with no quantization.
 Encoding is canonical: decode then encode reproduces the bytes.
 """
@@ -26,11 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .csi import CsiPacket
-from .errors import BudgetViolationError, DecodeError, InvalidInputError
+from .errors import (BudgetViolationError, DdppError, DecodeError,
+                     InvalidInputError)
 
 MAGIC_BATCH = b"DDPB"
 MAGIC_FEEDBACK = b"DDPF"
+MAGIC_ERROR = b"DDPE"
 WIRE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHII")
@@ -167,6 +176,37 @@ def decode_feedback(data):
     return FeedbackMsg(target_source=target, interval=interval, packet=packet)
 
 
+def encode_error(source_id, interval, exc):
+    """Frame reporting that a source failed with ``exc``."""
+    name = type(exc).__name__.encode()
+    text = str(exc).encode("utf-8", "replace")
+    head = _HEADER.pack(MAGIC_ERROR, WIRE_VERSION, source_id, interval)
+    return (head + struct.pack("<I", len(name)) + name
+            + struct.pack("<I", len(text)) + text)
+
+
+def decode_error(data):
+    """The exception a ``DDPE`` frame reports, ready to raise.
+
+    A ``ddpp.errors`` class comes back as itself, so callers keep their
+    handling (and the CLI its exit codes); any other class as DdppError.
+    Only the class and message travel, not attributes such as ``pivot``.
+    """
+    r = _Reader(data)
+    _check_header(r, MAGIC_ERROR, "error")
+    source_id = r.u32("source_id")
+    interval = r.u32("interval")
+    name = r.take(r.u32("name length"), "error name").decode("utf-8", "replace")
+    text = r.take(r.u32("message length"), "message").decode("utf-8", "replace")
+    r.done()
+    cls = getattr(errors, name, None)
+    if not (isinstance(cls, type) and issubclass(cls, DdppError)):
+        cls, text = DdppError, f"{name}: {text}"
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, f"source {source_id}, interval {interval}: {text}")
+    return exc
+
+
 @dataclass
 class BandwidthLedger:
     """Per-link element/byte counters enforcing the transmission budgets.
@@ -244,7 +284,11 @@ class BandwidthLedger:
 
 
 class LoopbackChannel:
-    """In-process FIFO duplex endpoint pair; deterministic and allocation-free."""
+    """In-process FIFO duplex endpoint pair; deterministic and allocation-free.
+
+    ``close`` wakes a reader blocked in ``recv``, which then raises like a
+    TCP reader whose peer hung up.
+    """
 
     def __init__(self):
         self._q = queue.Queue()
@@ -253,10 +297,13 @@ class LoopbackChannel:
         self._q.put(bytes(frame))
 
     def recv(self, timeout=None):
-        return self._q.get(timeout=timeout)
+        frame = self._q.get(timeout=timeout)
+        if frame is None:
+            raise DecodeError(0, "channel closed")
+        return frame
 
     def close(self):
-        pass
+        self._q.put(None)
 
 
 def loopback_pair():

@@ -1,8 +1,11 @@
+import itertools
 import math
+import threading
+import time
 
 import numpy as np
 
-from ddpp import data
+from ddpp import csi, data
 
 
 def stepwise_exhaustive_greedy(L, k, preselected=(), excluded=()):
@@ -38,3 +41,57 @@ def small_dataset(seed, n_sources, dims=8, per_source=20, total_select=8):
     part = data.partition(n, n_sources, policy="uniform_random", seed=seed)
     ds = data.Dataset(features=Z, partition=part, labels=labels)
     return data.apply_positivity_scale(ds, total_select)
+
+
+class Outcome:
+    """What a call run by ``run_within`` returned or raised, and its time."""
+
+    def __init__(self):
+        self.result = self.error = None
+        self.seconds = None
+
+
+def run_within(seconds, fn, *args, **kwargs):
+    """Run ``fn`` on a daemon thread; fail the test if it outlives ``seconds``.
+
+    A hang then fails one test instead of blocking the whole suite.
+    """
+    out = Outcome()
+
+    def target():
+        t0 = time.perf_counter()
+        try:
+            out.result = fn(*args, **kwargs)
+        except BaseException as exc:  # handed to the test, which asserts on it
+            out.error = exc
+        out.seconds = time.perf_counter() - t0
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(timeout=seconds)
+    assert not th.is_alive(), f"still running after {seconds} s"
+    return out
+
+
+def poison_feedback(monkeypatch, n_sources, target):
+    """Give source ``target`` packets with a residual eigenvalue of -0.5.
+
+    Only ``csi.compress`` is replaced, so the frame, ledger and transport are
+    the real ones and the source's ``precode`` raises NotPsdError.  The
+    center compresses for sources 0..N-1 in order at every feedback interval.
+    """
+    real = csi.compress
+    calls = itertools.count()
+
+    def compress(H, R, block_fraction=0.5):
+        packet = real(H, R, block_fraction)
+        if next(calls) % n_sources != target:
+            return packet
+        vectors = np.zeros((1, H.dims))
+        vectors[0, 0] = 1.0
+        return csi.CsiPacket(dims=H.dims, selected_dims=(),
+                             principal_block=np.zeros(0),
+                             residual_values=np.array([-0.5]),
+                             residual_vectors=vectors)
+
+    monkeypatch.setattr(csi, "compress", compress)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import poison_feedback, run_within
 from ddpp import cli, data
 
 
@@ -109,6 +110,41 @@ class TestRun:
                        "--R", "0")
         assert code == 2
         assert "below one element" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("transport", ["loopback", "threads", "tcp"])
+    def test_source_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                      transport):
+        poison_feedback(monkeypatch, 2, target=1)
+        out = run_within(20, run_cli, "run", "--out", str(tmp_path / "x"),
+                         *RUN_ARGS, "--transport", transport)
+        assert out.result == 3 and out.seconds < 5
+        assert "below -1e-06" in capsys.readouterr().err
+
+    def test_unlabeled_data_defaults_to_uniform_partition(self, tmp_path):
+        rng = np.random.default_rng(6)
+        plain, labeled = tmp_path / "plain.csv", tmp_path / "labeled.csv"
+        Z = rng.normal(size=(24, 6))
+        np.savetxt(plain, Z, delimiter=",")
+        np.savetxt(labeled, np.column_stack([Z, np.arange(24) % 3]),
+                   delimiter=",")
+        args = ["--strategies", "ddpp,greedi", "--seeds", "1", "--N", "2",
+                "--kT", "4", "--tT", "2", "--R", "4"]
+
+        def selections(name, *extra):
+            out = tmp_path / name
+            assert run_cli("run", "--out", str(out), *args, *extra) == 0
+            return [ln["selected_indices"] for ln in read_jsonl(out / "results.jsonl")]
+
+        plain_default = selections("plain", "--data", str(plain))
+        assert plain_default == selections(
+            "plain_uniform", "--data", str(plain),
+            "--partition-policy", "uniform_random")
+        labeled_default = selections("labeled", "--data", str(labeled),
+                                     "--label-column")
+        assert labeled_default == selections(
+            "labeled_skewed", "--data", str(labeled), "--label-column",
+            "--partition-policy", "cluster_skewed")
+        assert labeled_default != plain_default  # the two policies differ here
 
     def test_gt_cache_keyed_by_data_file_dimension(self, tmp_path):
         gen = tmp_path / "gen"

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddpp import csi, dpp, linalg
-from ddpp.errors import InvalidInputError
+from ddpp.errors import InvalidInputError, NotPsdError
 
 
 def random_projector(rng, m, held_rows):
@@ -181,17 +183,46 @@ class TestCompressReconstruct:
         with pytest.raises(InvalidInputError):
             csi.reconstruct(packet)
 
+    @pytest.mark.parametrize("field", ["principal_block", "residual_values",
+                                       "residual_vectors"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_rejects_non_finite(self, field, bad):
+        rng = np.random.default_rng(228)
+        H, _ = random_projector(rng, 8, 3)
+        packet = csi.compress(H, R=2.5, block_fraction=0.5)
+        getattr(packet, field).flat[0] = bad
+        with pytest.raises(InvalidInputError, match=field):
+            packet.validate()
+        with pytest.raises(InvalidInputError):
+            csi.precode(np.ones((2, 8)), packet)
+
+
+def dense_precode(Z, packet, momentum):
+    """The reference pre-code: Z (I + H^{1/2}) on the m x m reconstruction."""
+    root = linalg.psd_sqrt(csi.reconstruct(packet))
+    return Z @ (np.eye(packet.dims) + root if momentum else root)
+
+
+def make_packet(m, selected, block, values, vectors):
+    return csi.CsiPacket(dims=m, selected_dims=tuple(selected),
+                         principal_block=csi.pack_lower_triangle(np.asarray(block)),
+                         residual_values=np.asarray(values, dtype=float),
+                         residual_vectors=np.asarray(vectors, dtype=float)
+                         .reshape(len(values), m))
+
 
 class TestPrecode:
     def test_identity_feedback_doubles_with_momentum(self):
         rng = np.random.default_rng(230)
         Z = rng.normal(size=(4, 5))
-        assert csi.precode(Z, np.eye(5), momentum=True) == pytest.approx(2 * Z)
+        packet = csi.exact_packet(csi.Projector(matrix=np.eye(5), rank=5))
+        assert csi.precode(Z, packet, momentum=True) == pytest.approx(2 * Z)
 
     def test_zero_feedback_is_identity_with_momentum(self):
         rng = np.random.default_rng(231)
         Z = rng.normal(size=(4, 5))
-        assert csi.precode(Z, np.zeros((5, 5)), momentum=True) == pytest.approx(Z)
+        packet = csi.exact_packet(csi.Projector(matrix=np.zeros((5, 5)), rank=0))
+        assert csi.precode(Z, packet, momentum=True) == pytest.approx(Z)
 
     def test_exact_projector_recovers_conditional_determinant(self):
         rng = np.random.default_rng(232)
@@ -199,7 +230,7 @@ class TestPrecode:
             Z = rng.normal(size=(10, 8))
             A, Y = [0, 1, 2], [6, 8, 9]
             H = csi.compute_projector(Z[Y], 8)
-            Zt = csi.precode(Z, H.matrix, momentum=False)
+            Zt = csi.precode(Z, csi.exact_packet(H), momentum=False)
             lhs = np.linalg.det(Zt[A] @ Zt[A].T)
             rhs = np.linalg.det(Z[A] @ H.matrix @ Z[A].T)
             assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -212,13 +243,110 @@ class TestPrecode:
             Z_S = rng.normal(size=(12, 9))
             Z_Y = rng.normal(size=(4, 9))
             H = csi.compute_projector(Z_Y, 9)
-            local = dpp.greedy_map(linalg.gram(csi.precode(Z_S, H.matrix, momentum=False)), 4)
+            Zt = csi.precode(Z_S, csi.exact_packet(H), momentum=False)
+            local = dpp.greedy_map(linalg.gram(Zt), 4)
             stacked = np.vstack([Z_S, Z_Y])
             central = dpp.greedy_map(linalg.gram(stacked), 4,
                                      preselected=range(12, 16))
             assert local.indices == central.indices
             assert local.stepwise_logdets == pytest.approx(
                 central.stepwise_logdets, abs=1e-8)
+
+
+class TestSubspacePrecode:
+    """precode works in the packet's <= (r0 + r1)-dim subspace; the dense
+    m x m reconstruction and its square root are the reference."""
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    @pytest.mark.parametrize("make", [
+        lambda H: csi.compress(H, R=3.5, block_fraction=0.5),
+        lambda H: csi.compress(H, R=3.5, block_fraction=0.0),  # r0 = 0
+        lambda H: csi.compress(H, R=2.0, block_fraction=1.0),  # r1 = 0
+        lambda H: csi.compress_svd(H, R=3),
+        lambda H: csi.compress_random_sketch(H, R=3.0, rng=np.random.default_rng(1)),
+        csi.exact_packet,
+    ], ids=["compress", "r0=0", "r1=0", "svd", "random_sketch", "exact"])
+    def test_matches_dense_reference(self, make, momentum):
+        rng = np.random.default_rng(250)
+        for m, held in ((16, 5), (33, 20)):
+            H, _ = random_projector(rng, m, held)
+            packet = make(H)
+            Z = rng.normal(size=(25, m))
+            assert csi.precode(Z, packet, momentum) == pytest.approx(
+                dense_precode(Z, packet, momentum), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    def test_empty_packet_of_rank_zero_projector(self, momentum):
+        H = csi.Projector(matrix=np.zeros((6, 6)), rank=0)
+        packet = csi.compress(H, R=2.0)
+        assert packet.block_size == packet.residual_rank == 0
+        Z = np.random.default_rng(251).normal(size=(5, 6))
+        out = csi.precode(Z, packet, momentum)
+        assert out == pytest.approx(Z if momentum else np.zeros_like(Z), abs=1e-12)
+        assert out == pytest.approx(dense_precode(Z, packet, momentum), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    def test_one_dimension(self, momentum):
+        Z = np.array([[2.0], [-3.0]])
+        for packet in (make_packet(1, [0], [[0.25]], [], []),
+                       make_packet(1, [], [], [0.25], [[1.0]]),
+                       make_packet(1, [0], [[0.25]], [0.5], [[1.0]])):
+            assert csi.precode(Z, packet, momentum) == pytest.approx(
+                dense_precode(Z, packet, momentum), abs=1e-12)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    def test_residual_vectors_heavy_on_selected_coordinates(self, momentum):
+        rng = np.random.default_rng(252)
+        m, selected = 10, [1, 4, 7]
+        A = rng.normal(size=(3, 3))
+        V = 1e-3 * rng.normal(size=(3, m))
+        V[:, selected] = 5.0 * rng.normal(size=(3, 3))
+        V[2, [i for i in range(m) if i not in selected]] = 0.0  # all on them
+        packet = make_packet(m, selected, A @ A.T, [0.7, 0.2, 0.4], V)
+        Z = rng.normal(size=(8, m))
+        assert csi.precode(Z, packet, momentum) == pytest.approx(
+            dense_precode(Z, packet, momentum), abs=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_random_small_packets(self, data):
+        m = data.draw(st.integers(1, 7), label="m")
+        selected = sorted(data.draw(st.sets(st.integers(0, m - 1)), label="dims"))
+        r1 = data.draw(st.integers(0, 3), label="r1")
+        floats = st.floats(-1.0, 1.0, allow_nan=False)
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(-1, 1, size=(len(selected), len(selected)))
+        values = [data.draw(st.floats(0.05, 1.0)) for _ in range(r1)]
+        V = np.array([[data.draw(floats) for _ in range(m)] for _ in range(r1)])
+        packet = make_packet(m, selected, A @ A.T, values, V)
+        Z = rng.uniform(-1, 1, size=(4, m))
+        momentum = data.draw(st.booleans(), label="momentum")
+        assert csi.precode(Z, packet, momentum) == pytest.approx(
+            dense_precode(Z, packet, momentum), abs=1e-6)
+
+    def test_negative_eigenvalue_raises_like_dense(self):
+        V = np.zeros((1, 6))
+        V[0, 3] = 1.0
+        packet = make_packet(6, [0, 1], np.eye(2), [-0.5], V)
+        Z = np.ones((2, 6))
+        with pytest.raises(NotPsdError):
+            dense_precode(Z, packet, True)
+        with pytest.raises(NotPsdError):
+            csi.precode(Z, packet)
+
+    def test_rounding_negatives_are_clamped(self):
+        V = np.zeros((1, 6))
+        V[0, 3] = 1.0
+        packet = make_packet(6, [0, 1], np.eye(2), [-1e-9], V)
+        Z = np.ones((2, 6))
+        assert csi.precode(Z, packet) == pytest.approx(
+            dense_precode(Z, packet, True), abs=1e-6)
+
+    def test_column_count_mismatch_rejected(self):
+        packet = make_packet(4, [0], [[1.0]], [], [])
+        with pytest.raises(InvalidInputError):
+            csi.precode(np.ones((2, 5)), packet)
 
 
 class TestBoundChain:

@@ -1,9 +1,13 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import small_dataset, stepwise_exhaustive_greedy
-from ddpp import csi, data, dpp, engine, linalg
-from ddpp.errors import BudgetViolationError, InvalidConfigError
+from conftest import (poison_feedback, run_within, small_dataset,
+                      stepwise_exhaustive_greedy)
+from ddpp import csi, data, dpp, engine, linalg, protocol
+from ddpp.errors import BudgetViolationError, InvalidConfigError, NotPsdError
 
 
 def config(**overrides):
@@ -147,6 +151,38 @@ class TestDdppPipeline:
         results = {t: engine.run_ddpp(cfg, ds, transport=t).comparable()
                    for t in ("loopback", "threads", "tcp")}
         assert results["loopback"] == results["threads"] == results["tcp"]
+
+    @pytest.mark.parametrize("transport", ["loopback", "threads", "tcp"])
+    def test_source_failure_reaches_the_center(self, monkeypatch, transport):
+        # source 1 fails in interval 2 while sources 0 and 2 go on to wait
+        # for interval 3's feedback; closing must wake them
+        ds = small_dataset(seed=4, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6, intervals=3)
+        poison_feedback(monkeypatch, 3, target=1)
+        out = run_within(20, engine.run_ddpp, cfg, ds, transport=transport)
+        assert isinstance(out.error, NotPsdError), out.error
+        assert out.seconds < 5
+        if transport != "loopback":
+            assert str(out.error).startswith("source 1, interval 2: eigenvalue")
+        assert not [th for th in threading.enumerate()
+                    if "_source_loop" in th.name]
+
+    def test_source_step_forms_no_m_by_m_array(self):
+        m, n_i = 300, 40
+        rng = np.random.default_rng(8)
+        H = csi.compute_projector(rng.normal(size=(20, m)), m)
+        frame = protocol.encode_feedback(protocol.FeedbackMsg(
+            target_source=0, interval=2, packet=csi.compress(H, R=2.0)))
+        worker = engine.SourceWorker(0, rng.normal(size=(n_i, m)),
+                                     config(dims=m))
+        tracemalloc.start()
+        try:
+            worker.step(2, frame, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(worker.sent) == 4
+        assert peak < m * m * 8 // 2
 
     def test_budget_violation_aborts(self):
         ds = small_dataset(seed=5, n_sources=2)

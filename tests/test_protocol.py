@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from ddpp import csi, protocol
-from ddpp.errors import BudgetViolationError, DecodeError, InvalidInputError
+from ddpp.errors import (BudgetViolationError, DdppError, DecodeError,
+                         InvalidInputError, NotPositiveDefiniteError,
+                         NotPsdError)
 
 
 def random_batch(rng, count=4, m=3):
@@ -111,6 +115,59 @@ class TestFeedbackFrames:
         frame[offset:offset + 8] = (99999).to_bytes(8, "little")
         with pytest.raises(DecodeError):
             protocol.decode_feedback(bytes(frame))
+
+
+    @pytest.mark.parametrize("field", ["principal_block", "residual_values",
+                                       "residual_vectors"])
+    def test_non_finite_payload_rejected_at_decode(self, field):
+        rng = np.random.default_rng(312)
+        packet = random_packet(rng)
+        r0, r1 = packet.block_size, packet.residual_rank
+        assert r0 and r1
+        frame = bytearray(protocol.encode_feedback(
+            protocol.FeedbackMsg(target_source=0, interval=2, packet=packet)))
+        # 14-byte header, four u64 counts, r0 u64 dims, then the f64 payload
+        offset = 14 + 32 + 8 * r0 + 8 * {
+            "principal_block": 0,
+            "residual_values": (r0 * r0 + r0) // 2,
+            "residual_vectors": (r0 * r0 + r0) // 2 + r1}[field]
+        frame[offset:offset + 8] = struct.pack("<d", np.nan)
+        with pytest.raises(InvalidInputError, match=field):
+            protocol.decode_feedback(bytes(frame))
+
+
+class TestErrorFrames:
+    def roundtrip(self, exc):
+        frame = protocol.encode_error(3, 2, exc)
+        assert frame[:4] == protocol.MAGIC_ERROR
+        return protocol.decode_error(frame)
+
+    def test_package_error_keeps_its_class_and_message(self):
+        out = self.roundtrip(NotPsdError("eigenvalue -5.000e-01 below -1e-06"))
+        assert type(out) is NotPsdError
+        assert str(out) == "source 3, interval 2: eigenvalue -5.000e-01 below -1e-06"
+
+    def test_structured_errors_rebuild_without_their_attributes(self):
+        out = self.roundtrip(NotPositiveDefiniteError(4))
+        assert type(out) is NotPositiveDefiniteError and out.pivot is None
+        assert "pivot 4" in str(out)
+        out = self.roundtrip(DecodeError(7, "truncated"))
+        assert type(out) is DecodeError and out.offset is None
+
+    def test_foreign_error_becomes_package_error(self):
+        out = self.roundtrip(ZeroDivisionError("ünïcode division"))
+        assert type(out) is DdppError
+        assert str(out) == "source 3, interval 2: ZeroDivisionError: ünïcode division"
+
+    def test_non_error_names_are_not_looked_up(self):
+        frame = protocol.encode_error(0, 1, type("CsiPacket", (Exception,), {})("x"))
+        assert type(protocol.decode_error(frame)) is DdppError
+
+    def test_truncated_and_padded_frames_rejected(self):
+        frame = protocol.encode_error(0, 1, NotPsdError("x"))
+        for bad in (frame[:-1], frame + b"\x00", b"DDPB" + frame[4:]):
+            with pytest.raises(DecodeError):
+                protocol.decode_error(bad)
 
 
 class TestLedger:
