@@ -93,10 +93,15 @@ def _partition_policy(args, labels):
     return "cluster_skewed" if labels is not None else "uniform_random"
 
 
-def _load_dataset(args, n_sources):
+def _read_data(args):
+    """(features, labels) of the ``--data`` file; the format follows its name."""
     fmt = "ddpm" if args.data.endswith(".ddpm") else "csv"
-    Z, labels = data.load_features(args.data, fmt=fmt,
-                                   label_column=args.label_column)
+    return data.load_features(args.data, fmt=fmt, label_column=args.label_column)
+
+
+def _load_dataset(args, n_sources, loaded=None):
+    """The ``--data`` file partitioned and rescaled; ``loaded`` skips the read."""
+    Z, labels = loaded or _read_data(args)
     if args.partition_file:
         with open(args.partition_file) as fh:
             part = data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
@@ -138,9 +143,7 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
-    fmt = "ddpm" if args.data.endswith(".ddpm") else "csv"
-    Z, labels = data.load_features(args.data, fmt=fmt,
-                                   label_column=args.label_column)
+    Z, labels = _read_data(args)
     part = data.partition(Z.shape[0], args.sources, policy=args.partition_policy,
                           seed=args.seed, cluster_labels=labels, skew=args.skew)
     with open(args.out, "w") as fh:
@@ -149,29 +152,31 @@ def cmd_partition(args):
     return 0
 
 
-def _campaign_unit(args, seed, n_sources):
+def _unit_configs(args, seed, n_sources, dims):
+    """Validated configs of one campaign unit, one per (R, strategy) pair."""
+    return [engine.ExperimentConfig(
+        n_sources=n_sources, dims=dims, total_select=args.kT,
+        intervals=args.tT, sparsity=R, epsilon=args.epsilon,
+        block_fraction=args.block_fraction, strategy=strategy,
+        compression=args.compression, seed=seed,
+        momentum=not args.no_momentum).validate()
+        for R in args.R for strategy in args.strategies]
+
+
+def _campaign_unit(args, seed, n_sources, loaded):
     """All runs sharing one dataset: every (R, strategy) pair for this seed.
 
+    ``loaded`` is the ``--data`` file's contents, None for synthetic data.
     Returns the result lines, the ground-truth cache key and its entry.
     """
-    if args.data:
-        dataset = _load_dataset(args, n_sources)
+    if loaded:
+        dataset = _load_dataset(args, n_sources, loaded)
     else:
         dataset = _gen_dataset(seed, n_sources, args)
     gt = engine.run_ground_truth(dataset, args.kT)
-    lines = []
-    for R in args.R:
-        for strategy in args.strategies:
-            cfg = engine.ExperimentConfig(
-                n_sources=n_sources, dims=dataset.dims, total_select=args.kT,
-                intervals=args.tT, sparsity=R, epsilon=args.epsilon,
-                block_fraction=args.block_fraction, strategy=strategy,
-                compression=args.compression, seed=seed,
-                momentum=not args.no_momentum)
-            result = engine.run_experiment(cfg, dataset,
-                                           transport=args.transport,
-                                           ground_truth=gt)
-            lines.append(result.to_json_dict())
+    lines = [engine.run_experiment(cfg, dataset, transport=args.transport,
+                                   ground_truth=gt).to_json_dict()
+             for cfg in _unit_configs(args, seed, n_sources, dataset.dims)]
     gt_key = f"seed={seed},N={n_sources},m={dataset.dims},kT={args.kT}"
     gt_entry = {"indices": [int(i) for i in gt.indices],
                 "logdet": dpp.subset_logdet(dataset.features, gt.indices),
@@ -184,12 +189,16 @@ def cmd_run(args):
     seeds = _int_list(args.seed_list) if args.seed_list else list(range(args.seeds))
     if not seeds or not args.strategies:
         raise InvalidConfigError("need at least one seed and one strategy")
+    loaded = _read_data(args) if args.data else None
+    dims = loaded[0].shape[1] if loaded else args.m
+    for N in args.N:  # a configuration error exits before any data is made
+        _unit_configs(args, seeds[0], N, dims)
     units = [(seed, N) for N in args.N for seed in seeds]
     results_path = os.path.join(args.out, "results.jsonl")
     gt_cache = {}
     workers = _worker_count()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_campaign_unit, args, seed, N)
+        futures = [pool.submit(_campaign_unit, args, seed, N, loaded)
                    for seed, N in units]
         with open(results_path, "w") as fh:  # single writer, submission order
             for fut in futures:
@@ -206,9 +215,9 @@ def cmd_run(args):
 
 
 def _write_manifest(out_dir, args, extra=None):
-    payload = {"tool_version": __version__, "command": sys.argv[1:],
+    payload = {"tool_version": __version__, "command": args.argv,
                "resolved": {k: v for k, v in sorted(vars(args).items())
-                            if k != "func"}}
+                            if k not in ("func", "argv")}}
     payload.update(extra or {})
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=1, default=str)
@@ -301,8 +310,7 @@ def _write_pca_csv(args, lines):
 
 
 def cmd_oracle(args):
-    fmt = "ddpm" if args.data.endswith(".ddpm") else "csv"
-    Z, _ = data.load_features(args.data, fmt=fmt, label_column=args.label_column)
+    Z, _ = _read_data(args)
     result = dpp.brute_force_map(gram(Z), args.k)
     print(json.dumps({"indices": result.indices,
                       "logdet": result.stepwise_logdets[-1]}))
@@ -385,7 +393,7 @@ def build_parser():
                    choices=list(engine.COMPRESSIONS))
     p.add_argument("--no-momentum", action="store_true")
     p.add_argument("--transport", default="loopback",
-                   choices=["loopback", "threads", "tcp"])
+                   choices=["loopback", "tcp"])
     _add_synth_args(p)
     p.set_defaults(func=cmd_run, partition_policy=None)
 
@@ -415,8 +423,10 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv  # the manifest's "command"
     try:
         if args.command == "run":
             _apply_config_file(args, parser._run_parser)

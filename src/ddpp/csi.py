@@ -10,6 +10,9 @@ A feedback message may carry at most R*m matrix elements.  The budget is
 split between a dense principal block on greedily chosen dimensions
 (r0 rows/columns, (r0^2+r0)/2 packed elements) and a truncated
 eigendecomposition of what the block misses (r1 vectors, r1*m elements).
+
+Contract: finite float64 input, checked where data enters the package, and
+packets validated where they are built or decoded, not on every use.
 """
 
 import math
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import dpp
 from .errors import InvalidInputError
-from .linalg import (RANK_TOL, as_matrix, orthonormal_row_basis, psd_sqrt,
+from .linalg import (RANK_TOL, orthonormal_row_basis, psd_sqrt,
                      spectral_decomp, symmetrize)
 
 
@@ -104,14 +107,16 @@ def compute_projector(Z_Y, m):
 
     Built from an orthonormal basis rather than the textbook inverse of
     Z_Y Z_Y^T so that linearly dependent received samples are handled.
-    An empty Z_Y yields the identity (nothing to suppress).
+    An empty Z_Y yields the identity (nothing to suppress); rows spanning
+    all m dimensions yield the exact zero projector, not rounding noise.
     """
     if Z_Y is None or np.size(Z_Y) == 0:
         return Projector(matrix=np.eye(m), rank=m)
-    Z_Y = as_matrix(Z_Y, "received samples")
     if Z_Y.shape[1] != m:
         raise InvalidInputError(f"expected {m} columns, got {Z_Y.shape[1]}")
     Q = orthonormal_row_basis(Z_Y)
+    if Q.shape[0] == m:
+        return Projector(matrix=np.zeros((m, m)), rank=0)
     H = symmetrize(np.eye(m) - Q.T @ Q)
     return Projector(matrix=H, rank=m - Q.shape[0])
 
@@ -147,10 +152,9 @@ def select_dims(H, r0):
     Returns sorted indices; fewer than r0 when the projector's rank is
     exhausted first.
     """
-    M = H.matrix if isinstance(H, Projector) else as_matrix(H, "projector")
-    if r0 > M.shape[0]:
+    if r0 > H.dims:
         raise InvalidInputError("r0 exceeds dimension count")
-    return sorted(dpp.greedy_map(M, r0).indices)
+    return sorted(dpp.greedy_map(H.matrix, r0).indices)
 
 
 def embed_block(block, selected, m):
@@ -216,7 +220,6 @@ def exact_packet(H):
 
 def reconstruct(packet):
     """Source-side inverse of compress; always symmetric."""
-    packet.validate()
     m = packet.dims
     r0 = packet.block_size
     block = unpack_lower_triangle(packet.principal_block, r0)
@@ -239,8 +242,6 @@ def precode(Z, packet, momentum=True):
     The momentum form is conservative: imperfect feedback then shrinks
     already-covered directions instead of deleting them outright.
     """
-    packet.validate()
-    Z = as_matrix(Z, "feature matrix")
     m = packet.dims
     if Z.shape[1] != m:
         raise InvalidInputError(f"expected {m} feature columns, got {Z.shape[1]}")

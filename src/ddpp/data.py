@@ -18,6 +18,7 @@ import numpy as np
 
 from . import dpp
 from .errors import IngestError, InvalidConfigError, InvalidInputError
+from .linalg import as_matrix
 
 MAGIC_DATASET = b"DDPM"
 DATASET_VERSION = 1
@@ -55,12 +56,19 @@ class SourcePartition:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features plus their source partition; labels ride along if present."""
+    """Features plus their source partition; labels ride along if present.
+
+    Construction checks the features once (``as_matrix``); the package
+    trusts them from then on.
+    """
 
     features: np.ndarray
     partition: SourcePartition
     labels: np.ndarray = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", as_matrix(self.features, "features"))
 
     @property
     def n(self):
@@ -153,7 +161,9 @@ def load_features(path, fmt="csv", label_column=False):
         Z, labels = _load_ddpm(path)
     else:
         raise InvalidConfigError(f"unknown dataset format {fmt!r}")
-    if Z.size and not np.isfinite(Z).all():
+    if Z.ndim != 2 or Z.shape[0] == 0:
+        raise IngestError("no data rows")
+    if not np.isfinite(Z).all():
         bad = int(np.argwhere(~np.isfinite(Z).all(axis=1))[0][0])
         raise IngestError("non-finite feature value", row=bad)
     return Z, labels
@@ -308,7 +318,6 @@ def positivity_scale(Z, k, probe_seeds=(0, 1, 2), target=1.0):
     ``target`` (diversity ratios then stay well away from the 0 crossing).
     Already-positive data keeps c = 1.
     """
-    Z = np.asarray(Z, dtype=np.float64)
     n = Z.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"probe size k={k} out of range")

@@ -5,6 +5,9 @@ consumed items each candidate i carries a partial factor column c_i and a
 squared pivot d_i^2 = L_ii - ||c_i||^2, which is exactly the determinant
 gain of adding i.  Consuming an item costs one rank-one update over all
 candidates, so k picks run in O(k^2 n) once the kernel diagonal is known.
+
+Contract: finite float64 input and symmetric kernels, checked where data
+enters the package, not here.
 """
 
 import itertools
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, TooLargeError
-from .linalg import as_matrix, require_symmetric
 
 # A pick whose squared pivot falls at or below EARLY_STOP_REL times the
 # largest initial diagonal adds no volume; selection stops there.
@@ -123,8 +125,7 @@ def greedy_map(L, k, preselected=(), excluded=()):
     toward the lowest index.  If the best remaining gain hits the rank
     floor before k picks, the result is shorter and flagged.
     """
-    L = require_symmetric(L, "kernel")
-    diag = np.diag(L).astype(np.float64).copy()
+    diag = np.diag(L).copy()
     return _greedy(diag, lambda j: L[j], k, preselected, excluded)
 
 
@@ -134,7 +135,6 @@ def greedy_map_rows(Z, k, preselected=(), excluded=()):
     Kernel rows are formed on demand (one matvec per consumed item), which
     keeps memory linear in n and is the preferred path for large n.
     """
-    Z = as_matrix(Z, "feature matrix")
     diag = np.einsum("ij,ij->i", Z, Z)
     return _greedy(diag, lambda j: Z @ Z[j], k, preselected, excluded)
 
@@ -144,7 +144,6 @@ def brute_force_map(L, k):
 
     Guarded: refuses instances with more than 10^6 subsets.
     """
-    L = require_symmetric(L, "kernel")
     n = L.shape[0]
     if not 0 < k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
@@ -174,7 +173,6 @@ def subset_logdet(Z, indices):
     Returns -inf when the submatrix is singular (that value is the singular
     flag; callers test it with ``math.isinf``).
     """
-    Z = as_matrix(Z, "feature matrix")
     idx = list(indices)
     if not idx:
         raise InvalidInputError("index set must be non-empty")

@@ -57,6 +57,9 @@ class ExperimentConfig:
             raise InvalidConfigError("total_select must divide evenly over sources")
         if self.total_select % self.intervals:
             raise InvalidConfigError("total_select must divide evenly over intervals")
+        if self.total_select > self.dims:
+            raise InvalidConfigError(f"total_select {self.total_select} exceeds "
+                                     f"dims {self.dims}; such selections are singular")
         if self.sparsity < 0:
             raise InvalidConfigError("sparsity budget must be non-negative")
         sends_feedback = (self.strategy == "ddpp"
@@ -196,16 +199,16 @@ def _source_loop(worker, channel, config):
 
 
 class _Drivers:
-    """Hides the three execution modes behind send/collect calls.
+    """Hides the two execution modes behind send/collect calls.
 
-    ``loopback`` runs workers inline on the coordinator thread; ``threads``
-    and ``tcp`` run each worker in its own thread behind queue or socket
-    channels.  Selections are identical in all modes because workers only
-    see their own frames.
+    ``loopback`` runs workers inline on the coordinator thread over queue
+    channels; ``tcp`` runs each worker in its own thread behind a socket.
+    Selections are identical in both modes because workers only see their
+    own frames.
     """
 
     def __init__(self, workers, config, transport):
-        if transport not in ("loopback", "threads", "tcp"):
+        if transport not in ("loopback", "tcp"):
             raise InvalidConfigError(f"unknown transport {transport!r}")
         self.workers = workers
         self.config = config
@@ -215,7 +218,7 @@ class _Drivers:
         self.center_ends = [p[0] for p in pairs]
         self.source_ends = [p[1] for p in pairs]
         self.threads = []
-        if transport != "loopback":
+        if transport == "tcp":
             for w, ch in zip(workers, self.source_ends):
                 th = threading.Thread(target=_source_loop, args=(w, ch, config),
                                       daemon=True)
@@ -226,7 +229,7 @@ class _Drivers:
         self.center_ends[source_id].send(frame)
 
     def collect_batches(self, interval):
-        """One decoded batch per source, in source order."""
+        """One batch frame per source, in source order, as received."""
         frames = []
         for i, w in enumerate(self.workers):
             if self.transport == "loopback":
@@ -238,7 +241,7 @@ class _Drivers:
             if frame[:4] == MAGIC_ERROR:
                 raise decode_error(frame)
             frames.append(frame)
-        return [decode_batch(f) for f in frames]
+        return frames
 
     def close(self):
         # The center's ends close first: after a failure, that wakes every
@@ -306,13 +309,13 @@ def _finish(config, dataset, store, ledger, timings, ground_truth, exhausted):
         rank_exhausted=exhausted, per_interval_timings=timings)
 
 
-def _uplink(ledger, store, dataset, batch):
-    """Ledger one decoded batch and file its vectors at the center."""
-    frame_len = len(encode_batch(batch))
+def _uplink(ledger, store, dataset, frame):
+    """Decode one batch frame, ledger it at its size and file its vectors."""
+    batch = decode_batch(frame)
     assignment = dataset.partition.assignments[batch.source_id]
     global_ids = [assignment[j] for j in batch.local_indices]
     ledger.record("uplink", batch.source_id,
-                  len(batch.local_indices) * dataset.dims, frame_len,
+                  len(batch.local_indices) * dataset.dims, len(frame),
                   interval=batch.interval, indices=global_ids)
     for g, row in zip(global_ids, batch.vectors):
         store.add(batch.source_id, g, row)
@@ -346,8 +349,8 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
                     ledger.record("downlink", i, packet.element_count,
                                   len(frame), interval=t)
                     drivers.send_feedback(i, frame)
-            for batch in drivers.collect_batches(t):
-                _uplink(ledger, store, dataset, batch)
+            for frame in drivers.collect_batches(t):
+                _uplink(ledger, store, dataset, frame)
             timings.append(time.perf_counter() - t0)
     finally:
         drivers.close()
@@ -367,7 +370,7 @@ def _send_selection(config, dataset, ledger, store, selections):
     for i, local in enumerate(selections):
         batch = SampleBatch(source_id=i, interval=1, local_indices=tuple(local),
                             vectors=dataset.source_rows(i)[list(local)])
-        _uplink(ledger, store, dataset, decode_batch(encode_batch(batch)))
+        _uplink(ledger, store, dataset, encode_batch(batch))
 
 
 def rd_diversity(rows, epsilon):

@@ -6,7 +6,7 @@ class DdppError(Exception):
 
 
 class InvalidInputError(DdppError, ValueError):
-    """Malformed numerical input (non-finite entries, bad shape, asymmetry)."""
+    """Malformed numerical input (non-finite entries, bad shape or size)."""
 
 
 class NotPositiveDefiniteError(DdppError):

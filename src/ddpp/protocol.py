@@ -22,7 +22,9 @@ Three frame types travel between sources and the center:
     | u32 message length | message (utf-8)
 
 Everything is little-endian; floats are IEEE f64 with no quantization.
-Encoding is canonical: decode then encode reproduces the bytes.
+Encoding is canonical: decode then encode reproduces the bytes.  Decoding
+is where frame data enters the package: a decoded batch or packet has
+consistent shapes and finite values, or decoding raises.
 """
 
 import queue
@@ -59,6 +61,8 @@ class SampleBatch:
             raise InvalidInputError("index count does not match vector rows")
         if len(set(self.local_indices)) != len(self.local_indices):
             raise InvalidInputError("batch indices must be unique")
+        if not np.isfinite(self.vectors).all():
+            raise InvalidInputError("batch vectors contain non-finite entries")
         return self
 
 
@@ -284,48 +288,31 @@ class BandwidthLedger:
 
 
 class LoopbackChannel:
-    """In-process FIFO duplex endpoint pair; deterministic and allocation-free.
+    """One end of an in-process FIFO duplex pair; deterministic.
 
-    ``close`` wakes a reader blocked in ``recv``, which then raises like a
-    TCP reader whose peer hung up.
+    The engine runs loopback sources inline on the center's thread, so no
+    reader ever waits on an empty queue and there is nothing to close.
     """
 
-    def __init__(self):
-        self._q = queue.Queue()
-
-    def send(self, frame):
-        self._q.put(bytes(frame))
-
-    def recv(self, timeout=None):
-        frame = self._q.get(timeout=timeout)
-        if frame is None:
-            raise DecodeError(0, "channel closed")
-        return frame
-
-    def close(self):
-        self._q.put(None)
-
-
-def loopback_pair():
-    """(center_end, source_end) duplex pair backed by two FIFO queues."""
-    a_to_b, b_to_a = LoopbackChannel(), LoopbackChannel()
-    return _Duplex(b_to_a, a_to_b), _Duplex(a_to_b, b_to_a)
-
-
-class _Duplex:
     def __init__(self, inbox, outbox):
         self._inbox = inbox
         self._outbox = outbox
 
     def send(self, frame):
-        self._outbox.send(frame)
+        self._outbox.put(bytes(frame))
 
     def recv(self, timeout=None):
-        return self._inbox.recv(timeout=timeout)
+        return self._inbox.get(timeout=timeout)
 
     def close(self):
-        self._inbox.close()
-        self._outbox.close()
+        pass
+
+
+def loopback_pair():
+    """(center_end, source_end) duplex pair backed by two FIFO queues."""
+    to_center, to_source = queue.Queue(), queue.Queue()
+    return (LoopbackChannel(to_center, to_source),
+            LoopbackChannel(to_source, to_center))
 
 
 class TcpChannel:

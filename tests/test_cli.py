@@ -111,7 +111,7 @@ class TestRun:
         assert code == 2
         assert "below one element" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("transport", ["loopback", "threads", "tcp"])
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_source_failure_exit_code(self, tmp_path, capsys, monkeypatch,
                                       transport):
         poison_feedback(monkeypatch, 2, target=1)
@@ -119,6 +119,32 @@ class TestRun:
                          *RUN_ARGS, "--transport", transport)
         assert out.result == 3 and out.seconds < 5
         assert "below -1e-06" in capsys.readouterr().err
+
+    def test_selection_larger_than_dims_exit_code(self, tmp_path, capsys):
+        # k_T = 24 > m = 16: a configuration error, found before any data
+        # is generated (or read data rescaled), not a failed rescale
+        out = tmp_path / "x"
+        code = run_cli("run", "--out", str(out), "--compression", "none",
+                       "--kT", "24", "--m", "16", "--N", "4", "--tT", "3")
+        assert code == 2
+        assert "exceeds dims 16" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(3).normal(size=(24, 6)),
+                   delimiter=",")
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--strategies", "greedi", "--seeds", "1", "--N", "2",
+                       "--kT", "8", "--tT", "2") == 2
+        assert "exceeds dims 6" in capsys.readouterr().err
+
+    def test_manifest_records_the_parsed_argv(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["run", "--out", str(out), *RUN_ARGS]
+        assert cli.main(argv) == 0
+        with open(out / "manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["command"] == argv
+        assert "argv" not in manifest["resolved"]
 
     def test_unlabeled_data_defaults_to_uniform_partition(self, tmp_path):
         rng = np.random.default_rng(6)

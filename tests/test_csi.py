@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddpp import csi, dpp, linalg
+from ddpp import csi, dpp, linalg, protocol
 from ddpp.errors import InvalidInputError, NotPsdError
 
 
@@ -55,6 +55,18 @@ class TestComputeProjector:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             csi.compute_projector(np.ones((2, 3)), 4)
+
+    def test_rows_spanning_every_dimension_give_exact_zero(self):
+        # nothing is left uncovered: the packet must be empty, not a block
+        # of rounding noise charged to the budget
+        rng = np.random.default_rng(203)
+        H = csi.compute_projector(rng.normal(size=(6, 6)), 6)
+        assert H.rank == 0 and not H.matrix.any()
+        for packet in (csi.compress(H, R=2.0), csi.compress_svd(H, R=2.0)):
+            assert packet.element_count == 0
+            ledger = protocol.BandwidthLedger(n_sources=1, dims=6, sparsity=2.0)
+            ledger.record("downlink", 0, packet.element_count, 0, interval=2)
+            assert ledger.snapshot()["downlink_elements"] == 0
 
 
 class TestSplitBudget:
@@ -193,8 +205,6 @@ class TestCompressReconstruct:
         getattr(packet, field).flat[0] = bad
         with pytest.raises(InvalidInputError, match=field):
             packet.validate()
-        with pytest.raises(InvalidInputError):
-            csi.precode(np.ones((2, 8)), packet)
 
 
 def dense_precode(Z, packet, momentum):

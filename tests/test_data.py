@@ -39,6 +39,12 @@ class TestCsv:
         with pytest.raises(IngestError):
             data.load_features(path, fmt="csv")
 
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(IngestError, match="no data rows"):
+            data.load_features(path, fmt="csv")
+
 
 class TestDdpmBinary:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -116,6 +122,30 @@ class TestSynth:
     def test_too_many_clusters(self):
         with pytest.raises(InvalidInputError):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=5)
+
+
+class TestDataset:
+    """Constructing a Dataset is the entry check for caller features."""
+
+    PART = data.SourcePartition(((0,), (1,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        Z = np.ones((2, 3))
+        Z[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            data.Dataset(features=Z, partition=self.PART)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (1, 2, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="2-D"):
+            data.Dataset(features=np.ones(shape), partition=self.PART)
+
+    def test_features_widened_to_float64(self):
+        ds = data.Dataset(features=np.eye(2, 3, dtype=np.float32),
+                          partition=self.PART)
+        assert ds.features.dtype == np.float64
+        assert np.array_equal(ds.features, np.eye(2, 3))
 
 
 class TestPartition:

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddpp import csi, protocol
 from ddpp.errors import (BudgetViolationError, DdppError, DecodeError,
@@ -77,6 +79,14 @@ class TestBatchFrames:
                                  vectors=np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             protocol.encode_batch(b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected_at_decode(self, bad):
+        rng = np.random.default_rng(304)
+        frame = bytearray(protocol.encode_batch(random_batch(rng)))
+        frame[-8:] = struct.pack("<d", bad)  # the last vector element
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            protocol.decode_batch(bytes(frame))
 
 
 class TestFeedbackFrames:
@@ -168,6 +178,39 @@ class TestErrorFrames:
         for bad in (frame[:-1], frame + b"\x00", b"DDPB" + frame[4:]):
             with pytest.raises(DecodeError):
                 protocol.decode_error(bad)
+
+
+def _valid_frames():
+    rng = np.random.default_rng(320)
+    packet = random_packet(rng)
+    return {
+        "DDPB": (protocol.encode_batch(random_batch(rng)), protocol.decode_batch),
+        "DDPF": (protocol.encode_feedback(protocol.FeedbackMsg(
+            target_source=1, interval=2, packet=packet)), protocol.decode_feedback),
+        "DDPE": (protocol.encode_error(2, 3, NotPsdError("eigenvalue -0.5")),
+                 protocol.decode_error),
+    }
+
+
+class TestMalformedFrames:
+    """A damaged frame decodes or raises a decode/input error, nothing else."""
+
+    FRAMES = _valid_frames()
+
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(sorted(FRAMES)), data=st.data())
+    def test_truncated_or_mutated_frames(self, kind, data):
+        frame, decode = self.FRAMES[kind]
+        if data.draw(st.booleans(), label="truncate"):
+            bad = frame[:data.draw(st.integers(0, len(frame) - 1), label="cut")]
+        else:
+            pos = data.draw(st.integers(0, len(frame) - 1), label="pos")
+            byte = data.draw(st.integers(0, 255), label="byte")
+            bad = frame[:pos] + bytes([byte]) + frame[pos + 1:]
+        try:
+            decode(bad)
+        except (DecodeError, InvalidInputError):
+            pass
 
 
 class TestLedger:
