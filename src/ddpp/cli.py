@@ -1,7 +1,8 @@
 """Command-line front end: dataset generation, campaigns, and reports.
 
 Subcommands: gen, partition, run, report, oracle, ttest.  Exit codes:
-0 success, 2 configuration error, 3 numerical or budget failure.
+0 success, 2 configuration error, 3 numerical or budget failure, 1 any
+other package error (a frame that fails to decode or breaks the protocol).
 Campaign points may run in a thread pool capped by DDPP_THREADS.
 """
 

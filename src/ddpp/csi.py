@@ -10,6 +10,8 @@ A feedback message may carry at most R*m matrix elements.  The budget is
 split between a dense principal block on greedily chosen dimensions
 (r0 rows/columns, (r0^2+r0)/2 packed elements) and a truncated
 eigendecomposition of what the block misses (r1 vectors, r1*m elements).
+The center holds H as the orthonormal basis of what it received and
+builds both parts from greedy MAP frames; it forms no m x m matrix.
 
 Contract: finite float64 input, checked where data enters the package, and
 packets validated where they are built or decoded, not on every use.
@@ -28,14 +30,32 @@ from .linalg import (RANK_TOL, orthonormal_row_basis, psd_sqrt,
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector sent as feedback; rank = dims - rank(received)."""
+    """H = I - Q^T Q, the projector onto the complement of Q's rows.
 
-    matrix: np.ndarray
-    rank: int
+    ``basis`` is Q: q x m with orthonormal rows spanning what the center
+    received.  The feedback path reads H from Q (rows, blocks) and never
+    forms the m x m matrix.
+    """
+
+    basis: np.ndarray
 
     @property
     def dims(self):
-        return self.matrix.shape[0]
+        return self.basis.shape[1]
+
+    @property
+    def rank(self):
+        return self.dims - self.basis.shape[0]
+
+    def block(self, dims):
+        """H restricted to rows and columns ``dims``: I - Q_S^T Q_S."""
+        Q_S = self.basis[:, list(dims)]
+        return symmetrize(np.eye(Q_S.shape[1]) - Q_S.T @ Q_S)
+
+    @property
+    def matrix(self):
+        """The dense m x m projector, built on demand (uncompressed feedback)."""
+        return self.block(range(self.dims))
 
 
 @dataclass(frozen=True)
@@ -108,17 +128,15 @@ def compute_projector(Z_Y, m):
     Built from an orthonormal basis rather than the textbook inverse of
     Z_Y Z_Y^T so that linearly dependent received samples are handled.
     An empty Z_Y yields the identity (nothing to suppress); rows spanning
-    all m dimensions yield the exact zero projector, not rounding noise.
+    all m dimensions get the basis I, so H is the exact zero, not rounding
+    noise.
     """
     if Z_Y is None or np.size(Z_Y) == 0:
-        return Projector(matrix=np.eye(m), rank=m)
+        return Projector(basis=np.zeros((0, m)))
     if Z_Y.shape[1] != m:
         raise InvalidInputError(f"expected {m} columns, got {Z_Y.shape[1]}")
     Q = orthonormal_row_basis(Z_Y)
-    if Q.shape[0] == m:
-        return Projector(matrix=np.zeros((m, m)), rank=0)
-    H = symmetrize(np.eye(m) - Q.T @ Q)
-    return Projector(matrix=H, rank=m - Q.shape[0])
+    return Projector(basis=np.eye(m) if Q.shape[0] == m else Q)
 
 
 def split_budget(R, m, block_fraction=0.5):
@@ -154,47 +172,67 @@ def select_dims(H, r0):
     """
     if r0 > H.dims:
         raise InvalidInputError("r0 exceeds dimension count")
-    return sorted(dpp.greedy_map(H.matrix, r0).indices)
+    return sorted(dpp.greedy_map_projector(H.basis, r0).indices)
 
 
-def embed_block(block, selected, m):
-    """Place an r0 x r0 block at rows/columns ``selected`` of an m x m zero."""
-    out = np.zeros((m, m))
-    if len(selected):
-        out[np.ix_(selected, selected)] = block
-    return out
+def _residual_terms(H, selected, r1):
+    """Top-r1 eigenpairs of R = H minus its block on S = ``selected``.
 
-
-def _spectral_packet_terms(residual, r1):
-    """Top-r1 eigenpairs of the residual; non-positive values are dropped."""
+    R's largest eigenvalue is 1, and its eigenspace is exactly
+    E = {x : x_S = 0, Qx = 0}.  A greedy frame of E, all with value 1,
+    comes first: it is canonical, where an eigensolver returns an arbitrary
+    basis of E.  Only when r1 exceeds dim E is R eigendecomposed, on E's
+    complement (at most |S| + q dims).  Non-positive values are dropped.
+    """
+    m = H.dims
     if r1 <= 0:
-        return np.zeros(0), np.zeros((0, residual.shape[0]))
-    dec = spectral_decomp(residual)
-    values = dec.eigenvalues[:r1]
-    keep = values > RANK_TOL * max(abs(dec.eigenvalues[0]), 1.0)
-    return values[keep].copy(), dec.eigenvectors[:, :r1].T[keep].copy()
+        return np.zeros(0), np.zeros((0, m))
+    off = np.setdiff1d(np.arange(m), selected)
+    # Rows of W: an orthonormal basis of Q's rows with their S columns
+    # removed; E is the null space of W on the off-S coordinates.
+    W = orthonormal_row_basis(H.basis[:, off])
+    frame = dpp.greedy_map_projector(W, r1).frame
+    values = np.ones(len(frame))
+    vectors = np.zeros((len(frame), m))
+    vectors[:, off] = frame
+    extra = r1 - len(frame)
+    if extra > 0:
+        r0 = len(selected)
+        B = np.zeros((r0 + W.shape[0], m))  # orthonormal basis of E's complement
+        B[np.arange(r0), selected] = 1.0
+        B[r0:, off] = W
+        G = H.basis @ B.T
+        C = np.eye(B.shape[0]) - G.T @ G  # H on span(B)
+        C[:r0, :r0] = 0.0  # minus the block the packet carries
+        dec = spectral_decomp(symmetrize(C))
+        values = np.concatenate([values, dec.eigenvalues[:extra]])
+        vectors = np.vstack([vectors, dec.eigenvectors[:, :extra].T @ B])
+    keep = values > RANK_TOL  # R's top eigenvalue lies in [0, 1]
+    return values[keep], vectors[keep]
 
 
 def compress(H, R, block_fraction=0.5):
     """Budgeted packet: greedy principal block plus spectral residual terms."""
-    m = H.dims
-    r0, r1 = split_budget(R, m, block_fraction)
+    r0, r1 = split_budget(R, H.dims, block_fraction)
     selected = select_dims(H, r0)
-    block = H.matrix[np.ix_(selected, selected)]
-    residual = H.matrix - embed_block(block, selected, m)
-    values, vectors = _spectral_packet_terms(residual, r1)
-    return CsiPacket(dims=m, selected_dims=tuple(selected),
-                     principal_block=pack_lower_triangle(block),
+    values, vectors = _residual_terms(H, selected, r1)
+    return CsiPacket(dims=H.dims, selected_dims=tuple(selected),
+                     principal_block=pack_lower_triangle(H.block(selected)),
                      residual_values=values, residual_vectors=vectors).validate()
 
 
 def compress_svd(H, R):
-    """Ablation: spend the whole budget on floor(R) eigenvectors of H."""
-    r1 = min(int(R), H.dims)
-    values, vectors = _spectral_packet_terms(H.matrix, r1)
+    """Ablation: spend the whole budget on floor(R) eigenvectors of H.
+
+    H's nonzero eigenvalues are all 1, so any orthonormal frame of its range
+    is a top eigenbasis; the greedy frame of H's columns is a canonical one,
+    capped by rank(H).
+    """
+    frame = dpp.greedy_map_projector(H.basis, min(int(R), H.dims)).frame
     return CsiPacket(dims=H.dims, selected_dims=(),
                      principal_block=np.zeros(0),
-                     residual_values=values, residual_vectors=vectors).validate()
+                     residual_values=np.ones(len(frame)),
+                     residual_vectors=frame).validate()
 
 
 def compress_random_sketch(H, R, rng):
@@ -202,9 +240,8 @@ def compress_random_sketch(H, R, rng):
     m = H.dims
     r0, _ = split_budget(R, m, block_fraction=1.0)
     selected = sorted(rng.choice(m, size=r0, replace=False).tolist())
-    block = H.matrix[np.ix_(selected, selected)]
     return CsiPacket(dims=m, selected_dims=tuple(selected),
-                     principal_block=pack_lower_triangle(block),
+                     principal_block=pack_lower_triangle(H.block(selected)),
                      residual_values=np.zeros(0),
                      residual_vectors=np.zeros((0, m))).validate()
 
@@ -221,9 +258,10 @@ def exact_packet(H):
 def reconstruct(packet):
     """Source-side inverse of compress; always symmetric."""
     m = packet.dims
-    r0 = packet.block_size
-    block = unpack_lower_triangle(packet.principal_block, r0)
-    out = embed_block(block, list(packet.selected_dims), m)
+    selected = list(packet.selected_dims)
+    block = unpack_lower_triangle(packet.principal_block, len(selected))
+    out = np.zeros((m, m))
+    out[np.ix_(selected, selected)] = block
     if packet.residual_rank:
         V = packet.residual_vectors
         out = out + (V.T * packet.residual_values) @ V

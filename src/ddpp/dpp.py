@@ -32,6 +32,7 @@ class MapResult:
     indices: list
     stepwise_logdets: list
     rank_exhausted: bool = False
+    frame: np.ndarray = None  # set by greedy_map_projector only
 
 
 class SelectionState:
@@ -92,12 +93,19 @@ class SelectionState:
         return j, gain
 
 
-def _greedy(diag, kernel_row, k, preselected, excluded):
+def _greedy(diag, kernel_row, k, preselected, excluded, scale=None):
+    """Run the greedy; returns (MapResult, the SelectionState it used).
+
+    The rank floor is EARLY_STOP_REL times ``scale``, by default the
+    largest initial diagonal.
+    """
     if k < 0:
         raise InvalidInputError("k must be non-negative")
     preselected = [int(p) for p in preselected]
     n = diag.shape[0]
-    floor = EARLY_STOP_REL * max(float(np.max(diag)), 0.0) if n else 0.0
+    if scale is None:
+        scale = max(float(np.max(diag)), 0.0) if n else 0.0
+    floor = EARLY_STOP_REL * scale
     state = SelectionState(diag, kernel_row, capacity=k + len(preselected),
                            gain_floor=floor)
     for p in preselected:
@@ -113,7 +121,7 @@ def _greedy(diag, kernel_row, k, preselected, excluded):
         total += math.log(gain)
         logdets.append(total)
     return MapResult(indices=state.chosen, stepwise_logdets=logdets,
-                     rank_exhausted=exhausted)
+                     rank_exhausted=exhausted), state
 
 
 def greedy_map(L, k, preselected=(), excluded=()):
@@ -126,7 +134,7 @@ def greedy_map(L, k, preselected=(), excluded=()):
     floor before k picks, the result is shorter and flagged.
     """
     diag = np.diag(L).copy()
-    return _greedy(diag, lambda j: L[j], k, preselected, excluded)
+    return _greedy(diag, lambda j: L[j], k, preselected, excluded)[0]
 
 
 def greedy_map_rows(Z, k, preselected=(), excluded=()):
@@ -136,7 +144,30 @@ def greedy_map_rows(Z, k, preselected=(), excluded=()):
     keeps memory linear in n and is the preferred path for large n.
     """
     diag = np.einsum("ij,ij->i", Z, Z)
-    return _greedy(diag, lambda j: Z @ Z[j], k, preselected, excluded)
+    return _greedy(diag, lambda j: Z @ Z[j], k, preselected, excluded)[0]
+
+
+def greedy_map_projector(B, k):
+    """greedy_map on the projector I - B^T B, where B has orthonormal rows.
+
+    Kernel rows e_j - B^T B[:, j] are formed on demand, so no n x n array
+    is built.  On a projector kernel the incremental Cholesky rows are
+    themselves the Gram-Schmidt frame of the picked columns: orthonormal,
+    in pick order, spanning the same space.  They are returned as
+    ``frame`` (one per row), so the greedy doubles as a rank-revealing,
+    eigensolver-free basis of the projector's range.  Gains are measured
+    against the projector's norm 1, so a kernel that is zero up to
+    rounding yields no picks.
+    """
+    def row(j):
+        out = -(B[:, j] @ B)
+        out[j] += 1.0
+        return out
+
+    diag = 1.0 - np.einsum("ij,ij->j", B, B)
+    result, state = _greedy(diag, row, k, (), (), scale=1.0)
+    result.frame = state._rows[:state._t].copy()
+    return result
 
 
 def brute_force_map(L, k):

@@ -11,13 +11,12 @@ is comparable across methods.
 """
 
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import csi, dpp, metrics
-from .errors import InvalidConfigError, InvalidInputError
+from .errors import InvalidConfigError, InvalidInputError, ProtocolError
 from .linalg import logdet_psd, symmetrize
 from .protocol import (MAGIC_ERROR, BandwidthLedger, FeedbackMsg, SampleBatch,
                        decode_batch, decode_error, decode_feedback,
@@ -101,7 +100,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Per-trial record; timings are excluded from equality comparisons."""
+    """Per-trial record of one strategy run."""
 
     strategy: str
     seed: int
@@ -113,7 +112,6 @@ class ExperimentResult:
     config: ExperimentConfig
     scale: float = 1.0
     rank_exhausted: bool = False
-    per_interval_timings: list = field(default_factory=list)
 
     def comparable(self):
         return {
@@ -293,7 +291,7 @@ def run_ground_truth(dataset, k_T):
     return dpp.greedy_map_rows(dataset.features, k_T)
 
 
-def _finish(config, dataset, store, ledger, timings, ground_truth, exhausted):
+def _finish(config, dataset, store, ledger, ground_truth, exhausted):
     selected = list(store.order)
     diversity = dpp.subset_logdet(dataset.features, selected) if selected else -np.inf
     gt_logdet = float("nan")
@@ -306,13 +304,28 @@ def _finish(config, dataset, store, ledger, timings, ground_truth, exhausted):
         selected_global_indices=selected, diversity_logdet=diversity,
         rde=rde_value, gt_logdet=gt_logdet, ledger=ledger.snapshot(),
         config=config, scale=dataset.scale,
-        rank_exhausted=exhausted, per_interval_timings=timings)
+        rank_exhausted=exhausted)
 
 
-def _uplink(ledger, store, dataset, frame):
-    """Decode one batch frame, ledger it at its size and file its vectors."""
+def _uplink(ledger, store, dataset, frame, source_id, interval):
+    """Decode, check, ledger and file one batch frame from ``source_id``.
+
+    The frame must name the channel it arrived on and the current
+    ``interval``, index only that source's rows and carry m-wide vectors.
+    It is ledgered at its size.
+    """
     batch = decode_batch(frame)
-    assignment = dataset.partition.assignments[batch.source_id]
+    if (batch.source_id, batch.interval) != (source_id, interval):
+        raise ProtocolError(
+            f"frame on source {source_id}'s channel in interval {interval} "
+            f"claims source {batch.source_id}, interval {batch.interval}")
+    if batch.vectors.shape[1] != dataset.dims:
+        raise ProtocolError(f"source {source_id} sent vectors of width "
+                            f"{batch.vectors.shape[1]}, expected {dataset.dims}")
+    assignment = dataset.partition.assignments[source_id]
+    if any(j >= len(assignment) for j in batch.local_indices):
+        raise ProtocolError(f"source {source_id} sent a local index past its "
+                            f"{len(assignment)} rows")
     global_ids = [assignment[j] for j in batch.local_indices]
     ledger.record("uplink", batch.source_id,
                   len(batch.local_indices) * dataset.dims, len(frame),
@@ -335,10 +348,8 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     sketch_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _SALT_SKETCH]))
     drivers = _Drivers(workers, config, transport)
-    timings = []
     try:
         for t in range(1, config.intervals + 1):
-            t0 = time.perf_counter()
             if config.feedback_at(t):
                 for i in range(config.n_sources):
                     projector = csi.compute_projector(store.foreign_rows(i),
@@ -349,13 +360,12 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
                     ledger.record("downlink", i, packet.element_count,
                                   len(frame), interval=t)
                     drivers.send_feedback(i, frame)
-            for frame in drivers.collect_batches(t):
-                _uplink(ledger, store, dataset, frame)
-            timings.append(time.perf_counter() - t0)
+            for i, frame in enumerate(drivers.collect_batches(t)):
+                _uplink(ledger, store, dataset, frame, i, t)
     finally:
         drivers.close()
     exhausted = any(w.exhausted for w in workers)
-    return _finish(config, dataset, store, ledger, timings, ground_truth, exhausted)
+    return _finish(config, dataset, store, ledger, ground_truth, exhausted)
 
 
 def _check_dataset(config, dataset):
@@ -370,7 +380,7 @@ def _send_selection(config, dataset, ledger, store, selections):
     for i, local in enumerate(selections):
         batch = SampleBatch(source_id=i, interval=1, local_indices=tuple(local),
                             vectors=dataset.source_rows(i)[list(local)])
-        _uplink(ledger, store, dataset, encode_batch(batch))
+        _uplink(ledger, store, dataset, encode_batch(batch), i, 1)
 
 
 def rd_diversity(rows, epsilon):
@@ -391,7 +401,6 @@ def run_baseline(config, dataset, ground_truth=None):
     ledger = BandwidthLedger(config.n_sources, dataset.dims,
                              sparsity=config.sparsity)
     store = _CenterStore(config.n_sources, dataset.dims)
-    t0 = time.perf_counter()
     exhausted = False
     N, k_T = config.n_sources, config.total_select
     if config.strategy == "greedi":
@@ -441,8 +450,7 @@ def run_baseline(config, dataset, ground_truth=None):
                                             replace=False).tolist())
                           for i in range(N)]
         _send_selection(config, dataset, ledger, store, selections)
-    timings = [time.perf_counter() - t0]
-    return _finish(config, dataset, store, ledger, timings, ground_truth, exhausted)
+    return _finish(config, dataset, store, ledger, ground_truth, exhausted)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):

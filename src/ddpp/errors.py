@@ -40,6 +40,14 @@ class DecodeError(DdppError):
         super().__init__(f"{message} (offset {offset})")
 
 
+class ProtocolError(DdppError):
+    """A frame that decodes but contradicts its channel.
+
+    Its sender, interval, index range or vector width is not what the
+    receiving end expects.
+    """
+
+
 class BudgetViolationError(DdppError):
     """A bandwidth budget rule was violated (hard failure, not a warning)."""
 

@@ -45,6 +45,9 @@ MAGIC_ERROR = b"DDPE"
 WIRE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHII")
+# A tcp frame's length travels as a u32, so no frame can hold even one f64
+# vector wider than this; a larger declared m is refused at decode.
+MAX_DIMS = (2**32 - 1) // 8
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,13 @@ class _Reader:
         raw = self.take(8 * count, what)
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
+    def dims(self):
+        """The frame's vector width m, bounded before anything is shaped by it."""
+        m = self.u64("m")
+        if not 1 <= m <= MAX_DIMS:
+            raise DecodeError(self.pos - 8, f"m = {m} outside 1..{MAX_DIMS}")
+        return m
+
     def u64s(self, count, what):
         raw = self.take(8 * count, what)
         return struct.unpack(f"<{count}Q", raw) if count else ()
@@ -136,7 +146,7 @@ def decode_batch(data):
     source_id = r.u32("source_id")
     interval = r.u32("interval")
     count = r.u64("count")
-    m = r.u64("m")
+    m = r.dims()
     indices = r.u64s(count, "indices")
     vectors = r.f64s(count * m, "vectors").reshape(count, m)
     r.done()
@@ -161,7 +171,7 @@ def decode_feedback(data):
     _check_header(r, MAGIC_FEEDBACK, "feedback")
     target = r.u32("target_source")
     interval = r.u32("interval")
-    m = r.u64("m")
+    m = r.dims()
     r0 = r.u64("r0")
     r1 = r.u64("r1")
     declared = r.u64("element_count")

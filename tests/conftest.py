@@ -1,11 +1,18 @@
 import itertools
 import math
+import os
 import threading
 import time
 
-import numpy as np
+# One BLAS thread per process unless the caller sets its own: the campaign
+# fixtures run units in a thread pool, and a multi-threaded BLAS under it
+# oversubscribes the cores.  This has to happen before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from ddpp import csi, data
+import numpy as np  # noqa: E402
+
+from ddpp import csi, data  # noqa: E402
 
 
 def stepwise_exhaustive_greedy(L, k, preselected=(), excluded=()):

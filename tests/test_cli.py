@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import poison_feedback, run_within
+import ddpp
 from ddpp import cli, data
 
 
@@ -192,6 +195,30 @@ class TestRun:
         out = tmp_path / "pooled"
         assert run_cli("run", "--out", str(out), *RUN_ARGS) == 0
         assert len(read_jsonl(out / "results.jsonl")) == 4
+
+
+class TestReproducibility:
+    def test_results_identical_under_one_and_two_blas_threads(self, tmp_path):
+        # The center's feedback is canonical, so no step may depend on how
+        # the BLAS splits its work; each run is a fresh process because the
+        # thread count is fixed when numpy loads.
+        src = os.path.dirname(os.path.dirname(ddpp.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       DDPP_THREADS="1")
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from ddpp import cli; sys.exit(cli.main(sys.argv[1:]))",
+                 "run", "--out", str(out), "--strategies", "ddpp",
+                 "--seed-list", "3,4", "--N", "3", "--m", "256", "--ni", "200",
+                 "--kT", "60", "--tT", "2"],
+                env=env, check=True, timeout=300, capture_output=True)
+            outputs.append((out / "results.jsonl").read_bytes())
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestReport:

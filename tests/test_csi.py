@@ -10,6 +10,13 @@ from ddpp import csi, dpp, linalg, protocol
 from ddpp.errors import InvalidInputError, NotPsdError
 
 
+def embed_block(block, selected, m):
+    """Place an r0 x r0 block at rows/columns ``selected`` of an m x m zero."""
+    out = np.zeros((m, m))
+    out[np.ix_(selected, selected)] = block
+    return out
+
+
 def random_projector(rng, m, held_rows):
     Z_Y = rng.normal(size=(held_rows, m))
     return csi.compute_projector(Z_Y, m), Z_Y
@@ -92,11 +99,11 @@ class TestSplitBudget:
 
 class TestSelectDims:
     def test_identity_ties_break_low(self):
-        H = csi.Projector(matrix=np.eye(5), rank=5)
+        H = csi.Projector(basis=np.zeros((0, 5)))
         assert csi.select_dims(H, 3) == [0, 1, 2]
 
     def test_zeroed_dimension_skipped(self):
-        H = csi.Projector(matrix=np.diag([0.0, 1.0, 1.0]), rank=2)
+        H = csi.Projector(basis=np.array([[1.0, 0.0, 0.0]]))
         assert csi.select_dims(H, 1) == [1]
 
     def test_rank_exhaustion_returns_fewer(self):
@@ -117,7 +124,7 @@ class TestSelectDims:
 class TestCompressReconstruct:
     def test_identity_full_budget_roundtrips_exactly(self):
         m = 6
-        H = csi.Projector(matrix=np.eye(m), rank=m)
+        H = csi.Projector(basis=np.zeros((0, m)))
         packet = csi.compress(H, R=(m + 1) / 2, block_fraction=1.0)
         assert packet.block_size == m
         assert np.array_equal(csi.reconstruct(packet), np.eye(m))
@@ -129,7 +136,7 @@ class TestCompressReconstruct:
         assert packet.residual_rank == 0
         selected = list(packet.selected_dims)
         block = H.matrix[np.ix_(selected, selected)]
-        expected = csi.embed_block(block, selected, 8)
+        expected = embed_block(block, selected, 8)
         assert csi.reconstruct(packet) == pytest.approx(expected, abs=1e-12)
 
     def test_spectral_terms_never_increase_residual_error(self):
@@ -139,7 +146,7 @@ class TestCompressReconstruct:
         assert (packet.block_size, packet.residual_rank) <= (6, 2)
         selected = list(packet.selected_dims)
         block = H.matrix[np.ix_(selected, selected)]
-        base_err = np.linalg.norm(H.matrix - csi.embed_block(block, selected, 16))
+        base_err = np.linalg.norm(H.matrix - embed_block(block, selected, 16))
         err = np.linalg.norm(csi.reconstruct(packet) - H.matrix)
         assert err <= base_err + 1e-12
 
@@ -207,6 +214,107 @@ class TestCompressReconstruct:
             packet.validate()
 
 
+def dense_residual_terms(M, selected, r1):
+    """The reference residual terms: dense eigh of H minus its block on
+    ``selected``, top r1 pairs, non-positive values dropped."""
+    residual = M - embed_block(M[np.ix_(selected, selected)], selected, len(M))
+    w, V = np.linalg.eigh(residual)
+    values, vectors = w[::-1][:r1], V[:, ::-1][:, :r1].T
+    keep = values > linalg.RANK_TOL
+    return residual, values[keep], vectors[keep]
+
+
+def assert_matches_dense(H, packet, target, values, vectors):
+    """``packet``'s spectral terms are top eigenpairs of ``target`` and
+    reconstruct H as well as the reference terms ``values``/``vectors``."""
+    V = packet.residual_vectors
+    assert packet.residual_values == pytest.approx(values, abs=1e-9)
+    assert V @ V.T == pytest.approx(np.eye(len(V)), abs=1e-9)
+    if len(V):
+        assert np.max(np.linalg.norm(
+            V @ target - packet.residual_values[:, None] * V, axis=1)) <= 1e-9
+    reference = csi.CsiPacket(
+        dims=packet.dims, selected_dims=packet.selected_dims,
+        principal_block=packet.principal_block, residual_values=values,
+        residual_vectors=vectors.reshape(len(values), packet.dims))
+    assert packet.element_count == reference.element_count
+    M = H.matrix
+    assert np.linalg.norm(csi.reconstruct(packet) - M) == pytest.approx(
+        np.linalg.norm(csi.reconstruct(reference) - M), abs=1e-9)
+
+
+def held_rows(rng, m, rows, duplicates):
+    """``rows`` random rows; with ``duplicates`` the last ones repeat
+    combinations of the first, so their span is rank-deficient."""
+    Z = rng.normal(size=(rows, m))
+    for i in range(min(duplicates, rows - 1)):
+        Z[rows - 1 - i] = Z[0] + i * Z[min(1, rows - 1)]
+    return Z
+
+
+def check_compress_against_dense(H, R, block_fraction):
+    """compress equals the dense-eigh reference; returns (r1, dim E)."""
+    packet = csi.compress(H, R, block_fraction)
+    _, r1 = csi.split_budget(R, H.dims, block_fraction)
+    selected = list(packet.selected_dims)
+    residual, values, vectors = dense_residual_terms(H.matrix, selected, r1)
+    assert_matches_dense(H, packet, residual, values, vectors)
+    # E = {x : x_S = 0, Qx = 0}, the residual's eigenvalue-1 space
+    return r1, int(np.sum(np.linalg.eigvalsh(residual) >= 1 - 1e-9))
+
+
+def check_svd_against_dense(H, R):
+    packet = csi.compress_svd(H, R)
+    M = H.matrix
+    _, values, vectors = dense_residual_terms(M, [], min(int(R), H.dims))
+    assert_matches_dense(H, packet, M, values, vectors)
+    assert packet.residual_rank == min(int(R), H.rank)
+
+
+class TestDenseReference:
+    """compress and compress_svd take no m x m eigensolver; a dense eigh of
+    the residual (of H, for svd) is the reference."""
+
+    @pytest.mark.parametrize("m, rows, duplicates, R, bf, beyond_E", [
+        (6, 4, 0, 3.0, 0.0, True),     # r0 = 0, r1 = 3 > dim E = 2
+        (8, 5, 0, 4.0, 0.5, True),     # r1 = 2 > dim E = 0
+        (8, 3, 0, 2.0, 0.5, False),    # r1 = 1 <= dim E = 2
+        (8, 5, 2, 4.0, 0.0, False),    # rank-deficient held rows: r1 = 4 <= 5
+        (7, 0, 0, 3.0, 0.5, False),    # empty: H = I
+        (6, 6, 0, 2.0, 0.5, True),     # rows span everything: H = 0
+        (10, 9, 0, 5.0, 0.5, True),    # rank-1 H, block exhausts its rank
+    ])
+    def test_fixed_cases(self, m, rows, duplicates, R, bf, beyond_E):
+        rng = np.random.default_rng(260 + m + rows)
+        H = csi.compute_projector(held_rows(rng, m, rows, duplicates), m)
+        r1, dim_e = check_compress_against_dense(H, R, bf)
+        assert (r1 > dim_e) == beyond_E
+        check_svd_against_dense(H, R)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 8), rows=st.integers(0, 9),
+           duplicates=st.integers(0, 3), elements=st.integers(1, 64),
+           bf=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_small_projectors(self, m, rows, duplicates, elements, bf,
+                                     seed):
+        rng = np.random.default_rng(seed)
+        H = csi.compute_projector(held_rows(rng, m, rows, duplicates), m)
+        R = min(elements, m * m) / m
+        check_compress_against_dense(H, R, bf)
+        check_svd_against_dense(H, R)
+
+    def test_residual_frame_is_canonical(self):
+        # the frame depends on the projector, not on the basis it came from
+        rng = np.random.default_rng(270)
+        Z = rng.normal(size=(5, 16))
+        a = csi.compress(csi.compute_projector(Z, 16), R=3.0)
+        b = csi.compress(csi.compute_projector(rng.normal(size=(5, 5)) @ Z, 16),
+                         R=3.0)
+        assert a.selected_dims == b.selected_dims
+        assert a.residual_vectors == pytest.approx(b.residual_vectors, abs=1e-9)
+
+
 def dense_precode(Z, packet, momentum):
     """The reference pre-code: Z (I + H^{1/2}) on the m x m reconstruction."""
     root = linalg.psd_sqrt(csi.reconstruct(packet))
@@ -225,13 +333,13 @@ class TestPrecode:
     def test_identity_feedback_doubles_with_momentum(self):
         rng = np.random.default_rng(230)
         Z = rng.normal(size=(4, 5))
-        packet = csi.exact_packet(csi.Projector(matrix=np.eye(5), rank=5))
+        packet = csi.exact_packet(csi.Projector(basis=np.zeros((0, 5))))
         assert csi.precode(Z, packet, momentum=True) == pytest.approx(2 * Z)
 
     def test_zero_feedback_is_identity_with_momentum(self):
         rng = np.random.default_rng(231)
         Z = rng.normal(size=(4, 5))
-        packet = csi.exact_packet(csi.Projector(matrix=np.zeros((5, 5)), rank=0))
+        packet = csi.exact_packet(csi.Projector(basis=np.eye(5)))
         assert csi.precode(Z, packet, momentum=True) == pytest.approx(Z)
 
     def test_exact_projector_recovers_conditional_determinant(self):
@@ -287,7 +395,7 @@ class TestSubspacePrecode:
 
     @pytest.mark.parametrize("momentum", [True, False])
     def test_empty_packet_of_rank_zero_projector(self, momentum):
-        H = csi.Projector(matrix=np.zeros((6, 6)), rank=0)
+        H = csi.Projector(basis=np.eye(6))
         packet = csi.compress(H, R=2.0)
         assert packet.block_size == packet.residual_rank == 0
         Z = np.random.default_rng(251).normal(size=(5, 6))

@@ -132,6 +132,30 @@ class TestGreedyMap:
             assert a.rank_exhausted == b.rank_exhausted == exhausted
             assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
 
+    @pytest.mark.parametrize("n, q", [(9, 0), (9, 4), (12, 11)])
+    def test_projector_variant_matches_dense_and_returns_a_frame(self, n, q):
+        rng = np.random.default_rng(109)
+        B = linalg.orthonormal_row_basis(rng.normal(size=(q, n)))
+        P = np.eye(n) - B.T @ B
+        a = dpp.greedy_map(P, n)
+        b = dpp.greedy_map_projector(B, n)
+        assert b.indices == a.indices and len(b.indices) == n - q
+        F = b.frame
+        assert F @ F.T == pytest.approx(np.eye(n - q), abs=1e-12)
+        assert F @ P == pytest.approx(F, abs=1e-12)  # in P's range
+        # Gram-Schmidt of P's picked columns, in pick order
+        cols = P[:, b.indices]
+        assert np.tril(F @ cols, -1) == pytest.approx(0.0, abs=1e-12)
+
+    def test_projector_variant_picks_nothing_from_rounding_noise(self):
+        # I - B^T B is zero up to rounding when B's rows span everything;
+        # gains are measured against the projector's norm, not that noise
+        B = linalg.orthonormal_row_basis(
+            np.random.default_rng(110).normal(size=(6, 6)))
+        res = dpp.greedy_map_projector(B, 3)
+        assert res.indices == [] and res.rank_exhausted
+        assert res.frame.shape == (0, 6)
+
     def test_zero_kernel_exhausts_immediately(self):
         res = dpp.greedy_map(np.zeros((4, 4)), 2)
         assert res.indices == [] and res.rank_exhausted

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -7,7 +8,8 @@ import pytest
 from conftest import (poison_feedback, run_within, small_dataset,
                       stepwise_exhaustive_greedy)
 from ddpp import csi, data, dpp, engine, linalg, protocol
-from ddpp.errors import BudgetViolationError, InvalidConfigError, NotPsdError
+from ddpp.errors import (BudgetViolationError, InvalidConfigError, NotPsdError,
+                         ProtocolError)
 
 
 def config(**overrides):
@@ -232,6 +234,43 @@ class TestDdppPipeline:
                                       sparsity=8.0), ds)
         # both reconstruct the projector well enough to agree on selections
         assert full.selected_global_indices == exact.selected_global_indices
+
+
+def tamper_uplink(monkeypatch, source_id, change):
+    """Source ``source_id``'s batch frames pass through ``change(batch)``."""
+    real = engine.SourceWorker.step
+
+    def step(self, interval, feedback_frame, k):
+        frame = real(self, interval, feedback_frame, k)
+        if self.source_id != source_id:
+            return frame
+        batch = change(protocol.decode_batch(frame))
+        return protocol.encode_batch(batch)
+
+    monkeypatch.setattr(engine.SourceWorker, "step", step)
+
+
+class TestUplinkChecks:
+    """The center checks each batch frame against the channel it came on."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda b: dataclasses.replace(b, source_id=7), "claims source 7"),
+        (lambda b: dataclasses.replace(b, source_id=0), "claims source 0"),
+        (lambda b: dataclasses.replace(b, interval=b.interval + 1),
+         "claims source 1, interval 2"),
+        (lambda b: dataclasses.replace(
+            b, local_indices=(20,) + b.local_indices[1:]), "past its 20 rows"),
+        (lambda b: dataclasses.replace(
+            b, vectors=np.hstack([b.vectors, b.vectors[:, :1]])), "width 9"),
+    ], ids=["source_id >= N", "other source_id", "interval", "index", "width"])
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_mismatch_is_a_protocol_error(self, monkeypatch, change, message,
+                                          transport):
+        ds = small_dataset(seed=4, n_sources=2)  # 20 rows per source, m = 8
+        tamper_uplink(monkeypatch, 1, change)
+        out = run_within(20, engine.run_ddpp, config(), ds, transport=transport)
+        assert isinstance(out.error, ProtocolError), out.error
+        assert message in str(out.error)
 
 
 class TestBaselines:

@@ -101,7 +101,7 @@ class TestFeedbackFrames:
 
     def test_identity_full_budget_roundtrip(self):
         m = 5
-        H = csi.Projector(matrix=np.eye(m), rank=m)
+        H = csi.Projector(basis=np.zeros((0, m)))
         packet = csi.compress(H, R=(m + 1) / 2, block_fraction=1.0)
         msg = protocol.FeedbackMsg(target_source=3, interval=2, packet=packet)
         out = protocol.decode_feedback(protocol.encode_feedback(msg))
@@ -211,6 +211,46 @@ class TestMalformedFrames:
             decode(bad)
         except (DecodeError, InvalidInputError):
             pass
+
+
+class TestOversizedFrames:
+    """A declared m or count that no frame could hold fails at decode with
+    DecodeError, before any array is shaped by it."""
+
+    @staticmethod
+    def batch_header(count, m):
+        return (struct.pack("<4sHII", b"DDPB", 1, 0, 1)
+                + struct.pack("<QQ", count, m))
+
+    @staticmethod
+    def feedback_header(m, r0=0, r1=0):
+        return (struct.pack("<4sHII", b"DDPF", 1, 0, 2)
+                + struct.pack("<QQQQ", m, r0, r1, (r0 * r0 + r0) // 2 + r1 * m))
+
+    @pytest.mark.parametrize("m", [2**63, 2**40, protocol.MAX_DIMS + 1, 0])
+    def test_batch_width(self, m):
+        frame = self.batch_header(0, m)
+        assert len(frame) == 30
+        with pytest.raises(DecodeError, match="outside"):
+            protocol.decode_batch(frame)
+
+    @pytest.mark.parametrize("m", [2**63, 2**40, protocol.MAX_DIMS + 1, 0])
+    def test_feedback_width(self, m):
+        frame = self.feedback_header(m)
+        assert len(frame) == 46
+        with pytest.raises(DecodeError, match="outside"):
+            protocol.decode_feedback(frame)
+
+    def test_counts_past_the_frame_end(self):
+        with pytest.raises(DecodeError, match="truncated"):
+            protocol.decode_batch(self.batch_header(2**62, 4))
+        with pytest.raises(DecodeError, match="truncated"):
+            protocol.decode_feedback(self.feedback_header(4, r0=2**31))
+
+    def test_widest_empty_frames_decode(self):
+        m = protocol.MAX_DIMS
+        assert protocol.decode_batch(self.batch_header(0, m)).vectors.shape == (0, m)
+        assert protocol.decode_feedback(self.feedback_header(m)).packet.dims == m
 
 
 class TestLedger:
