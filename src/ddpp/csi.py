@@ -152,13 +152,9 @@ def split_budget(R, m, block_fraction=0.5):
     if not 0 <= block_fraction <= 1:
         raise InvalidInputError("block_fraction must lie in [0, 1]")
     budget = R * m
+    # r(r+1)/2 <= F  <=>  (2r+1)^2 <= 8F+1, for the integer F below.
     r0 = min(m, (math.isqrt(8 * int(block_fraction * budget) + 1) - 1) // 2)
-    # Integer truncation above can land one off; settle exactly.
-    while r0 > 0 and (r0 * r0 + r0) / 2 > block_fraction * budget:
-        r0 -= 1
-    while r0 < m and ((r0 + 1) * (r0 + 2)) / 2 <= block_fraction * budget:
-        r0 += 1
-    r1 = min(max(int((budget - (r0 * r0 + r0) / 2) // m), 0), m)
+    r1 = min(int((budget - (r0 * r0 + r0) / 2) // m), m)
     if r0 == 0 and r1 == 0 and block_fraction > 0:
         r0 = 1
     return r0, r1

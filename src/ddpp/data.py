@@ -170,15 +170,12 @@ def load_features(path, fmt="csv", label_column=False):
 
 
 def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
-                           radius_jitter=0.0, n_hot=0, hot_scale=2.0,
-                           norm_tail=0.0, mean_sparsity=1.0):
+                           radius_jitter=0.0, norm_tail=0.0, mean_sparsity=1.0):
     """Gaussian-mixture features: means on a scaled sphere plus isotropic noise.
 
     ``radius_jitter`` perturbs each cluster's radius by a uniform factor in
-    [1-j, 1+j], giving clusters of unequal raw volume.  The last ``n_hot``
-    clusters are "hot": their radius is ``hot_scale`` times larger, standing
-    in for globally popular content that every source holds a slice of.
-    ``norm_tail`` multiplies every sample by an independent lognormal factor
+    [1-j, 1+j], giving clusters of unequal raw volume.  ``norm_tail``
+    multiplies every sample by an independent lognormal factor
     exp(norm_tail * g), mimicking the heavy-tailed magnitudes of learned
     feature embeddings (rare samples are far more salient than typical
     ones).  ``mean_sparsity`` < 1 restricts every cluster mean to a random
@@ -188,8 +185,6 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     """
     if n_clusters > n:
         raise InvalidInputError("more clusters than samples")
-    if n_hot > n_clusters:
-        raise InvalidInputError("more hot clusters than clusters")
     if not 0 < mean_sparsity <= 1:
         raise InvalidInputError("mean_sparsity must lie in (0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5D]))
@@ -202,8 +197,6 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     means *= scale / np.linalg.norm(means, axis=1, keepdims=True)
     if radius_jitter:
         means *= rng.uniform(1 - radius_jitter, 1 + radius_jitter, size=(n_clusters, 1))
-    if n_hot:
-        means[n_clusters - n_hot:] *= hot_scale
     labels = np.arange(n) % n_clusters
     Z = means[labels] + spread * scale * rng.normal(size=(n, m))
     if norm_tail:
@@ -211,17 +204,33 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     return Z, labels.astype(np.int64)
 
 
+def _fill(part, pools, clusters, need):
+    """Pop up to ``need`` samples round-robin from ``clusters``' pools.
+
+    A drained pool leaves the rotation (``clusters`` is consumed); returns
+    how many are still needed.
+    """
+    j = 0
+    while need and clusters:
+        c = clusters[j % len(clusters)]
+        if pools[c]:
+            part.append(pools[c].pop())
+            need -= 1
+            j += 1
+        else:
+            clusters.remove(c)
+    return need
+
+
 def partition(n, n_sources, policy="uniform_random", seed=0,
-              cluster_labels=None, skew=0.5, coverage=None):
+              cluster_labels=None, skew=0.5):
     """Split ``n`` samples into equal-sized disjoint per-source index lists.
 
     ``uniform_random`` shuffles then slices.  ``cluster_skewed`` gives source
     i a home cluster (i mod C) holding probability mass 1-skew of its quota
-    and spreads the rest over foreign clusters; it needs cluster labels.
-    ``coverage`` limits each source's foreign reach to the next ``coverage``
-    clusters on the ring after its home (adjacent sources then overlap,
-    which is what makes the split stress cross-source redundancy); None
-    spreads over every cluster.  Requires n divisible by n_sources.
+    and spreads the rest round-robin over the other clusters, in ring order
+    after the home; it needs cluster labels.  Requires n divisible by
+    n_sources.
     """
     if n_sources < 1:
         raise InvalidConfigError("need at least one source")
@@ -245,39 +254,20 @@ def partition(n, n_sources, policy="uniform_random", seed=0,
     pools = [list(rng.permutation(np.flatnonzero(labels == c)).tolist())
              for c in range(n_clusters)]
     parts = [[] for _ in range(n_sources)]
-    # Home-cluster draws first, then ring-limited foreign fill; both capped
-    # by availability so the equal-size invariant survives drained pools.
+    # Home-cluster draws first, then the foreign fill; both capped by
+    # availability so the equal-size invariant survives drained pools.
     for i in range(n_sources):
         home = i % n_clusters
         want = int(round((1 - skew) * quota))
         take = min(want, len(pools[home]))
         parts[i].extend(pools[home][:take])
         del pools[home][:take]
-    reach = n_clusters - 1 if coverage is None else min(coverage, n_clusters - 1)
     for i in range(n_sources):
         home = i % n_clusters
-        need = quota - len(parts[i])
-        ring = [(home + d) % n_clusters for d in range(1, reach + 1)]
-        j = 0
-        while need and ring:
-            c = ring[j % len(ring)]
-            if pools[c]:
-                parts[i].append(pools[c].pop())
-                need -= 1
-                j += 1
-            else:
-                ring.remove(c)
-        if need:  # ring drained; fall back to any remaining samples
-            leftovers = [c for c in range(n_clusters) if pools[c]]
-            j = 0
-            while need and leftovers:
-                c = leftovers[j % len(leftovers)]
-                if pools[c]:
-                    parts[i].append(pools[c].pop())
-                    need -= 1
-                    j += 1
-                else:
-                    leftovers.remove(c)
+        ring = [(home + d) % n_clusters for d in range(1, n_clusters)]
+        need = _fill(parts[i], pools, ring, quota - len(parts[i]))
+        # The ring drains only when every foreign pool is empty.
+        _fill(parts[i], pools, [home], need)
     return SourcePartition(tuple(tuple(sorted(p)) for p in parts)).validate(n)
 
 

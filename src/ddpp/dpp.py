@@ -35,93 +35,51 @@ class MapResult:
     frame: np.ndarray = None  # set by greedy_map_projector only
 
 
-class SelectionState:
-    """Single-owner incremental Cholesky workspace for greedy selection.
-
-    ``kernel_row(j)`` must return row j of the working kernel; the diagonal
-    is copied up front.  ``capacity`` bounds how many items may be consumed
-    (picked or conditioned).  Consumed and excluded items have their gain
-    pinned to -inf so they can never be picked again.
-    """
-
-    def __init__(self, diag, kernel_row, capacity, gain_floor=0.0):
-        self.diag = diag
-        self.kernel_row = kernel_row
-        self.chosen = []
-        self.gain_floor = gain_floor
-        self._rows = np.empty((capacity, diag.shape[0]))
-        self._t = 0
-
-    def exclude(self, indices):
-        for j in indices:
-            self.diag[j] = -np.inf
-
-    def condition(self, j):
-        """Consume item j: update every candidate's gain as if j were picked.
-
-        A j whose own gain already sits at the rank floor spans no new
-        direction; it is consumed without a rank-one update.
-        """
-        d2 = float(self.diag[j])
-        if d2 <= self.gain_floor:
-            self.diag[j] = -np.inf
-            return 0.0
-        t = self._t
-        row = np.asarray(self.kernel_row(j), dtype=np.float64)
-        e = (row - self._rows[:t, j] @ self._rows[:t]) / math.sqrt(d2)
-        self._rows[t] = e
-        self._t = t + 1
-        self.diag -= np.square(e)
-        self.diag[j] = -np.inf
-        return d2
-
-    def best_candidate(self):
-        """Lowest index attaining the maximal gain, or None at the floor."""
-        if self.diag.shape[0] == 0:
-            return None
-        j = int(np.argmax(self.diag))
-        if self.diag[j] <= self.gain_floor:
-            return None
-        return j
-
-    def pick(self):
-        j = self.best_candidate()
-        if j is None:
-            return None, None
-        gain = self.condition(j)
-        self.chosen.append(j)
-        return j, gain
-
-
 def _greedy(diag, kernel_row, k, preselected, excluded, scale=None):
-    """Run the greedy; returns (MapResult, the SelectionState it used).
+    """Run the greedy; returns (MapResult, its Cholesky rows in order).
 
-    The rank floor is EARLY_STOP_REL times ``scale``, by default the
-    largest initial diagonal.
+    ``kernel_row(j)`` returns row j of the kernel whose diagonal ``diag``
+    is updated in place.  The ``preselected`` items are consumed first,
+    then up to k picks.  A consumed item adds one Cholesky row and has its
+    gain pinned to -inf; one whose gain already sits at the rank floor
+    spans no new direction and adds no row.  The floor is EARLY_STOP_REL
+    times ``scale``, by default the largest initial diagonal.
     """
     if k < 0:
         raise InvalidInputError("k must be non-negative")
     preselected = [int(p) for p in preselected]
+    held = len(preselected)
     n = diag.shape[0]
     if scale is None:
         scale = max(float(np.max(diag)), 0.0) if n else 0.0
     floor = EARLY_STOP_REL * scale
-    state = SelectionState(diag, kernel_row, capacity=k + len(preselected),
-                           gain_floor=floor)
-    for p in preselected:
-        state.condition(p)
-    state.exclude(int(j) for j in excluded)
-    logdets, total = [], 0.0
-    exhausted = False
-    for _ in range(k):
-        j, gain = state.pick()
-        if j is None:
-            exhausted = True
-            break
-        total += math.log(gain)
-        logdets.append(total)
-    return MapResult(indices=state.chosen, stepwise_logdets=logdets,
-                     rank_exhausted=exhausted), state
+    # A preselected item is conditioned on before its gain is pinned.
+    for j in set(int(j) for j in excluded).difference(preselected):
+        diag[j] = -np.inf
+    rows = np.empty((held + k, n))
+    t = 0
+    chosen, logdets, total = [], [], 0.0
+    for step in range(held + k):
+        if step < held:
+            j = preselected[step]
+        else:
+            j = int(np.argmax(diag)) if n else None
+            if j is None or diag[j] <= floor:
+                break
+        d2 = float(diag[j])
+        if d2 > floor:
+            e = (kernel_row(j) - rows[:t, j] @ rows[:t]) / math.sqrt(d2)
+            rows[t] = e
+            t += 1
+            diag -= np.square(e)
+        diag[j] = -np.inf
+        if step >= held:
+            chosen.append(j)
+            total += math.log(d2)
+            logdets.append(total)
+    result = MapResult(indices=chosen, stepwise_logdets=logdets,
+                       rank_exhausted=len(chosen) < k)
+    return result, rows[:t]
 
 
 def greedy_map(L, k, preselected=(), excluded=()):
@@ -165,8 +123,8 @@ def greedy_map_projector(B, k):
         return out
 
     diag = 1.0 - np.einsum("ij,ij->j", B, B)
-    result, state = _greedy(diag, row, k, (), (), scale=1.0)
-    result.frame = state._rows[:state._t].copy()
+    result, frame = _greedy(diag, row, k, (), (), scale=1.0)
+    result.frame = frame
     return result
 
 

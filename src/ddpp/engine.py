@@ -158,17 +158,29 @@ class SourceWorker:
         self.exhausted = False
 
     def step(self, interval, feedback_frame, k):
-        """Consume optional feedback, pick k new items, return a batch frame."""
+        """Consume optional feedback, pick k new items, return a batch frame.
+
+        A feedback frame must name this source, the current ``interval``
+        and a packet as wide as the source's rows.
+        """
         if feedback_frame is not None:
             msg = decode_feedback(feedback_frame)
+            if (msg.target_source, msg.interval) != (self.source_id, interval):
+                raise ProtocolError(
+                    f"feedback for source {self.source_id} in interval "
+                    f"{interval} names source {msg.target_source}, "
+                    f"interval {msg.interval}")
+            if msg.packet.dims != self.rows.shape[1]:
+                raise ProtocolError(
+                    f"source {self.source_id} got a packet of width "
+                    f"{msg.packet.dims}, expected {self.rows.shape[1]}")
             working = csi.precode(self.rows, msg.packet,
                                   momentum=self.config.momentum)
         else:
             working = self.rows
         new = []
         if k > 0:
-            new = dpp.greedy_map_rows(working, k, preselected=self.sent,
-                                      excluded=self.sent).indices
+            new = dpp.greedy_map_rows(working, k, preselected=self.sent).indices
             if len(new) < k:
                 self.exhausted = True
             self.sent.extend(new)
@@ -180,8 +192,9 @@ class SourceWorker:
 def _source_loop(worker, channel, config):
     """Autonomous source endpoint: both sides know the feedback schedule.
 
-    A failure goes to the center as an error frame; a source thread that
-    just died would leave the center waiting in ``recv`` for good.
+    Any failure, an exit or interrupt too, goes to the center as an error
+    frame; a source thread that just died would leave the center waiting
+    in ``recv`` for good.  An exit or interrupt is re-raised after that.
     """
     t = 0
     try:
@@ -189,11 +202,13 @@ def _source_loop(worker, channel, config):
             frame = channel.recv() if config.feedback_at(t) else None
             channel.send(worker.step(t, frame,
                                      config.interval_quota(worker.source_id, t)))
-    except Exception as exc:  # the thread's boundary: report, then end
+    except BaseException as exc:  # the thread's boundary: report, then end
         try:
             channel.send(encode_error(worker.source_id, t, exc))
         except OSError:
             pass  # the center has closed the connection already
+        if not isinstance(exc, Exception):
+            raise
 
 
 class _Drivers:
@@ -293,16 +308,11 @@ def run_ground_truth(dataset, k_T):
 
 def _finish(config, dataset, store, ledger, ground_truth, exhausted):
     selected = list(store.order)
-    diversity = dpp.subset_logdet(dataset.features, selected) if selected else -np.inf
-    gt_logdet = float("nan")
-    rde_value = None
-    if ground_truth is not None:
-        report = metrics.rde(dataset.features, ground_truth.indices, selected)
-        gt_logdet, rde_value = report.gt_logdet, report.rde
+    report = metrics.rde(dataset.features, ground_truth.indices, selected)
     return ExperimentResult(
         strategy=config.strategy, seed=config.seed,
-        selected_global_indices=selected, diversity_logdet=diversity,
-        rde=rde_value, gt_logdet=gt_logdet, ledger=ledger.snapshot(),
+        selected_global_indices=selected, diversity_logdet=report.sel_logdet,
+        rde=report.rde, gt_logdet=report.gt_logdet, ledger=ledger.snapshot(),
         config=config, scale=dataset.scale,
         rank_exhausted=exhausted)
 
@@ -378,8 +388,9 @@ def _check_dataset(config, dataset):
 def _send_selection(config, dataset, ledger, store, selections):
     """Frame, ledger and deliver per-source local selections (one interval)."""
     for i, local in enumerate(selections):
+        assignment = dataset.partition.assignments[i]
         batch = SampleBatch(source_id=i, interval=1, local_indices=tuple(local),
-                            vectors=dataset.source_rows(i)[list(local)])
+                            vectors=dataset.features[[assignment[j] for j in local]])
         _uplink(ledger, store, dataset, encode_batch(batch), i, 1)
 
 

@@ -10,7 +10,7 @@ class InvalidInputError(DdppError, ValueError):
 
 
 class NotPositiveDefiniteError(DdppError):
-    """Cholesky failed even after the jitter ladder.
+    """Cholesky failed.
 
     ``pivot`` is the 0-based index of the leading minor that failed.
     """

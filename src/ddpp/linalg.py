@@ -13,9 +13,6 @@ from .errors import InvalidInputError, NotPositiveDefiniteError, NotPsdError
 
 # Eigen/singular values below RANK_TOL * largest count as zero.
 RANK_TOL = 1e-10
-# Escalating diagonal jitter tried before declaring a Cholesky failure;
-# Gram matrices of near-duplicate samples are only semi-definite.
-JITTER_LADDER = (1e-12, 1e-10, 1e-8)
 
 
 def as_matrix(a, name="matrix"):
@@ -52,26 +49,15 @@ def gram(Z):
     return symmetrize(Z @ Z.T)
 
 
-def logdet_psd(M, jitter=0.0):
-    """log det(M + jitter*I) of a symmetric PSD matrix via Cholesky.
+def logdet_psd(M):
+    """log det of a symmetric positive definite matrix via Cholesky.
 
-    If the factorization fails at the requested jitter, larger ladder values
-    are tried; the first success determines the result.  Failure after the
-    ladder raises with the failing pivot index.
+    A failed factorization raises with the failing pivot index.
     """
-    if jitter < 0:
-        raise InvalidInputError("jitter must be non-negative")
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    last_pivot = 0
-    for j in [jitter] + [j for j in JITTER_LADDER if j > jitter]:
-        A = M if j == 0 else M + j * np.eye(n)
-        c, info = dpotrf(A, lower=1)
-        if info == 0:
-            return float(2.0 * np.sum(np.log(np.diag(c))))
-        last_pivot = int(info) - 1
-    raise NotPositiveDefiniteError(last_pivot)
+    c, info = dpotrf(M, lower=1)
+    if info:
+        raise NotPositiveDefiniteError(int(info) - 1)
+    return float(2.0 * np.sum(np.log(np.diag(c))))
 
 
 def spectral_decomp(M):
@@ -81,16 +67,16 @@ def spectral_decomp(M):
     return SpectralDecomp(eigenvalues=w[order], eigenvectors=V[:, order])
 
 
-def psd_sqrt(M, neg_tol=1e-6):
+def psd_sqrt(M):
     """Symmetric square root V diag(max(w,0))^{1/2} V^T of a PSD matrix.
 
-    Eigenvalues in [-neg_tol, 0) are treated as rounding noise and clamped;
-    anything below -neg_tol raises.
+    Eigenvalues in [-1e-6, 0) are treated as rounding noise and clamped;
+    anything below -1e-6 raises.
     """
     dec = spectral_decomp(M)
     w = dec.eigenvalues
-    if w.size and w[-1] < -neg_tol:
-        raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -{neg_tol:.0e}")
+    if w.size and w[-1] < -1e-6:
+        raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -1e-06")
     root = np.sqrt(np.clip(w, 0.0, None))
     V = dec.eigenvectors
     return symmetrize((V * root) @ V.T)
@@ -105,16 +91,14 @@ def numerical_rank(values, tol=RANK_TOL):
     return int(np.sum(np.abs(values) > cutoff))
 
 
-def orthonormal_row_basis(Z, tol=RANK_TOL):
+def orthonormal_row_basis(Z):
     """Rows of the returned Q form an orthonormal basis of rowspace(Z).
 
-    Rank is decided by singular values relative to the largest; an empty or
-    zero input yields a 0-row basis.
+    Rank is decided by singular values relative to the largest
+    (``RANK_TOL``); an empty or zero input yields a 0-row basis.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
     if Z.shape[0] == 0 or Z.size == 0:
         return np.zeros((0, Z.shape[1]))
     _, s, Vh = np.linalg.svd(Z, full_matrices=False)
-    r = numerical_rank(s, tol)
+    r = numerical_rank(s)
     return Vh[:r].copy()

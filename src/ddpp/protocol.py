@@ -262,11 +262,6 @@ class BandwidthLedger:
             self.uplink_elements[source_id] += element_count
             self.uplink_bytes += byte_count
         elif direction == "downlink":
-            if self.sparsity is not None and \
-                    element_count > self.sparsity * self.dims:
-                raise BudgetViolationError(
-                    f"feedback of {element_count} elements exceeds budget "
-                    f"{self.sparsity * self.dims:g} for source {source_id}")
             key = (source_id, interval)
             total = self._interval_downlink.get(key, 0) + element_count
             if self.sparsity is not None and total > self.sparsity * self.dims:

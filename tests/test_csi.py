@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddpp import csi, dpp, linalg, protocol
@@ -95,6 +96,23 @@ class TestSplitBudget:
                     r0, r1 = csi.split_budget(R, m, bf)
                     assert (r0 * r0 + r0) / 2 + r1 * m <= R * m
                     assert 0 <= r0 <= m and 0 <= r1 <= m
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 2048),
+           R=st.one_of(st.floats(0.0, 4096.0),
+                       st.integers(1, 8 * 4096).map(lambda e: e / 8)),
+           fraction=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                              st.floats(0.0, 1.0)))
+    def test_closed_form(self, m, R, fraction):
+        budget = R * m
+        assume(budget >= 1)
+        share = fraction * budget
+        r0 = max(r for r in range(m + 1) if r * (r + 1) // 2 <= share)
+        r1 = min(m, math.floor((Fraction(budget) - r0 * (r0 + 1) // 2) / m))
+        if fraction > 0 and r0 == r1 == 0:
+            r0 = 1
+        assert csi.split_budget(R, m, fraction) == (r0, r1)
+        assert r0 * (r0 + 1) // 2 + r1 * m <= Fraction(budget)
 
 
 class TestSelectDims:

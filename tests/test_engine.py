@@ -8,8 +8,8 @@ import pytest
 from conftest import (poison_feedback, run_within, small_dataset,
                       stepwise_exhaustive_greedy)
 from ddpp import csi, data, dpp, engine, linalg, protocol
-from ddpp.errors import (BudgetViolationError, InvalidConfigError, NotPsdError,
-                         ProtocolError)
+from ddpp.errors import (BudgetViolationError, DdppError, InvalidConfigError,
+                         NotPsdError, ProtocolError)
 
 
 def config(**overrides):
@@ -175,6 +175,28 @@ class TestDdppPipeline:
         assert not [th for th in threading.enumerate()
                     if "_source_loop" in th.name]
 
+    # the source thread re-raises the exit once it has reported it
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_base_exception_in_a_tcp_source_reaches_the_center(
+            self, monkeypatch):
+        ds = small_dataset(seed=4, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6, intervals=3)
+        real = engine.SourceWorker.step
+
+        def step(self, interval, feedback_frame, k):
+            if (self.source_id, interval) == (1, 2):
+                raise SystemExit("source gone")
+            return real(self, interval, feedback_frame, k)
+
+        monkeypatch.setattr(engine.SourceWorker, "step", step)
+        out = run_within(20, engine.run_ddpp, cfg, ds, transport="tcp")
+        assert type(out.error) is DdppError, out.error
+        assert str(out.error) == "source 1, interval 2: SystemExit: source gone"
+        assert out.seconds < 5
+        assert not [th for th in threading.enumerate()
+                    if "_source_loop" in th.name]
+
     def test_source_step_forms_no_m_by_m_array(self):
         m, n_i = 300, 40
         rng = np.random.default_rng(8)
@@ -271,6 +293,40 @@ class TestUplinkChecks:
         out = run_within(20, engine.run_ddpp, config(), ds, transport=transport)
         assert isinstance(out.error, ProtocolError), out.error
         assert message in str(out.error)
+
+
+def tamper_downlink(monkeypatch, target, change):
+    """Feedback messages to source ``target`` pass through ``change(msg)``."""
+    real = engine.encode_feedback
+
+    def encode(msg):
+        return real(change(msg) if msg.target_source == target else msg)
+
+    monkeypatch.setattr(engine, "encode_feedback", encode)
+
+
+class TestDownlinkChecks:
+    """Each source checks its feedback frames against its own channel."""
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda f: dataclasses.replace(f, target_source=0),
+         "names source 0, interval 2"),
+        (lambda f: dataclasses.replace(f, interval=3),
+         "names source 1, interval 3"),
+        (lambda f: dataclasses.replace(
+            f, packet=csi.exact_packet(csi.compute_projector(None, 9))),
+         "width 9, expected 8"),
+    ], ids=["target_source", "interval", "width"])
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_mismatch_is_a_protocol_error(self, monkeypatch, change, message,
+                                          transport):
+        ds = small_dataset(seed=4, n_sources=2)  # m = 8
+        tamper_downlink(monkeypatch, 1, change)
+        out = run_within(20, engine.run_ddpp, config(), ds, transport=transport)
+        assert isinstance(out.error, ProtocolError), out.error
+        assert message in str(out.error)
+        if transport == "tcp":
+            assert str(out.error).startswith("source 1, interval 2: ")
 
 
 class TestBaselines:

@@ -61,21 +61,11 @@ class TestLogdetPsd:
             expected = 5 * math.log(c) + linalg.logdet_psd(M)
             assert linalg.logdet_psd(c * M) == pytest.approx(expected, abs=1e-9)
 
-    def test_jitter_shifts_determinant(self):
-        M = np.zeros((3, 3))
-        assert linalg.logdet_psd(M, jitter=1.0) == pytest.approx(0.0, abs=1e-12)
-
     def test_failure_reports_pivot(self):
         M = np.diag([1.0, -5.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
             linalg.logdet_psd(M)
         assert err.value.pivot == 1
-
-    def test_semidefinite_passes_via_jitter_ladder(self):
-        # duplicated samples give a singular Gram; the ladder absorbs it
-        Z = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
-        value = linalg.logdet_psd(linalg.gram(Z))
-        assert math.isfinite(value)
 
 
 class TestSpectralDecomp:
@@ -154,7 +144,3 @@ class TestOrthonormalRowBasis:
 
     def test_empty_input(self):
         assert linalg.orthonormal_row_basis(np.zeros((0, 5))).shape == (0, 5)
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(InvalidInputError):
-            linalg.orthonormal_row_basis(np.eye(2), tol=0.0)
