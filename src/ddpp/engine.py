@@ -5,9 +5,9 @@ center summarizes what it has already received from other sources as a
 projector per source, compresses it under the sparsity budget, and sends it
 downlink; each source pre-codes its full local matrix with the decoded
 feedback, extends its own greedy selection (previously sent items condition
-the geometry but are never re-sent), and uplinks the new picks.  Baseline
-strategies reuse the same transports and ledger so the bandwidth accounting
-is comparable across methods.
+the geometry but are never re-sent), and uplinks the new picks.  Every
+strategy's frames reach one center object, which checks, counts and files
+them, so the bandwidth accounting is comparable across methods.
 """
 
 import threading
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csi, dpp, metrics
-from .errors import InvalidConfigError, InvalidInputError, ProtocolError
+from .errors import (BudgetViolationError, InvalidConfigError,
+                     InvalidInputError, ProtocolError)
 from .linalg import logdet_psd, symmetrize
-from .protocol import (MAGIC_ERROR, BandwidthLedger, FeedbackMsg, SampleBatch,
-                       decode_batch, decode_error, decode_feedback,
-                       encode_batch, encode_error, encode_feedback,
-                       loopback_pair, tcp_pair)
+from .protocol import (MAGIC_ERROR, FeedbackMsg, SampleBatch, decode_batch,
+                       decode_error, decode_feedback, encode_batch,
+                       encode_error, encode_feedback, loopback_pair, tcp_pair)
 
 STRATEGIES = ("ddpp", "greedi", "greedymax", "maxdiv", "random", "stratified")
 COMPRESSIONS = ("proposed", "svd", "random_sketch", "none")
@@ -61,6 +61,8 @@ class ExperimentConfig:
                                      f"dims {self.dims}; such selections are singular")
         if self.sparsity < 0:
             raise InvalidConfigError("sparsity budget must be non-negative")
+        if not 0 <= self.block_fraction <= 1:
+            raise InvalidConfigError("block_fraction must lie in [0, 1]")
         sends_feedback = (self.strategy == "ddpp"
                           and self.feedback_at(self.intervals))
         if sends_feedback and self.sparsity * self.dims < 1:
@@ -188,8 +190,14 @@ class SourceWorker:
                             local_indices=tuple(new), vectors=self.rows[new])
         return encode_batch(batch)
 
+    def serve(self, channel, interval):
+        """One interval of the schedule: take due feedback, step, send."""
+        frame = channel.recv() if self.config.feedback_at(interval) else None
+        k = self.config.interval_quota(self.source_id, interval)
+        channel.send(self.step(interval, frame, k))
 
-def _source_loop(worker, channel, config):
+
+def _source_loop(worker, channel):
     """Autonomous source endpoint: both sides know the feedback schedule.
 
     Any failure, an exit or interrupt too, goes to the center as an error
@@ -198,10 +206,8 @@ def _source_loop(worker, channel, config):
     """
     t = 0
     try:
-        for t in range(1, config.intervals + 1):
-            frame = channel.recv() if config.feedback_at(t) else None
-            channel.send(worker.step(t, frame,
-                                     config.interval_quota(worker.source_id, t)))
+        for t in range(1, worker.config.intervals + 1):
+            worker.serve(channel, t)
     except BaseException as exc:  # the thread's boundary: report, then end
         try:
             channel.send(encode_error(worker.source_id, t, exc))
@@ -220,11 +226,10 @@ class _Drivers:
     own frames.
     """
 
-    def __init__(self, workers, config, transport):
+    def __init__(self, workers, transport):
         if transport not in ("loopback", "tcp"):
             raise InvalidConfigError(f"unknown transport {transport!r}")
         self.workers = workers
-        self.config = config
         self.transport = transport
         pairs = [tcp_pair() if transport == "tcp" else loopback_pair()
                  for _ in workers]
@@ -233,8 +238,7 @@ class _Drivers:
         self.threads = []
         if transport == "tcp":
             for w, ch in zip(workers, self.source_ends):
-                th = threading.Thread(target=_source_loop, args=(w, ch, config),
-                                      daemon=True)
+                th = threading.Thread(target=_source_loop, args=(w, ch), daemon=True)
                 th.start()
                 self.threads.append(th)
 
@@ -246,10 +250,7 @@ class _Drivers:
         frames = []
         for i, w in enumerate(self.workers):
             if self.transport == "loopback":
-                frame = (self.source_ends[i].recv()
-                         if self.config.feedback_at(interval) else None)
-                self.source_ends[i].send(
-                    w.step(interval, frame, self.config.interval_quota(i, interval)))
+                w.serve(self.source_ends[i], interval)
             frame = self.center_ends[i].recv()
             if frame[:4] == MAGIC_ERROR:
                 raise decode_error(frame)
@@ -267,26 +268,101 @@ class _Drivers:
             ch.close()
 
 
-class _CenterStore:
-    """What the center has actually received, in arrival order."""
+class _Center:
+    """The single receiver: checks, counts and files every frame.
 
-    def __init__(self, n_sources, dims):
-        self.order = []            # global indices, arrival order
-        self.vectors = {}          # global index -> decoded row
-        self.by_source = [[] for _ in range(n_sources)]
+    It holds what each source has sent and what each link has carried.
+    Uplink counts carry only sample payload (k_T * m elements over a full
+    run, the same for every strategy); scalar diversity probes are tallied
+    apart.  The center sends at most one feedback frame per source per
+    interval, and each is capped at R*m elements.
+    """
 
-    def add(self, source_id, global_idx, row):
-        self.order.append(global_idx)
-        self.vectors[global_idx] = row
-        self.by_source[source_id].append(global_idx)
+    def __init__(self, config, dataset):
+        config.validate()
+        if dataset.partition.n_sources != config.n_sources:
+            raise InvalidConfigError("partition does not match the configured source count")
+        if dataset.dims != config.dims:
+            raise InvalidConfigError("dataset dimensionality does not match the config")
+        self.config = config
+        self.dataset = dataset
+        self.received = {}  # global index -> (source id, row), arrival order
+        self.uplink = [0] * config.n_sources
+        self.downlink = [0] * config.n_sources
+        self.uplink_bytes = self.downlink_bytes = self.probes = 0
+
+    def receive(self, frame, source_id, interval):
+        """Decode, check, count and file one batch frame from ``source_id``.
+
+        The frame must name the channel it arrived on and the current
+        ``interval``, index only that source's rows, none of them sent
+        before, and carry m-wide vectors.  It is counted at its size.
+        """
+        batch = decode_batch(frame)
+        if (batch.source_id, batch.interval) != (source_id, interval):
+            raise ProtocolError(
+                f"frame on source {source_id}'s channel in interval {interval} "
+                f"claims source {batch.source_id}, interval {batch.interval}")
+        m = self.dataset.dims
+        if batch.vectors.shape[1] != m:
+            raise ProtocolError(f"source {source_id} sent vectors of width "
+                                f"{batch.vectors.shape[1]}, expected {m}")
+        assignment = self.dataset.partition.assignments[source_id]
+        if any(j >= len(assignment) for j in batch.local_indices):
+            raise ProtocolError(f"source {source_id} sent a local index past its "
+                                f"{len(assignment)} rows")
+        global_ids = [assignment[j] for j in batch.local_indices]
+        repeats = sorted(g for g in global_ids if g in self.received)
+        if repeats:
+            raise BudgetViolationError(f"source {source_id} re-sent indices {repeats}")
+        self.uplink[source_id] += len(global_ids) * m
+        self.uplink_bytes += len(frame)
+        for g, row in zip(global_ids, batch.vectors):
+            self.received[g] = (source_id, row)
+
+    def feedback(self, source_id, interval, packet):
+        """Encode, check against R*m and count one feedback frame."""
+        frame = encode_feedback(FeedbackMsg(target_source=source_id,
+                                            interval=interval, packet=packet))
+        budget = self.config.sparsity * self.dataset.dims
+        if packet.element_count > budget:
+            raise BudgetViolationError(
+                f"interval {interval} downlink to source {source_id} "
+                f"reaches {packet.element_count} elements over budget {budget:g}")
+        self.downlink[source_id] += packet.element_count
+        self.downlink_bytes += len(frame)
+        return frame
+
+    def probe(self):
+        """Count one scalar diversity probe (apart from sample payload)."""
+        self.probes += 1
 
     def foreign_rows(self, source_id):
         """Rows received from every other source (the conditioning set)."""
-        own = set(self.by_source[source_id])
-        idx = [g for g in self.order if g not in own]
-        if not idx:
-            return np.zeros((0, 0))
-        return np.vstack([self.vectors[g] for g in idx])
+        rows = [row for s, row in self.received.values() if s != source_id]
+        return np.vstack(rows) if rows else np.zeros((0, 0))
+
+    def result(self, ground_truth, exhausted):
+        """The run's record, scored against ``ground_truth`` (run if None)."""
+        config, dataset = self.config, self.dataset
+        if ground_truth is None:
+            ground_truth = run_ground_truth(dataset, config.total_select)
+        selected = list(self.received)
+        report = metrics.rde(dataset.features, ground_truth.indices, selected)
+        ledger = {
+            "uplink_elements": sum(self.uplink),
+            "downlink_elements": sum(self.downlink),
+            "uplink_bytes": self.uplink_bytes,
+            "downlink_bytes": self.downlink_bytes,
+            "probe_elements": self.probes,
+            "per_source_uplink": list(self.uplink),
+            "per_source_downlink": list(self.downlink),
+        }
+        return ExperimentResult(
+            strategy=config.strategy, seed=config.seed,
+            selected_global_indices=selected, diversity_logdet=report.sel_logdet,
+            rde=report.rde, gt_logdet=report.gt_logdet, ledger=ledger,
+            config=config, scale=dataset.scale, rank_exhausted=exhausted)
 
 
 def _make_packet(projector, config, rng):
@@ -306,92 +382,27 @@ def run_ground_truth(dataset, k_T):
     return dpp.greedy_map_rows(dataset.features, k_T)
 
 
-def _finish(config, dataset, store, ledger, ground_truth, exhausted):
-    selected = list(store.order)
-    report = metrics.rde(dataset.features, ground_truth.indices, selected)
-    return ExperimentResult(
-        strategy=config.strategy, seed=config.seed,
-        selected_global_indices=selected, diversity_logdet=report.sel_logdet,
-        rde=report.rde, gt_logdet=report.gt_logdet, ledger=ledger.snapshot(),
-        config=config, scale=dataset.scale,
-        rank_exhausted=exhausted)
-
-
-def _uplink(ledger, store, dataset, frame, source_id, interval):
-    """Decode, check, ledger and file one batch frame from ``source_id``.
-
-    The frame must name the channel it arrived on and the current
-    ``interval``, index only that source's rows and carry m-wide vectors.
-    It is ledgered at its size.
-    """
-    batch = decode_batch(frame)
-    if (batch.source_id, batch.interval) != (source_id, interval):
-        raise ProtocolError(
-            f"frame on source {source_id}'s channel in interval {interval} "
-            f"claims source {batch.source_id}, interval {batch.interval}")
-    if batch.vectors.shape[1] != dataset.dims:
-        raise ProtocolError(f"source {source_id} sent vectors of width "
-                            f"{batch.vectors.shape[1]}, expected {dataset.dims}")
-    assignment = dataset.partition.assignments[source_id]
-    if any(j >= len(assignment) for j in batch.local_indices):
-        raise ProtocolError(f"source {source_id} sent a local index past its "
-                            f"{len(assignment)} rows")
-    global_ids = [assignment[j] for j in batch.local_indices]
-    ledger.record("uplink", batch.source_id,
-                  len(batch.local_indices) * dataset.dims, len(frame),
-                  interval=batch.interval, indices=global_ids)
-    for g, row in zip(global_ids, batch.vectors):
-        store.add(batch.source_id, g, row)
-
-
 def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     """Interval-by-interval feedback pipeline (Algorithm ``ddpp``)."""
-    config.validate()
-    _check_dataset(config, dataset)
-    if ground_truth is None:
-        ground_truth = run_ground_truth(dataset, config.total_select)
-    ledger = BandwidthLedger(config.n_sources, dataset.dims,
-                             sparsity=config.sparsity)
-    store = _CenterStore(config.n_sources, dataset.dims)
+    center = _Center(config, dataset)
     workers = [SourceWorker(i, dataset.source_rows(i), config)
                for i in range(config.n_sources)]
     sketch_rng = np.random.default_rng(
         np.random.SeedSequence([config.seed, _SALT_SKETCH]))
-    drivers = _Drivers(workers, config, transport)
+    drivers = _Drivers(workers, transport)
     try:
         for t in range(1, config.intervals + 1):
             if config.feedback_at(t):
                 for i in range(config.n_sources):
-                    projector = csi.compute_projector(store.foreign_rows(i),
+                    projector = csi.compute_projector(center.foreign_rows(i),
                                                       dataset.dims)
                     packet = _make_packet(projector, config, sketch_rng)
-                    frame = encode_feedback(FeedbackMsg(
-                        target_source=i, interval=t, packet=packet))
-                    ledger.record("downlink", i, packet.element_count,
-                                  len(frame), interval=t)
-                    drivers.send_feedback(i, frame)
+                    drivers.send_feedback(i, center.feedback(i, t, packet))
             for i, frame in enumerate(drivers.collect_batches(t)):
-                _uplink(ledger, store, dataset, frame, i, t)
+                center.receive(frame, i, t)
     finally:
         drivers.close()
-    exhausted = any(w.exhausted for w in workers)
-    return _finish(config, dataset, store, ledger, ground_truth, exhausted)
-
-
-def _check_dataset(config, dataset):
-    if dataset.partition.n_sources != config.n_sources:
-        raise InvalidConfigError("partition does not match the configured source count")
-    if dataset.dims != config.dims:
-        raise InvalidConfigError("dataset dimensionality does not match the config")
-
-
-def _send_selection(config, dataset, ledger, store, selections):
-    """Frame, ledger and deliver per-source local selections (one interval)."""
-    for i, local in enumerate(selections):
-        assignment = dataset.partition.assignments[i]
-        batch = SampleBatch(source_id=i, interval=1, local_indices=tuple(local),
-                            vectors=dataset.features[[assignment[j] for j in local]])
-        _uplink(ledger, store, dataset, encode_batch(batch), i, 1)
+    return center.result(ground_truth, any(w.exhausted for w in workers))
 
 
 def rd_diversity(rows, epsilon):
@@ -403,15 +414,9 @@ def rd_diversity(rows, epsilon):
 
 def run_baseline(config, dataset, ground_truth=None):
     """Feedback-free comparison strategies sharing the ddpp accounting."""
-    config.validate()
-    _check_dataset(config, dataset)
+    center = _Center(config, dataset)
     if config.strategy not in ("greedi", "greedymax", "maxdiv", "random", "stratified"):
         raise InvalidConfigError(f"{config.strategy!r} is not a baseline strategy")
-    if ground_truth is None:
-        ground_truth = run_ground_truth(dataset, config.total_select)
-    ledger = BandwidthLedger(config.n_sources, dataset.dims,
-                             sparsity=config.sparsity)
-    store = _CenterStore(config.n_sources, dataset.dims)
     exhausted = False
     N, k_T = config.n_sources, config.total_select
     if config.strategy == "greedi":
@@ -421,14 +426,13 @@ def run_baseline(config, dataset, ground_truth=None):
                                       config.per_source_quota)
             exhausted |= res.rank_exhausted
             selections.append(res.indices)
-        _send_selection(config, dataset, ledger, store, selections)
     elif config.strategy in ("greedymax", "maxdiv"):
         candidates, scores = [], []
         for i in range(N):
             rows = dataset.source_rows(i)
             if config.strategy == "maxdiv":
                 scores.append(rd_diversity(rows, config.epsilon))
-                ledger.record_probe(i)
+                center.probe()
                 candidates.append(None)  # winner selects later
             else:
                 res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
@@ -442,7 +446,6 @@ def run_baseline(config, dataset, ground_truth=None):
             exhausted |= res.rank_exhausted
         exhausted |= len(candidates[winner]) < k_T
         selections = [candidates[i] if i == winner else [] for i in range(N)]
-        _send_selection(config, dataset, ledger, store, selections)
     else:  # random / stratified
         salt = _SALT_RANDOM if config.strategy == "random" else _SALT_STRATIFIED
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
@@ -460,8 +463,12 @@ def run_baseline(config, dataset, ground_truth=None):
                                             size=config.per_source_quota,
                                             replace=False).tolist())
                           for i in range(N)]
-        _send_selection(config, dataset, ledger, store, selections)
-    return _finish(config, dataset, store, ledger, ground_truth, exhausted)
+    for i, local in enumerate(selections):  # one batch frame per source
+        assignment = dataset.partition.assignments[i]
+        center.receive(encode_batch(SampleBatch(
+            source_id=i, interval=1, local_indices=tuple(local),
+            vectors=dataset.features[[assignment[j] for j in local]])), i, 1)
+    return center.result(ground_truth, exhausted)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):

@@ -1,4 +1,4 @@
-"""Message schema, bit-exact serialization, and bandwidth accounting.
+"""Message schema, bit-exact serialization, and the channels frames travel on.
 
 Three frame types travel between sources and the center:
 
@@ -30,14 +30,13 @@ consistent shapes and finite values, or decoding raises.
 import queue
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .csi import CsiPacket
-from .errors import (BudgetViolationError, DdppError, DecodeError,
-                     InvalidInputError)
+from .errors import DdppError, DecodeError, InvalidInputError
 
 MAGIC_BATCH = b"DDPB"
 MAGIC_FEEDBACK = b"DDPF"
@@ -219,77 +218,6 @@ def decode_error(data):
     exc = cls.__new__(cls)
     Exception.__init__(exc, f"source {source_id}, interval {interval}: {text}")
     return exc
-
-
-@dataclass
-class BandwidthLedger:
-    """Per-link element/byte counters enforcing the transmission budgets.
-
-    Uplink counts carry only sample payload (k_T * m elements over a full
-    run, identical for every strategy); scalar diversity probes are tallied
-    separately.  Downlink is capped at R*m elements per source per interval
-    when a sparsity budget is configured; violations raise immediately.
-    """
-
-    n_sources: int
-    dims: int
-    sparsity: float = None
-    uplink_elements: list = None
-    downlink_elements: list = None
-    uplink_bytes: int = 0
-    downlink_bytes: int = 0
-    probe_elements: int = 0
-    _sent_indices: list = field(default_factory=list, repr=False)
-    _interval_downlink: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self.uplink_elements = [0] * self.n_sources
-        self.downlink_elements = [0] * self.n_sources
-        self._sent_indices = [set() for _ in range(self.n_sources)]
-
-    def record(self, direction, source_id, element_count, byte_count,
-               interval=None, indices=None):
-        """Increment counters; raises BudgetViolationError on any rule breach."""
-        if element_count < 0 or byte_count < 0:
-            raise InvalidInputError("counts must be non-negative")
-        if direction == "uplink":
-            if indices is not None:
-                repeats = self._sent_indices[source_id].intersection(indices)
-                if repeats:
-                    raise BudgetViolationError(
-                        f"source {source_id} re-sent indices {sorted(repeats)}")
-                self._sent_indices[source_id].update(indices)
-            self.uplink_elements[source_id] += element_count
-            self.uplink_bytes += byte_count
-        elif direction == "downlink":
-            key = (source_id, interval)
-            total = self._interval_downlink.get(key, 0) + element_count
-            if self.sparsity is not None and total > self.sparsity * self.dims:
-                raise BudgetViolationError(
-                    f"interval {interval} downlink to source {source_id} "
-                    f"reaches {total} elements over budget {self.sparsity * self.dims:g}")
-            self._interval_downlink[key] = total
-            self.downlink_elements[source_id] += element_count
-            self.downlink_bytes += byte_count
-        else:
-            raise InvalidInputError(f"unknown direction {direction!r}")
-        return self
-
-    def record_probe(self, source_id, element_count=1):
-        """Scalar diversity probes (accounted apart from sample payload)."""
-        self.probe_elements += element_count
-        return self
-
-    def snapshot(self):
-        return {
-            "uplink_elements": int(sum(self.uplink_elements)),
-            "downlink_elements": int(sum(self.downlink_elements)),
-            "uplink_bytes": int(self.uplink_bytes),
-            "downlink_bytes": int(self.downlink_bytes),
-            "probe_elements": int(self.probe_elements),
-            "per_source_uplink": [int(x) for x in self.uplink_elements],
-            "per_source_downlink": [int(x) for x in self.downlink_elements],
-        }
 
 
 class LoopbackChannel:

@@ -114,6 +114,16 @@ class TestRun:
         assert code == 2
         assert "below one element" in capsys.readouterr().err
 
+    def test_block_fraction_exit_code(self, tmp_path, capsys):
+        # a configuration error, found before any data is made, not in
+        # the first feedback interval
+        out = tmp_path / "x"
+        code = run_cli("run", "--out", str(out), *RUN_ARGS,
+                       "--block-fraction", "1.5")
+        assert code == 2
+        assert "block_fraction must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "results.jsonl").exists()
+
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
     def test_source_failure_exit_code(self, tmp_path, capsys, monkeypatch,
                                       transport):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddpp import csi, dpp, linalg, protocol
+from conftest import small_dataset
+from ddpp import csi, dpp, engine, linalg
 from ddpp.errors import InvalidInputError, NotPsdError
 
 
@@ -64,17 +65,23 @@ class TestComputeProjector:
         with pytest.raises(InvalidInputError):
             csi.compute_projector(np.ones((2, 3)), 4)
 
-    def test_rows_spanning_every_dimension_give_exact_zero(self):
+    def test_rows_spanning_every_dimension_give_exact_zero(self, monkeypatch):
         # nothing is left uncovered: the packet must be empty, not a block
         # of rounding noise charged to the budget
         rng = np.random.default_rng(203)
         H = csi.compute_projector(rng.normal(size=(6, 6)), 6)
         assert H.rank == 0 and not H.matrix.any()
-        for packet in (csi.compress(H, R=2.0), csi.compress_svd(H, R=2.0)):
-            assert packet.element_count == 0
-            ledger = protocol.BandwidthLedger(n_sources=1, dims=6, sparsity=2.0)
-            ledger.record("downlink", 0, packet.element_count, 0, interval=2)
-            assert ledger.snapshot()["downlink_elements"] == 0
+        packets = (csi.compress(H, R=2.0), csi.compress_svd(H, R=2.0))
+        assert [p.element_count for p in packets] == [0, 0]
+        # a run whose center sends only such packets counts no downlink
+        # elements, only the two frames' 46-byte headers
+        monkeypatch.setattr(csi, "compress", lambda *args: packets[0])
+        cfg = engine.ExperimentConfig(n_sources=2, dims=6, total_select=6,
+                                      sparsity=2.0)
+        res = engine.run_ddpp(cfg, small_dataset(seed=5, n_sources=2, dims=6,
+                                                 total_select=6))
+        assert res.ledger["per_source_downlink"] == [0, 0]
+        assert res.ledger["downlink_bytes"] == 2 * 46
 
 
 class TestSplitBudget:

@@ -48,6 +48,13 @@ class TestConfig:
         config(sparsity=0.0, intervals=1).validate()
         config(sparsity=0.0, n_sources=1).validate()
 
+    def test_block_fraction_outside_unit_interval(self):
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidConfigError, match="block_fraction"):
+                config(block_fraction=bad).validate()
+        config(block_fraction=0.0).validate()
+        config(block_fraction=1.0).validate()
+
     def test_selection_larger_than_dims(self):
         # every k_T-subset in m < k_T dims is singular: nothing to select for
         with pytest.raises(InvalidConfigError, match="exceeds dims"):
@@ -327,6 +334,53 @@ class TestDownlinkChecks:
         assert message in str(out.error)
         if transport == "tcp":
             assert str(out.error).startswith("source 1, interval 2: ")
+
+
+def two_term_packet(r0):
+    """An m = 8 packet: an r0-dim block of ones plus two unit residual terms."""
+    return csi.CsiPacket(dims=8, selected_dims=tuple(range(r0)),
+                         principal_block=np.ones(r0 * (r0 + 1) // 2),
+                         residual_values=np.ones(2), residual_vectors=np.eye(8)[6:])
+
+
+class TestLedger:
+    """The center counts every frame and enforces the bandwidth rules."""
+
+    def test_uplink_arithmetic(self):
+        ds = small_dataset(seed=4, n_sources=2)
+        res = engine.run_ddpp(config(), ds)  # 2 picks per source per interval
+        assert res.ledger["per_source_uplink"] == [4 * 8, 4 * 8]
+        frame = 30 + 2 * 8 + 2 * 8 * 8  # header, indices, vectors
+        assert res.ledger["uplink_bytes"] == 4 * frame
+
+    def test_downlink_cap_enforced(self, monkeypatch):
+        # R*m = 16: two residual terms fill the budget exactly
+        ds = small_dataset(seed=4, n_sources=2)
+        monkeypatch.setattr(csi, "compress", lambda *args: two_term_packet(0))
+        res = engine.run_ddpp(config(sparsity=2.0), ds)
+        assert res.ledger["per_source_downlink"] == [16, 16]
+        monkeypatch.setattr(csi, "compress", lambda *args: two_term_packet(1))
+        with pytest.raises(BudgetViolationError,
+                           match="source 0 reaches 17 elements over budget 16"):
+            engine.run_ddpp(config(sparsity=2.0), ds)
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_duplicate_uplink_rejected(self, monkeypatch, transport):
+        ds = small_dataset(seed=4, n_sources=2)
+        first = []
+
+        def resend(batch):  # interval 2 repeats interval 1's first pick
+            if batch.interval == 1:
+                first.append(batch.local_indices[0])
+                return batch
+            return dataclasses.replace(
+                batch, local_indices=(first[0],) + batch.local_indices[1:])
+
+        tamper_uplink(monkeypatch, 1, resend)
+        out = run_within(20, engine.run_ddpp, config(), ds, transport=transport)
+        assert isinstance(out.error, BudgetViolationError), out.error
+        resent = ds.partition.assignments[1][first[0]]
+        assert f"source 1 re-sent indices [{resent}]" in str(out.error)
 
 
 class TestBaselines:
