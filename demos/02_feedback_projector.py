@@ -23,8 +23,12 @@ ds = data.Dataset(features=Z, partition=data.SourcePartition(((0, 1, 2), (3, 4, 
 H = csi.compute_projector(Z[[0]], 2)
 print("projector after receiving [3, 0]:")
 print(H.matrix.round(6))
-print("pre-coded source-1 rows (momentum doubles the uncovered direction):")
-print(csi.precode(Z[3:], csi.exact_packet(H), momentum=True).round(3))
+# precode returns features whose Gram is the pre-coded kernel W W^T,
+# W = Z (I + H^{1/2}); the local greedy reads nothing else.
+A = csi.precode(Z[3:], csi.exact_packet(H), momentum=True)
+print("pre-coded source-1 kernel (momentum doubles the uncovered direction,")
+print("so its share of the kernel grows fourfold):")
+print((A @ A.T).round(3))
 
 fed = engine.run_ddpp(engine.ExperimentConfig(
     n_sources=2, dims=2, total_select=2, intervals=2, sparsity=2.0,

@@ -2,9 +2,11 @@
 
 The center summarizes every sample it has received from *other* sources as
 an orthogonal projector H onto the complement of their span.  Sources
-multiply their features by a square root of (an approximation of) H before
-running local greedy selection, which steers new picks away from directions
-the center already covers.
+pre-code their features with a square root of (an approximation of) H
+before running local greedy selection, which steers new picks away from
+directions the center already covers.  The greedy reads only kernel rows,
+so ``precode`` returns features whose Gram is the pre-coded kernel rather
+than the pre-coded features themselves.
 
 A feedback message may carry at most R*m matrix elements.  The budget is
 split between a dense principal block on greedily chosen dimensions
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import dpp
 from .errors import InvalidInputError
-from .linalg import (RANK_TOL, orthonormal_row_basis, psd_sqrt,
+from .linalg import (RANK_TOL, orthonormal_row_basis, psd_eigh,
                      spectral_decomp, symmetrize)
 
 
@@ -265,13 +267,17 @@ def reconstruct(packet):
 
 
 def precode(Z, packet, momentum=True):
-    """Multiply features by W = I + H^{1/2} (momentum) or H^{1/2}.
+    """Features whose Gram matrix is W W^T, the pre-coded kernel.
 
-    H is the matrix ``reconstruct(packet)`` would build, but no m x m array
-    is formed.  With P the orthonormal m x k basis of the selected
-    coordinates plus the residual vectors' span off them (k <= r0 + r1),
-    H = P M P^T for a k x k matrix M, so H^{1/2} = P M^{1/2} P^T exactly
-    and its negative eigenvalues are M's.
+    W = Z (I + H^{1/2}) with momentum, Z H^{1/2} without.  H is the matrix
+    ``reconstruct(packet)`` would build, but no m x m array is formed.
+    With P the orthonormal m x k basis of the selected coordinates plus the
+    residual vectors' span off them (k <= r0 + r1), H = P M P^T for a k x k
+    matrix M = U diag(w) U^T, and H^{1/2} = P U diag(w^{1/2}) U^T P^T.
+    Then (I + H^{1/2})^2 = I + P F F^T P^T with F = U diag((2 w^{1/2} +
+    w)^{1/2}), so [Z, Z P F] has Gram W W^T; without momentum F =
+    U diag(w^{1/2}) and Z P F alone does.  The greedy reads only kernel
+    rows, so W itself is never needed.  H's negative eigenvalues are M's.
 
     The momentum form is conservative: imperfect feedback then shrinks
     already-covered directions instead of deleting them outright.
@@ -285,11 +291,12 @@ def precode(Z, packet, momentum=True):
     off_block = V.copy()
     off_block[:, selected] = 0.0
     Q = orthonormal_row_basis(off_block)
-    P = np.zeros((m, r0 + Q.shape[0]))
-    P[selected, np.arange(r0)] = 1.0
-    P[:, r0:] = Q.T
-    VP = V @ P
+    # X P = [X_S, X Q^T]: P's first r0 columns are coordinate vectors.
+    VP = np.hstack([V[:, selected], V @ Q.T])
     M = (VP.T * packet.residual_values) @ VP
     M[:r0, :r0] += unpack_lower_triangle(packet.principal_block, r0)
-    root = (Z @ P) @ psd_sqrt(symmetrize(M)) @ P.T
-    return Z + root if momentum else root
+    w, U = psd_eigh(symmetrize(M))
+    root = np.sqrt(w)
+    F = U * (np.sqrt(2.0 * root + w) if momentum else root)
+    ZPF = np.hstack([Z[:, selected], Z @ Q.T]) @ F
+    return np.hstack([Z, ZPF]) if momentum else ZPF

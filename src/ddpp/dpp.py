@@ -5,6 +5,9 @@ consumed items each candidate i carries a partial factor column c_i and a
 squared pivot d_i^2 = L_ii - ||c_i||^2, which is exactly the determinant
 gain of adding i.  Consuming an item costs one rank-one update over all
 candidates, so k picks run in O(k^2 n) once the kernel diagonal is known.
+The search reads the kernel only through its diagonal and the rows of
+consumed items; the rows of items held from earlier calls are fetched in
+one batch.
 
 Contract: finite float64 input and symmetric kernels, checked where data
 enters the package, not here.
@@ -35,15 +38,17 @@ class MapResult:
     frame: np.ndarray = None  # set by greedy_map_projector only
 
 
-def _greedy(diag, kernel_row, k, preselected, excluded, scale=None):
+def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None):
     """Run the greedy; returns (MapResult, its Cholesky rows in order).
 
-    ``kernel_row(j)`` returns row j of the kernel whose diagonal ``diag``
-    is updated in place.  The ``preselected`` items are consumed first,
-    then up to k picks.  A consumed item adds one Cholesky row and has its
-    gain pinned to -inf; one whose gain already sits at the rank floor
-    spans no new direction and adds no row.  The floor is EARLY_STOP_REL
-    times ``scale``, by default the largest initial diagonal.
+    ``kernel_rows(idx)`` returns rows of the kernel whose diagonal ``diag``
+    is updated in place: one row for an integer, a stack for a list.  The
+    ``preselected`` items are consumed first, their rows fetched in one
+    call, then up to k picks fetch one row each.  A consumed item adds one
+    Cholesky row and has its gain pinned to -inf; one whose gain already
+    sits at the rank floor spans no new direction and adds no row.  The
+    floor is EARLY_STOP_REL times ``scale``, by default the largest initial
+    diagonal.
     """
     if k < 0:
         raise InvalidInputError("k must be non-negative")
@@ -57,18 +62,21 @@ def _greedy(diag, kernel_row, k, preselected, excluded, scale=None):
     for j in set(int(j) for j in excluded).difference(preselected):
         diag[j] = -np.inf
     rows = np.empty((held + k, n))
+    held_rows = kernel_rows(preselected) if held else None
     t = 0
     chosen, logdets, total = [], [], 0.0
     for step in range(held + k):
         if step < held:
             j = preselected[step]
+            row = held_rows[step]
         else:
             j = int(np.argmax(diag)) if n else None
             if j is None or diag[j] <= floor:
                 break
+            row = kernel_rows(j)
         d2 = float(diag[j])
         if d2 > floor:
-            e = (kernel_row(j) - rows[:t, j] @ rows[:t]) / math.sqrt(d2)
+            e = (row - rows[:t, j] @ rows[:t]) / math.sqrt(d2)
             rows[t] = e
             t += 1
             diag -= np.square(e)
@@ -92,17 +100,19 @@ def greedy_map(L, k, preselected=(), excluded=()):
     floor before k picks, the result is shorter and flagged.
     """
     diag = np.diag(L).copy()
-    return _greedy(diag, lambda j: L[j], k, preselected, excluded)[0]
+    return _greedy(diag, lambda idx: L[idx], k, preselected, excluded)[0]
 
 
 def greedy_map_rows(Z, k, preselected=(), excluded=()):
     """greedy_map on the kernel Z Z^T without materializing it.
 
-    Kernel rows are formed on demand (one matvec per consumed item), which
-    keeps memory linear in n and is the preferred path for large n.
+    Kernel rows are formed on demand: one product Z[preselected] Z^T for
+    the held items, then one matvec per pick.  Memory stays linear in n
+    (plus one row per held item), the preferred path for large n.
     """
     diag = np.einsum("ij,ij->i", Z, Z)
-    return _greedy(diag, lambda j: Z @ Z[j], k, preselected, excluded)[0]
+    return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
+                   excluded)[0]
 
 
 def greedy_map_projector(B, k):
@@ -117,7 +127,7 @@ def greedy_map_projector(B, k):
     against the projector's norm 1, so a kernel that is zero up to
     rounding yields no picks.
     """
-    def row(j):
+    def row(j):  # no preselected items, so only single rows are asked for
         out = -(B[:, j] @ B)
         out[j] += 1.0
         return out

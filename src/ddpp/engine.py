@@ -136,6 +136,9 @@ class ExperimentResult:
             "diversity": self.diversity_logdet,
             "uplink_elements": self.ledger["uplink_elements"],
             "downlink_elements": self.ledger["downlink_elements"],
+            "uplink_bytes": self.ledger["uplink_bytes"],
+            "downlink_bytes": self.ledger["downlink_bytes"],
+            "probe_elements": self.ledger["probe_elements"],
             "k_T": c.total_select,
             "N": c.n_sources,
             "R": c.sparsity,
@@ -451,12 +454,14 @@ def run_baseline(config, dataset, ground_truth=None):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
         assignments = dataset.partition.assignments
         if config.strategy == "random":
-            chosen = rng.choice(dataset.n, size=k_T, replace=False)
-            lookup = {g: (i, j) for i, a in enumerate(assignments)
-                      for j, g in enumerate(a)}
+            chosen = rng.choice(dataset.n, size=k_T, replace=False).tolist()
+            place = dict.fromkeys(chosen)  # draw order
+            for i, a in enumerate(assignments):
+                for j, g in enumerate(a):
+                    if g in place:
+                        place[g] = (i, j)
             selections = [[] for _ in range(N)]
-            for g in chosen.tolist():
-                i, j = lookup[g]
+            for i, j in place.values():
                 selections[i].append(j)
         else:
             selections = [sorted(rng.choice(len(assignments[i]),

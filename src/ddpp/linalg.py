@@ -67,8 +67,8 @@ def spectral_decomp(M):
     return SpectralDecomp(eigenvalues=w[order], eigenvectors=V[:, order])
 
 
-def psd_sqrt(M):
-    """Symmetric square root V diag(max(w,0))^{1/2} V^T of a PSD matrix.
+def psd_eigh(M):
+    """Eigenpairs (w, V) of a PSD matrix, w descending and clamped at zero.
 
     Eigenvalues in [-1e-6, 0) are treated as rounding noise and clamped;
     anything below -1e-6 raises.
@@ -77,9 +77,13 @@ def psd_sqrt(M):
     w = dec.eigenvalues
     if w.size and w[-1] < -1e-6:
         raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -1e-06")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    V = dec.eigenvectors
-    return symmetrize((V * root) @ V.T)
+    return np.clip(w, 0.0, None), dec.eigenvectors
+
+
+def psd_sqrt(M):
+    """Symmetric square root V diag(w)^{1/2} V^T of a PSD matrix (psd_eigh)."""
+    w, V = psd_eigh(M)
+    return symmetrize((V * np.sqrt(w)) @ V.T)
 
 
 def numerical_rank(values, tol=RANK_TOL):

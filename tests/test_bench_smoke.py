@@ -20,7 +20,9 @@ from perfbench import workloads  # noqa: E402
 from perfbench.instrument import Instrument  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["paper-64", "deep-feedback-tcp"])
+# paper-512 is the one workload whose unit runs the svd and random_sketch
+# compressions, so their pre-code paths run here too.
+@pytest.mark.parametrize("name", ["paper-512", "paper-64", "deep-feedback-tcp"])
 def test_one_traced_unit_passes_every_check(name, tmp_path):
     spec = workloads.WORKLOADS[name]
     with Instrument(spans=True) as ins:

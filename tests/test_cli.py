@@ -64,6 +64,20 @@ class TestRun:
         assert (out / "manifest.json").exists()
         assert (out / "gt_cache.json").exists()
 
+    def test_ledger_bytes_and_probes_are_exported(self, tmp_path):
+        out = tmp_path / "run"
+        args = [a if a != "ddpp,greedi" else "ddpp,maxdiv" for a in RUN_ARGS]
+        assert run_cli("run", "--out", str(out), *args, "--transport", "tcp") == 0
+        for ln in read_jsonl(out / "results.jsonl"):
+            # f64 payload plus each frame's header
+            assert ln["uplink_bytes"] > 8 * ln["uplink_elements"]
+            if ln["strategy"] == "ddpp":
+                assert ln["downlink_bytes"] > 8 * ln["downlink_elements"] > 0
+                assert ln["probe_elements"] == 0
+            else:
+                assert ln["downlink_bytes"] == 0
+                assert ln["probe_elements"] == 2  # one per source
+
     def test_reruns_are_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("run", "--out", str(a), *RUN_ARGS)

@@ -346,6 +346,11 @@ def dense_precode(Z, packet, momentum):
     return Z @ (np.eye(packet.dims) + root if momentum else root)
 
 
+def kernel(A):
+    """precode returns features whose Gram is the pre-coded kernel W W^T."""
+    return A @ A.T
+
+
 def make_packet(m, selected, block, values, vectors):
     return csi.CsiPacket(dims=m, selected_dims=tuple(selected),
                          principal_block=csi.pack_lower_triangle(np.asarray(block)),
@@ -359,13 +364,15 @@ class TestPrecode:
         rng = np.random.default_rng(230)
         Z = rng.normal(size=(4, 5))
         packet = csi.exact_packet(csi.Projector(basis=np.zeros((0, 5))))
-        assert csi.precode(Z, packet, momentum=True) == pytest.approx(2 * Z)
+        assert kernel(csi.precode(Z, packet, momentum=True)) == pytest.approx(
+            kernel(2 * Z))
 
     def test_zero_feedback_is_identity_with_momentum(self):
         rng = np.random.default_rng(231)
         Z = rng.normal(size=(4, 5))
         packet = csi.exact_packet(csi.Projector(basis=np.eye(5)))
-        assert csi.precode(Z, packet, momentum=True) == pytest.approx(Z)
+        assert kernel(csi.precode(Z, packet, momentum=True)) == pytest.approx(
+            kernel(Z))
 
     def test_exact_projector_recovers_conditional_determinant(self):
         rng = np.random.default_rng(232)
@@ -396,27 +403,53 @@ class TestPrecode:
                 central.stepwise_logdets, abs=1e-8)
 
 
+# Every packet shape a source can receive: each compression, and the
+# proposed one with an empty block or an empty residual.
+PACKETS = pytest.mark.parametrize("make", [
+    lambda H: csi.compress(H, R=3.5, block_fraction=0.5),
+    lambda H: csi.compress(H, R=3.5, block_fraction=0.0),  # r0 = 0
+    lambda H: csi.compress(H, R=2.0, block_fraction=1.0),  # r1 = 0
+    lambda H: csi.compress_svd(H, R=3),
+    lambda H: csi.compress_random_sketch(H, R=3.0, rng=np.random.default_rng(1)),
+    csi.exact_packet,
+], ids=["compress", "r0=0", "r1=0", "svd", "random_sketch", "exact"])
+
+
 class TestSubspacePrecode:
     """precode works in the packet's <= (r0 + r1)-dim subspace; the dense
     m x m reconstruction and its square root are the reference."""
 
     @pytest.mark.parametrize("momentum", [True, False])
-    @pytest.mark.parametrize("make", [
-        lambda H: csi.compress(H, R=3.5, block_fraction=0.5),
-        lambda H: csi.compress(H, R=3.5, block_fraction=0.0),  # r0 = 0
-        lambda H: csi.compress(H, R=2.0, block_fraction=1.0),  # r1 = 0
-        lambda H: csi.compress_svd(H, R=3),
-        lambda H: csi.compress_random_sketch(H, R=3.0, rng=np.random.default_rng(1)),
-        csi.exact_packet,
-    ], ids=["compress", "r0=0", "r1=0", "svd", "random_sketch", "exact"])
+    @PACKETS
     def test_matches_dense_reference(self, make, momentum):
         rng = np.random.default_rng(250)
         for m, held in ((16, 5), (33, 20)):
             H, _ = random_projector(rng, m, held)
             packet = make(H)
             Z = rng.normal(size=(25, m))
-            assert csi.precode(Z, packet, momentum) == pytest.approx(
-                dense_precode(Z, packet, momentum), abs=1e-6)
+            assert kernel(csi.precode(Z, packet, momentum)) == pytest.approx(
+                kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    @PACKETS
+    def test_greedy_on_gram_form_picks_as_on_dense_features(self, make,
+                                                           momentum):
+        # A source's greedy reads only kernel rows, so the Gram form must
+        # lead it to the picks the dense W would, held items included.
+        rng = np.random.default_rng(253)
+        for _ in range(3):
+            H, _ = random_projector(rng, 24, 9)
+            packet = make(H)
+            Z = rng.normal(size=(60, 24))
+            sent = [7, 41, 3]
+            a = dpp.greedy_map_rows(csi.precode(Z, packet, momentum), 8,
+                                    preselected=sent)
+            b = dpp.greedy_map_rows(dense_precode(Z, packet, momentum), 8,
+                                    preselected=sent)
+            assert a.indices == b.indices
+            assert a.rank_exhausted == b.rank_exhausted
+            assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets,
+                                                       abs=1e-6)
 
     @pytest.mark.parametrize("momentum", [True, False])
     def test_empty_packet_of_rank_zero_projector(self, momentum):
@@ -424,9 +457,11 @@ class TestSubspacePrecode:
         packet = csi.compress(H, R=2.0)
         assert packet.block_size == packet.residual_rank == 0
         Z = np.random.default_rng(251).normal(size=(5, 6))
-        out = csi.precode(Z, packet, momentum)
-        assert out == pytest.approx(Z if momentum else np.zeros_like(Z), abs=1e-12)
-        assert out == pytest.approx(dense_precode(Z, packet, momentum), abs=1e-6)
+        out = kernel(csi.precode(Z, packet, momentum))
+        assert out == pytest.approx(kernel(Z) if momentum else np.zeros((5, 5)),
+                                    abs=1e-12)
+        assert out == pytest.approx(kernel(dense_precode(Z, packet, momentum)),
+                                    abs=1e-6)
 
     @pytest.mark.parametrize("momentum", [True, False])
     def test_one_dimension(self, momentum):
@@ -434,8 +469,8 @@ class TestSubspacePrecode:
         for packet in (make_packet(1, [0], [[0.25]], [], []),
                        make_packet(1, [], [], [0.25], [[1.0]]),
                        make_packet(1, [0], [[0.25]], [0.5], [[1.0]])):
-            assert csi.precode(Z, packet, momentum) == pytest.approx(
-                dense_precode(Z, packet, momentum), abs=1e-12)
+            assert kernel(csi.precode(Z, packet, momentum)) == pytest.approx(
+                kernel(dense_precode(Z, packet, momentum)), abs=1e-12)
 
     @pytest.mark.parametrize("momentum", [True, False])
     def test_residual_vectors_heavy_on_selected_coordinates(self, momentum):
@@ -447,8 +482,8 @@ class TestSubspacePrecode:
         V[2, [i for i in range(m) if i not in selected]] = 0.0  # all on them
         packet = make_packet(m, selected, A @ A.T, [0.7, 0.2, 0.4], V)
         Z = rng.normal(size=(8, m))
-        assert csi.precode(Z, packet, momentum) == pytest.approx(
-            dense_precode(Z, packet, momentum), abs=1e-6)
+        assert kernel(csi.precode(Z, packet, momentum)) == pytest.approx(
+            kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -465,8 +500,8 @@ class TestSubspacePrecode:
         packet = make_packet(m, selected, A @ A.T, values, V)
         Z = rng.uniform(-1, 1, size=(4, m))
         momentum = data.draw(st.booleans(), label="momentum")
-        assert csi.precode(Z, packet, momentum) == pytest.approx(
-            dense_precode(Z, packet, momentum), abs=1e-6)
+        assert kernel(csi.precode(Z, packet, momentum)) == pytest.approx(
+            kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
 
     def test_negative_eigenvalue_raises_like_dense(self):
         V = np.zeros((1, 6))
@@ -483,8 +518,8 @@ class TestSubspacePrecode:
         V[0, 3] = 1.0
         packet = make_packet(6, [0, 1], np.eye(2), [-1e-9], V)
         Z = np.ones((2, 6))
-        assert csi.precode(Z, packet) == pytest.approx(
-            dense_precode(Z, packet, True), abs=1e-6)
+        assert kernel(csi.precode(Z, packet)) == pytest.approx(
+            kernel(dense_precode(Z, packet, True)), abs=1e-6)
 
     def test_column_count_mismatch_rejected(self):
         packet = make_packet(4, [0], [[1.0]], [], [])

@@ -132,6 +132,21 @@ class TestGreedyMap:
             assert a.rank_exhausted == b.rank_exhausted == exhausted
             assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
 
+    def test_held_item_at_rank_floor_adds_no_row(self):
+        # Held item 5 repeats held item 0's direction, so its gain sits at
+        # the rank floor when it is consumed: the held rows come in one
+        # batch, and the picks are those made as if 5 were only excluded.
+        rng = np.random.default_rng(112)
+        Z = rng.normal(size=(30, 8))
+        Z[5] = -2.0 * Z[0]
+        held = [0, 5, 12]
+        a = dpp.greedy_map_rows(Z, 5, preselected=held)
+        b = dpp.greedy_map(linalg.gram(Z), 5, preselected=held)
+        c = dpp.greedy_map(linalg.gram(Z), 5, preselected=[0, 12], excluded=[5])
+        assert a.indices == b.indices == c.indices and len(a.indices) == 5
+        assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
+        assert a.stepwise_logdets == pytest.approx(c.stepwise_logdets, abs=1e-9)
+
     @pytest.mark.parametrize("n, q", [(9, 0), (9, 4), (12, 11)])
     def test_projector_variant_matches_dense_and_returns_a_frame(self, n, q):
         rng = np.random.default_rng(109)
