@@ -28,9 +28,14 @@ _NUMERICAL_ERRORS = (BudgetViolationError, NotPositiveDefiniteError,
                      NotPsdError, ScalingViolationError)
 
 
-def _read_config_file(path):
-    """Flat key=value lines; blank lines and # comments ignored."""
-    values = {}
+def _config_flags(path, settings):
+    """A config file's ``key=value`` lines as ``--key=value`` flags of ``run``.
+
+    ``settings`` maps each ``run`` setting to its parsed value; a boolean
+    one becomes the bare flag when the file's value is truthy.  Blank lines
+    and # comments are ignored.
+    """
+    flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -38,32 +43,16 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise InvalidConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _apply_config_file(args, run_parser):
-    """File values fill in anything the command line left at its default."""
-    if not getattr(args, "config", None):
-        return args
-    values = _read_config_file(args.config)
-    actions = {a.dest: a for a in run_parser._actions}
-    for key, raw in values.items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise InvalidConfigError(f"unknown config key {key!r}")
-        action = actions[dest]
-        if getattr(args, dest) != action.default:
-            continue  # flags win over the file
-        if isinstance(action.default, bool):
-            parsed = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            parsed = action.type(raw)
-        else:
-            parsed = raw
-        setattr(args, dest, parsed)
-    return args
+            key, _, value = (part.strip() for part in line.partition("="))
+            dest = key.replace("-", "_")
+            if dest not in settings:
+                raise InvalidConfigError(f"unknown config key {key!r}")
+            flag = "--" + dest.replace("_", "-")
+            if not isinstance(settings[dest], bool):
+                flags.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                flags.append(flag)
+    return flags
 
 
 def _int_list(text):
@@ -288,12 +277,7 @@ def _write_pca_csv(args, lines):
         raise InvalidConfigError(
             f"no result for seed {args.pca_seed} strategy {args.pca_strategy!r}")
     line = match[0]
-    coerced = {k: f(resolved[k]) for k, f in [
-        ("ni", int), ("m", int), ("clusters", int), ("kT", int),
-        ("spread", float), ("scale", float), ("radius_jitter", float),
-        ("norm_tail", float), ("mean_sparsity", float), ("skew", float),
-        ("partition_seed", int)]}
-    ns = argparse.Namespace(**{**resolved, **coerced})
+    ns = argparse.Namespace(**resolved)
     if ns.data:
         dataset = _load_dataset(ns, line["N"])
     else:
@@ -419,7 +403,6 @@ def build_parser():
     p.add_argument("--b", required=True)
     p.add_argument("--metric", default="rde")
     p.set_defaults(func=cmd_ttest)
-    parser._run_parser = sub.choices["run"]
     return parser
 
 
@@ -427,12 +410,17 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = argv  # the manifest's "command"
     try:
         if args.command == "run":
-            _apply_config_file(args, parser._run_parser)
+            if args.config:  # the file's flags go first: the command line wins
+                settings = {k: v for k, v in vars(args).items()
+                            if k not in ("command", "func")}
+                at = argv.index("run") + 1
+                args = parser.parse_args(
+                    argv[:at] + _config_flags(args.config, settings) + argv[at:])
             if args.R is None:
                 args.R = [0.75 * args.kT / args.tT]
+        args.argv = argv  # the manifest's "command"
         return args.func(args)
     except InvalidConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ class Projector:
 
     @property
     def matrix(self):
-        """The dense m x m projector, built on demand (uncompressed feedback)."""
+        """The dense m x m projector, built on demand."""
         return self.block(range(self.dims))
 
 
@@ -209,14 +209,21 @@ def _residual_terms(H, selected, r1):
     return values[keep], vectors[keep]
 
 
+def _packet(H, selected, values=None, vectors=None):
+    """H's block on ``selected`` plus residual terms (none unless given)."""
+    return CsiPacket(
+        dims=H.dims, selected_dims=tuple(selected),
+        principal_block=pack_lower_triangle(H.block(selected)),
+        residual_values=np.zeros(0) if values is None else values,
+        residual_vectors=np.zeros((0, H.dims)) if vectors is None else vectors,
+    ).validate()
+
+
 def compress(H, R, block_fraction=0.5):
     """Budgeted packet: greedy principal block plus spectral residual terms."""
     r0, r1 = split_budget(R, H.dims, block_fraction)
     selected = select_dims(H, r0)
-    values, vectors = _residual_terms(H, selected, r1)
-    return CsiPacket(dims=H.dims, selected_dims=tuple(selected),
-                     principal_block=pack_lower_triangle(H.block(selected)),
-                     residual_values=values, residual_vectors=vectors).validate()
+    return _packet(H, selected, *_residual_terms(H, selected, r1))
 
 
 def compress_svd(H, R):
@@ -227,30 +234,19 @@ def compress_svd(H, R):
     capped by rank(H).
     """
     frame = dpp.greedy_map_projector(H.basis, min(int(R), H.dims)).frame
-    return CsiPacket(dims=H.dims, selected_dims=(),
-                     principal_block=np.zeros(0),
-                     residual_values=np.ones(len(frame)),
-                     residual_vectors=frame).validate()
+    return _packet(H, (), np.ones(len(frame)), frame)
 
 
 def compress_random_sketch(H, R, rng):
     """Ablation: principal block on uniformly drawn dimensions, no residual."""
-    m = H.dims
-    r0, _ = split_budget(R, m, block_fraction=1.0)
-    selected = sorted(rng.choice(m, size=r0, replace=False).tolist())
-    return CsiPacket(dims=m, selected_dims=tuple(selected),
-                     principal_block=pack_lower_triangle(H.block(selected)),
-                     residual_values=np.zeros(0),
-                     residual_vectors=np.zeros((0, m))).validate()
+    r0, _ = split_budget(R, H.dims, block_fraction=1.0)
+    selected = sorted(rng.choice(H.dims, size=r0, replace=False).tolist())
+    return _packet(H, selected)
 
 
 def exact_packet(H):
     """Uncompressed feedback: the full projector as one principal block."""
-    m = H.dims
-    return CsiPacket(dims=m, selected_dims=tuple(range(m)),
-                     principal_block=pack_lower_triangle(H.matrix),
-                     residual_values=np.zeros(0),
-                     residual_vectors=np.zeros((0, m))).validate()
+    return _packet(H, range(H.dims))
 
 
 def reconstruct(packet):

@@ -50,8 +50,14 @@ class SourcePartition:
 
     @classmethod
     def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(tuple(tuple(int(i) for i in a) for a in payload["assignments"]))
+        """Parse ``to_json`` output; anything else is an ``IngestError``."""
+        try:
+            parts = tuple(tuple(a) for a in json.loads(text)["assignments"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise IngestError(f"malformed partition JSON: {exc}") from None
+        if not all(type(i) is int for a in parts for i in a):
+            raise IngestError("partition indices must be integers")
+        return cls(parts)
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,7 @@ def _load_csv(path, label_column):
             raise IngestError(f"expected {width} columns, got {len(values)}", row=ridx)
         if label_column:
             lab = values[-1]
-            if lab != int(lab):
+            if not lab.is_integer():  # NaN and infinities are not
                 raise IngestError("label column must be integral", row=ridx)
             labels.append(int(lab))
             values = values[:-1]
@@ -183,8 +189,8 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     typical of rectified embeddings.  Deterministic for a fixed seed.
     Returns (features, labels).
     """
-    if n_clusters > n:
-        raise InvalidInputError("more clusters than samples")
+    if not 1 <= n_clusters <= n:
+        raise InvalidInputError(f"cluster count {n_clusters} must lie in 1..{n}")
     if not 0 < mean_sparsity <= 1:
         raise InvalidInputError("mean_sparsity must lie in (0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5D]))
@@ -301,27 +307,31 @@ def make_benchmark_dataset(seed, n_sources, dims, total_select,
     return apply_positivity_scale(ds, total_select)
 
 
-def positivity_scale(Z, k, probe_seeds=(0, 1, 2), target=1.0):
+POSITIVITY_PROBE_SEEDS = (0, 1, 2)  # one random k-subset probed per seed
+POSITIVITY_TARGET = 1.0  # the log-volume the worst probe is lifted to
+
+
+def positivity_scale(Z, k):
     """Scalar c such that any reasonable k-subset of c*Z has positive log-volume.
 
     Probes random k-subsets under a few seeds; c maps the worst probe to
-    ``target`` (diversity ratios then stay well away from the 0 crossing).
-    Already-positive data keeps c = 1.
+    ``POSITIVITY_TARGET`` (diversity ratios then stay well away from the 0
+    crossing).  Already-positive data keeps c = 1.
     """
     n = Z.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"probe size k={k} out of range")
     worst = math.inf
-    for s in probe_seeds:
+    for s in POSITIVITY_PROBE_SEEDS:
         rng = np.random.default_rng(np.random.SeedSequence([int(s), 0xC1]))
         idx = rng.choice(n, size=k, replace=False)
         worst = min(worst, dpp.subset_logdet(Z, idx.tolist()))
     if not math.isfinite(worst):
         raise InvalidInputError("probe subsets are singular; cannot rescale")
-    if worst >= target:
+    if worst >= POSITIVITY_TARGET:
         return 1.0
     # log det scales by 2k log c under Z -> cZ.
-    return math.exp((target - worst) / (2.0 * k))
+    return math.exp((POSITIVITY_TARGET - worst) / (2.0 * k))
 
 
 def apply_positivity_scale(dataset, k):

@@ -104,34 +104,23 @@ class ExperimentConfig:
 class ExperimentResult:
     """Per-trial record of one strategy run."""
 
-    strategy: str
-    seed: int
     selected_global_indices: list
     diversity_logdet: float
     rde: float
     gt_logdet: float
     ledger: dict
     config: ExperimentConfig
-    scale: float = 1.0
-    rank_exhausted: bool = False
+    scale: float
+    rank_exhausted: bool
 
     def comparable(self):
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "selected": list(self.selected_global_indices),
-            "diversity": self.diversity_logdet,
-            "rde": self.rde,
-            "gt_logdet": self.gt_logdet,
-            "ledger": self.ledger,
-            "rank_exhausted": self.rank_exhausted,
-        }
+        return {**self.to_json_dict(), "ledger": self.ledger}
 
     def to_json_dict(self):
         c = self.config
         return {
-            "strategy": self.strategy,
-            "seed": self.seed,
+            "strategy": c.strategy,
+            "seed": c.seed,
             "rde": self.rde,
             "diversity": self.diversity_logdet,
             "uplink_elements": self.ledger["uplink_elements"],
@@ -160,7 +149,6 @@ class SourceWorker:
         self.rows = rows
         self.config = config
         self.sent = []
-        self.exhausted = False
 
     def step(self, interval, feedback_frame, k):
         """Consume optional feedback, pick k new items, return a batch frame.
@@ -186,8 +174,6 @@ class SourceWorker:
         new = []
         if k > 0:
             new = dpp.greedy_map_rows(working, k, preselected=self.sent).indices
-            if len(new) < k:
-                self.exhausted = True
             self.sent.extend(new)
         batch = SampleBatch(source_id=self.source_id, interval=interval,
                             local_indices=tuple(new), vectors=self.rows[new])
@@ -336,16 +322,12 @@ class _Center:
         self.downlink_bytes += len(frame)
         return frame
 
-    def probe(self):
-        """Count one scalar diversity probe (apart from sample payload)."""
-        self.probes += 1
-
     def foreign_rows(self, source_id):
         """Rows received from every other source (the conditioning set)."""
         rows = [row for s, row in self.received.values() if s != source_id]
         return np.vstack(rows) if rows else np.zeros((0, 0))
 
-    def result(self, ground_truth, exhausted):
+    def result(self, ground_truth):
         """The run's record, scored against ``ground_truth`` (run if None)."""
         config, dataset = self.config, self.dataset
         if ground_truth is None:
@@ -362,10 +344,11 @@ class _Center:
             "per_source_downlink": list(self.downlink),
         }
         return ExperimentResult(
-            strategy=config.strategy, seed=config.seed,
             selected_global_indices=selected, diversity_logdet=report.sel_logdet,
             rde=report.rde, gt_logdet=report.gt_logdet, ledger=ledger,
-            config=config, scale=dataset.scale, rank_exhausted=exhausted)
+            config=config, scale=dataset.scale,
+            # every strategy owes k_T; only a greedy at its rank floor files fewer
+            rank_exhausted=len(selected) < config.total_select)
 
 
 def _make_packet(projector, config, rng):
@@ -405,7 +388,7 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
                 center.receive(frame, i, t)
     finally:
         drivers.close()
-    return center.result(ground_truth, any(w.exhausted for w in workers))
+    return center.result(ground_truth)
 
 
 def rd_diversity(rows, epsilon):
@@ -420,22 +403,18 @@ def run_baseline(config, dataset, ground_truth=None):
     center = _Center(config, dataset)
     if config.strategy not in ("greedi", "greedymax", "maxdiv", "random", "stratified"):
         raise InvalidConfigError(f"{config.strategy!r} is not a baseline strategy")
-    exhausted = False
     N, k_T = config.n_sources, config.total_select
     if config.strategy == "greedi":
-        selections = []
-        for i in range(N):
-            res = dpp.greedy_map_rows(dataset.source_rows(i),
-                                      config.per_source_quota)
-            exhausted |= res.rank_exhausted
-            selections.append(res.indices)
+        selections = [dpp.greedy_map_rows(dataset.source_rows(i),
+                                          config.per_source_quota).indices
+                      for i in range(N)]
     elif config.strategy in ("greedymax", "maxdiv"):
         candidates, scores = [], []
         for i in range(N):
             rows = dataset.source_rows(i)
             if config.strategy == "maxdiv":
                 scores.append(rd_diversity(rows, config.epsilon))
-                center.probe()
+                center.probes += 1  # one scalar, apart from sample payload
                 candidates.append(None)  # winner selects later
             else:
                 res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
@@ -444,10 +423,8 @@ def run_baseline(config, dataset, ground_truth=None):
         winner = int(np.argmax(scores))
         if candidates[winner] is None:
             rows = dataset.source_rows(winner)
-            res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
-            candidates[winner] = res.indices
-            exhausted |= res.rank_exhausted
-        exhausted |= len(candidates[winner]) < k_T
+            candidates[winner] = dpp.greedy_map_rows(
+                rows, min(k_T, rows.shape[0])).indices
         selections = [candidates[i] if i == winner else [] for i in range(N)]
     else:  # random / stratified
         salt = _SALT_RANDOM if config.strategy == "random" else _SALT_STRATIFIED
@@ -473,7 +450,7 @@ def run_baseline(config, dataset, ground_truth=None):
         center.receive(encode_batch(SampleBatch(
             source_id=i, interval=1, local_indices=tuple(local),
             vectors=dataset.features[[assignment[j] for j in local]])), i, 1)
-    return center.result(ground_truth, exhausted)
+    return center.result(ground_truth)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):

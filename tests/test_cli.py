@@ -15,6 +15,14 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def exit_code(*argv):
+    """``main``'s return value, or the code argparse exits with."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(ln) for ln in fh if ln.strip()]
@@ -49,6 +57,12 @@ class TestGen:
         code = run_cli("gen", "--out", str(tmp_path / "x"), "--n", "50",
                        "--sources", "7", "--m", "4", "--clusters", "2")
         assert code == 2
+
+    def test_zero_clusters_exit_code(self, tmp_path, capsys):
+        code = run_cli("gen", "--out", str(tmp_path / "x"), *GEN_ARGS,
+                       "--clusters", "0")
+        assert code == 1
+        assert "cluster count 0" in capsys.readouterr().err
 
 
 class TestRun:
@@ -113,6 +127,40 @@ class TestRun:
         cfg.write_text("warp_speed=9\n")
         assert run_cli("run", "--out", str(tmp_path / "x"),
                        "--config", str(cfg)) == 2
+
+    def test_config_file_loses_to_a_flag_at_its_default(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tT=4\n")
+        out = tmp_path / "cfgrun"
+        # RUN_ARGS passes --tT 2, the flag's default, and it still wins
+        assert run_cli("run", "--out", str(out), "--config", str(cfg),
+                       *RUN_ARGS) == 0
+        assert {ln["t_T"] for ln in read_jsonl(out / "results.jsonl")} == {2}
+
+    @pytest.mark.parametrize("key, flag, value", [
+        ("kT", "--kT", "abc"), ("compression", "--compression", "bogus")])
+    def test_config_file_values_are_checked_as_flags(self, tmp_path, capsys,
+                                                     key, flag, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = str(tmp_path / "x")
+        assert exit_code("run", "--out", out, flag, value) == 2
+        from_flag = capsys.readouterr().err.splitlines()[-1]
+        assert exit_code("run", "--out", out, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == from_flag
+        assert f"argument {flag}" in from_flag
+
+    def test_malformed_partition_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        for text in ("not json", '{"parts": []}', '{"assignments": [["a"]]}'):
+            part = tmp_path / "p.json"
+            part.write_text(text)
+            assert run_cli("run", "--out", str(tmp_path / "x"),
+                           "--data", str(path), "--partition-file", str(part),
+                           *RUN_ARGS[:-4], "--R", "4") == 1
+            assert "partition" in capsys.readouterr().err
 
     def test_budget_violation_exit_code(self, tmp_path):
         # uncompressed feedback cannot fit in R*m elements
@@ -245,6 +293,30 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
 
 
+class TestBlasThreads:
+    BLAS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    @pytest.mark.parametrize("env, expected", [
+        ({"DDPP_THREADS": "2"}, ["1", "1", "1"]),
+        ({}, [None, None, None]),
+        ({"DDPP_THREADS": "1"}, [None, None, None]),
+        ({"DDPP_THREADS": "two"}, [None, None, None]),  # cli reports it
+        ({"DDPP_THREADS": "2", "OPENBLAS_NUM_THREADS": "3"}, ["3", "1", "1"]),
+    ])
+    def test_a_pool_of_two_or_more_gets_one_blas_thread(self, env, expected):
+        # a fresh process: the variables only matter before numpy loads
+        src = os.path.dirname(os.path.dirname(ddpp.__file__))
+        base = {k: v for k, v in os.environ.items()
+                if k not in self.BLAS + ["DDPP_THREADS"]}
+        code = ("import json, os, ddpp; "
+                f"print(json.dumps([os.environ.get(v) for v in {self.BLAS!r}]))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**base, **env, "PYTHONPATH": src},
+                              check=True, timeout=60, capture_output=True,
+                              text=True)
+        assert json.loads(proc.stdout) == expected
+
+
 class TestReport:
     @pytest.fixture()
     def results_dir(self, tmp_path):
@@ -294,6 +366,23 @@ class TestReport:
         flagged = [i for i, r in enumerate(rows) if r.endswith(",1")]
         selected = read_jsonl(out / "results.jsonl")[0]["selected_indices"]
         assert flagged == sorted(selected) and len(flagged) == 4
+
+    def test_pca_scatter_of_a_config_file_run(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m=8\nni=12\nclusters=4\nspread=0.1\nskew=0.2\n"
+                       "partition-seed=3\nkT=4\n")
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), "--config", str(cfg),
+                       "--strategies", "ddpp", "--seeds", "1", "--N", "2",
+                       "--tT", "2", "--R", "4") == 0
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--results", str(out / "results.jsonl"),
+                       "--out", str(rep), "--pca-seed", "0") == 0
+        rows = (rep / "pca_seed0.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 24
+        flagged = [i for i, r in enumerate(rows) if r.endswith(",1")]
+        selected = read_jsonl(out / "results.jsonl")[0]["selected_indices"]
+        assert flagged == sorted(selected)
 
     def test_empty_results_fail(self, tmp_path):
         empty = tmp_path / "none.jsonl"

@@ -26,6 +26,14 @@ class TestCsv:
         assert Z.shape == (2, 2)
         assert labels.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1.5"])
+    def test_non_integral_label_rejected(self, tmp_path, label):
+        path = tmp_path / "t.csv"
+        path.write_text(f"1,2,0\n3,4,{label}\n")
+        with pytest.raises(IngestError, match="label column must be integral") as err:
+            data.load_features(path, fmt="csv", label_column=True)
+        assert err.value.row == 1
+
     def test_ragged_row_reports_row_number(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,2\n3\n")
@@ -115,6 +123,10 @@ class TestSynth:
         with pytest.raises(InvalidInputError):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=5)
 
+    def test_zero_clusters(self):
+        with pytest.raises(InvalidInputError, match="cluster count 0"):
+            data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=0)
+
 
 class TestDataset:
     """Constructing a Dataset is the entry check for caller features."""
@@ -179,6 +191,15 @@ class TestPartition:
         part = data.partition(20, 4, policy="uniform_random", seed=1)
         again = data.SourcePartition.from_json(part.to_json())
         assert again == part
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[]", "{}", '{"parts": [[0]]}', '{"assignments": 3}',
+        '{"assignments": [3]}', '{"assignments": [[0, "x"]]}',
+        '{"assignments": [[0, 1.5]]}', '{"assignments": [[0, null]]}',
+        '{"assignments": [[true]]}'])
+    def test_malformed_partition_json_rejected(self, text):
+        with pytest.raises(IngestError):
+            data.SourcePartition.from_json(text)
 
 
 class TestPositivityScale:

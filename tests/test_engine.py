@@ -256,6 +256,25 @@ class TestDdppPipeline:
         assert res.rank_exhausted
         assert res.selected_global_indices == [2, 5]
 
+    @pytest.mark.parametrize("strategy", ["greedi", "greedymax", "maxdiv",
+                                          "random", "stratified"])
+    def test_baseline_rank_exhaustion_flagged(self, strategy):
+        # source 0 spans 2 directions where its quota is 4, source 1 spans 6
+        # of the 8 that k_T = 8 needs: every greedy baseline falls short
+        rng = np.random.default_rng(4)
+        Z = np.vstack([4 * rng.normal(size=(20, r)) @ rng.normal(size=(r, 8))
+                       for r in (2, 6)])
+        ds = data.Dataset(features=Z, partition=data.SourcePartition(
+            (tuple(range(20)), tuple(range(20, 40)))))
+        res = engine.run_baseline(config(strategy=strategy), ds,
+                                  ground_truth=engine.run_ground_truth(ds, 8))
+        picked = len(res.selected_global_indices)
+        if strategy in ("random", "stratified"):
+            assert picked == 8 and not res.rank_exhausted
+        else:
+            assert picked < 8 and res.rank_exhausted
+        assert res.to_json_dict()["rank_exhausted"] == res.rank_exhausted
+
     def test_full_budget_proposed_matches_exact_packets(self):
         ds = small_dataset(seed=7, n_sources=2)
         exact = engine.run_ddpp(config(compression="none"), ds)
