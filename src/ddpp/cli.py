@@ -16,8 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, data, dpp, engine, metrics
-from .errors import (BudgetViolationError, DdppError, InvalidConfigError,
-                     NotPositiveDefiniteError, NotPsdError,
+from .errors import (BudgetViolationError, DdppError, IngestError,
+                     InvalidConfigError, NotPositiveDefiniteError, NotPsdError,
                      ScalingViolationError)
 from .linalg import gram
 
@@ -28,6 +28,14 @@ _NUMERICAL_ERRORS = (BudgetViolationError, NotPositiveDefiniteError,
                      NotPsdError, ScalingViolationError)
 
 
+def _open(path, error):
+    """``open(path)`` for reading; a file that cannot be opened is ``error``."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _config_flags(path, settings):
     """A config file's ``key=value`` lines as ``--key=value`` flags of ``run``.
 
@@ -36,7 +44,7 @@ def _config_flags(path, settings):
     and # comments are ignored.
     """
     flags = []
-    with open(path) as fh:
+    with _open(path, InvalidConfigError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -93,7 +101,7 @@ def _load_dataset(args, n_sources, loaded=None):
     """The ``--data`` file partitioned and rescaled; ``loaded`` skips the read."""
     Z, labels = loaded or _read_data(args)
     if args.partition_file:
-        with open(args.partition_file) as fh:
+        with _open(args.partition_file, IngestError) as fh:
             part = data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
     else:
         part = data.partition(Z.shape[0], n_sources,
@@ -175,15 +183,18 @@ def _campaign_unit(args, seed, n_sources, loaded):
 
 
 def cmd_run(args):
-    os.makedirs(args.out, exist_ok=True)
-    seeds = _int_list(args.seed_list) if args.seed_list else list(range(args.seeds))
-    if not seeds or not args.strategies:
-        raise InvalidConfigError("need at least one seed and one strategy")
+    seeds = (_int_list(args.seed_list) if args.seed_list is not None
+             else list(range(args.seeds)))
+    if not (seeds and args.strategies and args.N and args.R):
+        raise InvalidConfigError("need at least one seed, strategy, N and R")
+    if args.partition_file and not args.data:
+        raise InvalidConfigError("--partition-file needs --data")
     loaded = _read_data(args) if args.data else None
     dims = loaded[0].shape[1] if loaded else args.m
     for N in args.N:  # a configuration error exits before any data is made
         _unit_configs(args, seeds[0], N, dims)
     units = [(seed, N) for N in args.N for seed in seeds]
+    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")
     gt_cache = {}
     workers = _worker_count()
@@ -214,7 +225,7 @@ def _write_manifest(out_dir, args, extra=None):
 
 
 def _load_results(path):
-    with open(path) as fh:
+    with _open(path, InvalidConfigError) as fh:
         lines = [json.loads(ln) for ln in fh if ln.strip()]
     if not lines:
         raise InvalidConfigError(f"no result lines in {path}")
@@ -269,7 +280,7 @@ def _write_pca_csv(args, lines):
     """
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.results)),
                                  "manifest.json")
-    with open(manifest_path) as fh:
+    with _open(manifest_path, InvalidConfigError) as fh:
         resolved = json.load(fh)["resolved"]
     match = [ln for ln in lines
              if ln["seed"] == args.pca_seed and ln["strategy"] == args.pca_strategy]
@@ -422,15 +433,11 @@ def main(argv=None):
                 args.R = [0.75 * args.kT / args.tT]
         args.argv = argv  # the manifest's "command"
         return args.func(args)
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DdppError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, InvalidConfigError):
+            return EXIT_CONFIG
+        return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else 1
 
 
 if __name__ == "__main__":

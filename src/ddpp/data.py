@@ -160,13 +160,14 @@ def load_features(path, fmt="csv", label_column=False):
     """Read an (n, m) float64 feature matrix (plus optional labels).
 
     Never truncates silently: declared dimensions must match the payload.
+    A file that cannot be read is rejected like a malformed one.
     """
-    if fmt == "csv":
-        Z, labels = _load_csv(path, label_column)
-    elif fmt == "ddpm":
-        Z, labels = _load_ddpm(path)
-    else:
+    if fmt not in ("csv", "ddpm"):
         raise InvalidConfigError(f"unknown dataset format {fmt!r}")
+    try:
+        Z, labels = _load_csv(path, label_column) if fmt == "csv" else _load_ddpm(path)
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror}") from None
     if Z.ndim != 2 or Z.shape[0] == 0:
         raise IngestError("no data rows")
     if not np.isfinite(Z).all():

@@ -38,7 +38,8 @@ class MapResult:
     frame: np.ndarray = None  # set by greedy_map_projector only
 
 
-def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None):
+def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
+            rank=math.inf):
     """Run the greedy; returns (MapResult, its Cholesky rows in order).
 
     ``kernel_rows(idx)`` returns rows of the kernel whose diagonal ``diag``
@@ -48,7 +49,9 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None):
     Cholesky row and has its gain pinned to -inf; one whose gain already
     sits at the rank floor spans no new direction and adds no row.  The
     floor is EARLY_STOP_REL times ``scale``, by default the largest initial
-    diagonal.
+    diagonal.  A kernel of known ``rank`` gets no more Cholesky rows than
+    that, so no pick is made once it is spanned, however large the
+    rounding noise left in ``diag``.
     """
     if k < 0:
         raise InvalidInputError("k must be non-negative")
@@ -61,7 +64,7 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None):
     # A preselected item is conditioned on before its gain is pinned.
     for j in set(int(j) for j in excluded).difference(preselected):
         diag[j] = -np.inf
-    rows = np.empty((held + k, n))
+    rows = np.empty((min(held + k, rank), n))
     held_rows = kernel_rows(preselected) if held else None
     t = 0
     chosen, logdets, total = [], [], 0.0
@@ -71,11 +74,11 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None):
             row = held_rows[step]
         else:
             j = int(np.argmax(diag)) if n else None
-            if j is None or diag[j] <= floor:
+            if j is None or diag[j] <= floor or t == rank:
                 break
             row = kernel_rows(j)
         d2 = float(diag[j])
-        if d2 > floor:
+        if d2 > floor and t < rank:
             e = (row - rows[:t, j] @ rows[:t]) / math.sqrt(d2)
             rows[t] = e
             t += 1
@@ -108,11 +111,12 @@ def greedy_map_rows(Z, k, preselected=(), excluded=()):
 
     Kernel rows are formed on demand: one product Z[preselected] Z^T for
     the held items, then one matvec per pick.  Memory stays linear in n
-    (plus one row per held item), the preferred path for large n.
+    (plus one row per held item), the preferred path for large n.  The
+    kernel's rank is at most Z's width.
     """
     diag = np.einsum("ij,ij->i", Z, Z)
     return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
-                   excluded)[0]
+                   excluded, rank=Z.shape[1])[0]
 
 
 def greedy_map_projector(B, k):

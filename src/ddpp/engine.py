@@ -206,61 +206,11 @@ def _source_loop(worker, channel):
             raise
 
 
-class _Drivers:
-    """Hides the two execution modes behind send/collect calls.
-
-    ``loopback`` runs workers inline on the coordinator thread over queue
-    channels; ``tcp`` runs each worker in its own thread behind a socket.
-    Selections are identical in both modes because workers only see their
-    own frames.
-    """
-
-    def __init__(self, workers, transport):
-        if transport not in ("loopback", "tcp"):
-            raise InvalidConfigError(f"unknown transport {transport!r}")
-        self.workers = workers
-        self.transport = transport
-        pairs = [tcp_pair() if transport == "tcp" else loopback_pair()
-                 for _ in workers]
-        self.center_ends = [p[0] for p in pairs]
-        self.source_ends = [p[1] for p in pairs]
-        self.threads = []
-        if transport == "tcp":
-            for w, ch in zip(workers, self.source_ends):
-                th = threading.Thread(target=_source_loop, args=(w, ch), daemon=True)
-                th.start()
-                self.threads.append(th)
-
-    def send_feedback(self, source_id, frame):
-        self.center_ends[source_id].send(frame)
-
-    def collect_batches(self, interval):
-        """One batch frame per source, in source order, as received."""
-        frames = []
-        for i, w in enumerate(self.workers):
-            if self.transport == "loopback":
-                w.serve(self.source_ends[i], interval)
-            frame = self.center_ends[i].recv()
-            if frame[:4] == MAGIC_ERROR:
-                raise decode_error(frame)
-            frames.append(frame)
-        return frames
-
-    def close(self):
-        # The center's ends close first: after a failure, that wakes every
-        # source still waiting in recv, so the joins below do not wait.
-        for ch in self.center_ends:
-            ch.close()
-        for th in self.threads:
-            th.join(timeout=30)
-        for ch in self.source_ends:
-            ch.close()
-
-
 class _Center:
     """The single receiver: checks, counts and files every frame.
 
-    It holds what each source has sent and what each link has carried.
+    It holds what each source has sent and what each link has carried, and
+    from that builds each source's feedback frame.
     Uplink counts carry only sample payload (k_T * m elements over a full
     run, the same for every strategy); scalar diversity probes are tallied
     apart.  The center sends at most one feedback frame per source per
@@ -279,6 +229,7 @@ class _Center:
         self.uplink = [0] * config.n_sources
         self.downlink = [0] * config.n_sources
         self.uplink_bytes = self.downlink_bytes = self.probes = 0
+        self.sketch_rng = np.random.default_rng([config.seed, _SALT_SKETCH])
 
     def receive(self, frame, source_id, interval):
         """Decode, check, count and file one batch frame from ``source_id``.
@@ -309,23 +260,34 @@ class _Center:
         for g, row in zip(global_ids, batch.vectors):
             self.received[g] = (source_id, row)
 
-    def feedback(self, source_id, interval, packet):
-        """Encode, check against R*m and count one feedback frame."""
-        frame = encode_feedback(FeedbackMsg(target_source=source_id,
-                                            interval=interval, packet=packet))
-        budget = self.config.sparsity * self.dataset.dims
+    def feedback(self, source_id, interval):
+        """Build, check against R*m, encode and count one feedback frame.
+
+        Its packet compresses the projector onto what the other sources'
+        rows have not covered; before any arrive, that is the identity.
+        """
+        config, m = self.config, self.dataset.dims
+        rows = [row for s, row in self.received.values() if s != source_id]
+        H = csi.compute_projector(np.vstack(rows) if rows else None, m)
+        if config.compression == "proposed":
+            packet = csi.compress(H, config.sparsity, config.block_fraction)
+        elif config.compression == "svd":
+            packet = csi.compress_svd(H, config.sparsity)
+        elif config.compression == "random_sketch":
+            packet = csi.compress_random_sketch(H, config.sparsity,
+                                                self.sketch_rng)
+        else:
+            packet = csi.exact_packet(H)
+        budget = config.sparsity * m
         if packet.element_count > budget:
             raise BudgetViolationError(
                 f"interval {interval} downlink to source {source_id} "
                 f"reaches {packet.element_count} elements over budget {budget:g}")
+        frame = encode_feedback(FeedbackMsg(target_source=source_id,
+                                            interval=interval, packet=packet))
         self.downlink[source_id] += packet.element_count
         self.downlink_bytes += len(frame)
         return frame
-
-    def foreign_rows(self, source_id):
-        """Rows received from every other source (the conditioning set)."""
-        rows = [row for s, row in self.received.values() if s != source_id]
-        return np.vstack(rows) if rows else np.zeros((0, 0))
 
     def result(self, ground_truth):
         """The run's record, scored against ``ground_truth`` (run if None)."""
@@ -351,16 +313,6 @@ class _Center:
             rank_exhausted=len(selected) < config.total_select)
 
 
-def _make_packet(projector, config, rng):
-    if config.compression == "proposed":
-        return csi.compress(projector, config.sparsity, config.block_fraction)
-    if config.compression == "svd":
-        return csi.compress_svd(projector, config.sparsity)
-    if config.compression == "random_sketch":
-        return csi.compress_random_sketch(projector, config.sparsity, rng)
-    return csi.exact_packet(projector)
-
-
 def run_ground_truth(dataset, k_T):
     """Centralized greedy over all samples; the reference selection."""
     if k_T < 1:
@@ -369,25 +321,47 @@ def run_ground_truth(dataset, k_T):
 
 
 def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
-    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``)."""
+    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``).
+
+    ``loopback`` serves each source inline on this thread over queues;
+    ``tcp`` runs each in its own thread behind a socket.  Selections are
+    identical in both, as a source sees only its own frames.
+    """
     center = _Center(config, dataset)
     workers = [SourceWorker(i, dataset.source_rows(i), config)
                for i in range(config.n_sources)]
-    sketch_rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, _SALT_SKETCH]))
-    drivers = _Drivers(workers, transport)
+    if transport not in ("loopback", "tcp"):
+        raise InvalidConfigError(f"unknown transport {transport!r}")
+    pairs = [tcp_pair() if transport == "tcp" else loopback_pair()
+             for _ in workers]
+    threads = [threading.Thread(target=_source_loop, args=(w, p[1]), daemon=True)
+               for w, p in zip(workers, pairs) if transport == "tcp"]
+    for th in threads:
+        th.start()
     try:
         for t in range(1, config.intervals + 1):
             if config.feedback_at(t):
-                for i in range(config.n_sources):
-                    projector = csi.compute_projector(center.foreign_rows(i),
-                                                      dataset.dims)
-                    packet = _make_packet(projector, config, sketch_rng)
-                    drivers.send_feedback(i, center.feedback(i, t, packet))
-            for i, frame in enumerate(drivers.collect_batches(t)):
+                for i, (center_end, _) in enumerate(pairs):
+                    center_end.send(center.feedback(i, t))
+            frames = []  # one per source, in source order, as received
+            for w, (center_end, source_end) in zip(workers, pairs):
+                if transport == "loopback":
+                    w.serve(source_end, t)
+                frame = center_end.recv()
+                if frame[:4] == MAGIC_ERROR:
+                    raise decode_error(frame)
+                frames.append(frame)
+            for i, frame in enumerate(frames):
                 center.receive(frame, i, t)
     finally:
-        drivers.close()
+        # The center's ends close first: after a failure, that wakes every
+        # source still waiting in recv, so the joins below do not wait.
+        for center_end, _ in pairs:
+            center_end.close()
+        for th in threads:
+            th.join(timeout=30)
+        for _, source_end in pairs:
+            source_end.close()
     return center.result(ground_truth)
 
 
@@ -401,55 +375,49 @@ def rd_diversity(rows, epsilon):
 def run_baseline(config, dataset, ground_truth=None):
     """Feedback-free comparison strategies sharing the ddpp accounting."""
     center = _Center(config, dataset)
-    if config.strategy not in ("greedi", "greedymax", "maxdiv", "random", "stratified"):
-        raise InvalidConfigError(f"{config.strategy!r} is not a baseline strategy")
     N, k_T = config.n_sources, config.total_select
+    assignments = dataset.partition.assignments
+    selections = [[] for _ in range(N)]  # the local ids each source sends
     if config.strategy == "greedi":
-        selections = [dpp.greedy_map_rows(dataset.source_rows(i),
-                                          config.per_source_quota).indices
-                      for i in range(N)]
-    elif config.strategy in ("greedymax", "maxdiv"):
-        candidates, scores = [], []
+        for i in range(N):
+            selections[i] = dpp.greedy_map_rows(dataset.source_rows(i),
+                                                config.per_source_quota).indices
+    elif config.strategy == "greedymax":  # the source whose greedy scores best
+        picks, scores = [], []
         for i in range(N):
             rows = dataset.source_rows(i)
-            if config.strategy == "maxdiv":
-                scores.append(rd_diversity(rows, config.epsilon))
-                center.probes += 1  # one scalar, apart from sample payload
-                candidates.append(None)  # winner selects later
-            else:
-                res = dpp.greedy_map_rows(rows, min(k_T, rows.shape[0]))
-                candidates.append(res.indices)
-                scores.append(dpp.subset_logdet(rows, res.indices))
+            picks.append(dpp.greedy_map_rows(rows, k_T).indices)
+            scores.append(dpp.subset_logdet(rows, picks[i]))
         winner = int(np.argmax(scores))
-        if candidates[winner] is None:
-            rows = dataset.source_rows(winner)
-            candidates[winner] = dpp.greedy_map_rows(
-                rows, min(k_T, rows.shape[0])).indices
-        selections = [candidates[i] if i == winner else [] for i in range(N)]
-    else:  # random / stratified
-        salt = _SALT_RANDOM if config.strategy == "random" else _SALT_STRATIFIED
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, salt]))
-        assignments = dataset.partition.assignments
-        if config.strategy == "random":
-            chosen = rng.choice(dataset.n, size=k_T, replace=False).tolist()
-            place = dict.fromkeys(chosen)  # draw order
-            for i, a in enumerate(assignments):
-                for j, g in enumerate(a):
-                    if g in place:
-                        place[g] = (i, j)
-            selections = [[] for _ in range(N)]
-            for i, j in place.values():
-                selections[i].append(j)
-        else:
-            selections = [sorted(rng.choice(len(assignments[i]),
-                                            size=config.per_source_quota,
-                                            replace=False).tolist())
-                          for i in range(N)]
+        selections[winner] = picks[winner]
+    elif config.strategy == "maxdiv":  # the most diverse source, by probe
+        scores = [rd_diversity(dataset.source_rows(i), config.epsilon)
+                  for i in range(N)]
+        center.probes += N  # one scalar per source, apart from sample payload
+        winner = int(np.argmax(scores))
+        selections[winner] = dpp.greedy_map_rows(dataset.source_rows(winner),
+                                                 k_T).indices
+    elif config.strategy == "random":  # a global draw, sent in draw order
+        rng = np.random.default_rng([config.seed, _SALT_RANDOM])
+        place = dict.fromkeys(rng.choice(dataset.n, size=k_T,
+                                         replace=False).tolist())
+        for i, a in enumerate(assignments):
+            for j, g in enumerate(a):
+                if g in place:
+                    place[g] = (i, j)
+        for i, j in place.values():
+            selections[i].append(j)
+    elif config.strategy == "stratified":
+        rng = np.random.default_rng([config.seed, _SALT_STRATIFIED])
+        for i, a in enumerate(assignments):
+            selections[i] = sorted(rng.choice(len(a), size=config.per_source_quota,
+                                              replace=False).tolist())
+    else:
+        raise InvalidConfigError(f"{config.strategy!r} is not a baseline strategy")
     for i, local in enumerate(selections):  # one batch frame per source
-        assignment = dataset.partition.assignments[i]
         center.receive(encode_batch(SampleBatch(
             source_id=i, interval=1, local_indices=tuple(local),
-            vectors=dataset.features[[assignment[j] for j in local]])), i, 1)
+            vectors=dataset.features[[assignments[i][j] for j in local]])), i, 1)
     return center.result(ground_truth)
 
 

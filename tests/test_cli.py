@@ -409,3 +409,68 @@ class TestOracleAndTtest:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["n_a"] == 3 and payload["n_b"] == 3
         assert 0.0 <= payload["p"] <= 1.0
+
+
+# Each names the missing file MISSING; DATA is a readable csv and RESULTS a
+# results file with no manifest beside it.
+MISSING_INPUTS = {
+    "run --config": (["run", "--out", "OUT", "--config", "MISSING"], 2),
+    "run --data": (["run", "--out", "OUT", "--data", "MISSING"], 1),
+    "run --partition-file": (["run", "--out", "OUT", "--data", "DATA",
+                              "--partition-file", "MISSING",
+                              *RUN_ARGS[:-4], "--R", "4"], 1),
+    "partition --data": (["partition", "--data", "MISSING", "--sources", "2",
+                          "--out", "OUT"], 1),
+    "oracle --data": (["oracle", "--data", "MISSING", "--k", "2"], 1),
+    "report --results": (["report", "--results", "MISSING", "--out", "OUT"], 2),
+    "report manifest": (["report", "--results", "RESULTS", "--out", "OUT",
+                         "--pca-seed", "0"], 2),
+    "ttest --results": (["ttest", "--results", "MISSING", "--a", "ddpp",
+                         "--b", "greedi"], 2),
+}
+
+SWEEPS = {"--R": "4", "--N": "2", "--seed-list": "0"}
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("name", sorted(MISSING_INPUTS))
+    def test_a_missing_input_file_is_a_typed_error(self, tmp_path, capsys,
+                                                   name):
+        argv, code = MISSING_INPUTS[name]
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        results = tmp_path / "run" / "results.jsonl"
+        results.parent.mkdir()
+        results.write_text(json.dumps({"strategy": "ddpp", "N": 2, "R": 4.0,
+                                       "m": 6, "rde": 0.1, "seed": 0}) + "\n")
+        paths = {"OUT": tmp_path / "out", "MISSING": tmp_path / "missing",
+                 "DATA": data_path, "RESULTS": results}
+        assert run_cli(*[str(paths.get(a, a)) for a in argv]) == code
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_partition_file_without_data_exit_code(self, tmp_path, capsys):
+        part = tmp_path / "p.json"
+        part.write_text('{"assignments": [[0], [1]]}')
+        out = tmp_path / "x"
+        assert run_cli("run", "--out", str(out), "--partition-file", str(part),
+                       *RUN_ARGS) == 2
+        assert "--partition-file needs --data" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", sorted(SWEEPS))
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_an_empty_sweep_exit_code(self, tmp_path, capsys, flag, where):
+        others = [a for f, v in SWEEPS.items() if f != flag for a in (f, v)]
+        argv = ["run", "--out", str(tmp_path / "x"), "--strategies", "greedi",
+                "--kT", "4", "--m", "8", "--ni", "12", "--clusters", "4",
+                *others]
+        if where == "flag":
+            argv.append(f"{flag}=")
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"{flag[2:]}=\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 2
+        assert "need at least one" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

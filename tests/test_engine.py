@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (poison_feedback, run_within, small_dataset,
                       stepwise_exhaustive_greedy)
-from ddpp import csi, data, dpp, engine, linalg, protocol
+from ddpp import cli, csi, data, dpp, engine, linalg, protocol
 from ddpp.errors import (BudgetViolationError, DdppError, InvalidConfigError,
                          NotPsdError, ProtocolError)
 
@@ -282,6 +282,21 @@ class TestDdppPipeline:
                                       sparsity=8.0), ds)
         # both reconstruct the projector well enough to agree on selections
         assert full.selected_global_indices == exact.selected_global_indices
+
+    def test_a_source_picks_no_more_than_its_precoded_width(self):
+        # without momentum an svd packet leaves each source's pre-coded
+        # features floor(R) = 15 wide; at seed 313 a source holding 15
+        # items once made a 16th pick on a gain of e^-23 (rounding noise)
+        args = cli.build_parser().parse_args(
+            ["run", "--out", "unused", "--m", "512", "--kT", "120",
+             "--ni", "500", "--clusters", "80", "--spread", "0.03"])
+        ds = cli._gen_dataset(313, 2, args)
+        res = engine.run_ddpp(config(n_sources=2, dims=512, total_select=120,
+                                     intervals=6, sparsity=15.0, seed=313,
+                                     compression="svd", momentum=False), ds)
+        # 10 picks each in interval 1, then 5 more fill the 15 directions
+        assert len(res.selected_global_indices) == 30 and res.rank_exhausted
+        assert res.ledger["per_source_uplink"] == [15 * 512, 15 * 512]
 
 
 def tamper_uplink(monkeypatch, source_id, change):
