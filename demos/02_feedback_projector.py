@@ -30,10 +30,10 @@ print("pre-coded source-1 kernel (momentum doubles the uncovered direction,")
 print("so its share of the kernel grows fourfold):")
 print((A @ A.T).round(3))
 
-fed = engine.run_ddpp(engine.ExperimentConfig(
+fed = engine.run_experiment(engine.ExperimentConfig(
     n_sources=2, dims=2, total_select=2, intervals=2, sparsity=2.0,
     compression="none", seed=0), ds)
-blind = engine.run_baseline(engine.ExperimentConfig(
+blind = engine.run_experiment(engine.ExperimentConfig(
     n_sources=2, dims=2, total_select=2, intervals=1, sparsity=2.0,
     strategy="greedi", seed=0), ds)
 

@@ -23,12 +23,12 @@ if _pooled:
 
 from . import csi, data, dpp, engine, errors, linalg, metrics, protocol  # noqa: E402
 from .engine import (ExperimentConfig, ExperimentResult,  # noqa: E402
-                     run_baseline, run_ddpp, run_experiment, run_ground_truth)
+                     run_ddpp, run_experiment, run_ground_truth)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "csi", "data", "dpp", "engine", "errors", "linalg", "metrics", "protocol",
-    "ExperimentConfig", "ExperimentResult", "run_baseline", "run_ddpp",
-    "run_experiment", "run_ground_truth", "__version__",
+    "ExperimentConfig", "ExperimentResult", "run_ddpp", "run_experiment",
+    "run_ground_truth", "__version__",
 ]

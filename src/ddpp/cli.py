@@ -31,7 +31,7 @@ _NUMERICAL_ERRORS = (BudgetViolationError, NotPositiveDefiniteError,
 def _open(path, error):
     """``open(path)`` for reading; a file that cannot be opened is ``error``."""
     try:
-        return open(path)
+        return open(path, errors="replace")  # bad bytes fail the caller's parse
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from None
 
@@ -225,8 +225,23 @@ def _write_manifest(out_dir, args, extra=None):
 
 
 def _load_results(path):
+    """The lines of a results file: objects with the fields report reads."""
+    lines = []
     with _open(path, InvalidConfigError) as fh:
-        lines = [json.loads(ln) for ln in fh if ln.strip()]
+        for lineno, text in enumerate(fh, 1):
+            if not text.strip():
+                continue
+            try:
+                line = json.loads(text)
+            except ValueError:
+                line = None
+            if not isinstance(line, dict):
+                raise InvalidConfigError(f"{path}:{lineno}: not a JSON object")
+            missing = [k for k in ("strategy", "seed", "N", "R", "rde")
+                       if k not in line]
+            if missing:
+                raise InvalidConfigError(f"{path}:{lineno}: no {', '.join(missing)}")
+            lines.append(line)
     if not lines:
         raise InvalidConfigError(f"no result lines in {path}")
     return lines
@@ -234,6 +249,10 @@ def _load_results(path):
 
 def cmd_report(args):
     lines = _load_results(args.results)
+    pairs = [tuple(p.split(":")) for p in args.pairs.split(",")] if args.pairs else []
+    for pair in pairs:
+        if len(pair) != 2 or not all(pair):
+            raise InvalidConfigError(f"--pairs entry {':'.join(pair)!r} is not a:b")
     os.makedirs(args.out, exist_ok=True)
     cells = {}
     for line in lines:
@@ -249,7 +268,6 @@ def cmd_report(args):
             else:
                 row = ["NA", "NA", 0]
             writer.writerow(list(key) + row)
-    pairs = [tuple(p.split(":")) for p in args.pairs.split(",")] if args.pairs else []
     with open(os.path.join(args.out, "ttest.csv"), "w", newline="") as fh:
         writer = csvmod.writer(fh)
         writer.writerow(["strategy_a", "strategy_b", "N", "R", "t", "p"])

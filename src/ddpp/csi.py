@@ -106,10 +106,7 @@ class CsiPacket:
 
 def pack_lower_triangle(B):
     """Row-major packed lower triangle of a square matrix."""
-    r = B.shape[0]
-    if r == 0:
-        return np.zeros(0)
-    i, j = np.tril_indices(r)
+    i, j = np.tril_indices(B.shape[0])
     return np.ascontiguousarray(B[i, j], dtype=np.float64)
 
 

@@ -12,7 +12,7 @@ trailing integer label column (the caller flags it).
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class Dataset:
     partition: SourcePartition
     labels: np.ndarray = None
     scale: float = 1.0
+    _rows: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "features", as_matrix(self.features, "features"))
@@ -85,7 +87,13 @@ class Dataset:
         return self.features.shape[1]
 
     def source_rows(self, i):
-        return self.features[list(self.partition.assignments[i])]
+        """Source ``i``'s rows: gathered on first use, then shared read-only."""
+        rows = self._rows.get(i)
+        if rows is None:
+            rows = self.features[list(self.partition.assignments[i])]
+            rows.flags.writeable = False
+            self._rows[i] = rows
+        return rows
 
 
 def save_ddpm(path, Z, labels=None):

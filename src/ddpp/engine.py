@@ -1,13 +1,13 @@
 """Coordinator/source orchestration across selection intervals.
 
-The feedback pipeline (strategy ``ddpp``) runs interval by interval: the
-center summarizes what it has already received from other sources as a
-projector per source, compresses it under the sparsity budget, and sends it
-downlink; each source pre-codes its full local matrix with the decoded
-feedback, extends its own greedy selection (previously sent items condition
-the geometry but are never re-sent), and uplinks the new picks.  Every
-strategy's frames reach one center object, which checks, counts and files
-them, so the bandwidth accounting is comparable across methods.
+Every strategy runs on one schedule: per interval, each source sends one
+batch frame over a channel of its own to one center object, which checks,
+counts and files it, so the bandwidth accounting is the same for every
+method.  Before each later interval of the feedback pipeline (``ddpp``) the
+center sends each source a compressed projector onto what the other sources
+have not covered; the source pre-codes its rows with it and extends its own
+greedy selection (sent items condition the geometry but are never re-sent).
+A baseline is one interval with no feedback.
 """
 
 import threading
@@ -63,9 +63,7 @@ class ExperimentConfig:
             raise InvalidConfigError("sparsity budget must be non-negative")
         if not 0 <= self.block_fraction <= 1:
             raise InvalidConfigError("block_fraction must lie in [0, 1]")
-        sends_feedback = (self.strategy == "ddpp"
-                          and self.feedback_at(self.intervals))
-        if sends_feedback and self.sparsity * self.dims < 1:
+        if self.feedback_at(self.rounds) and self.sparsity * self.dims < 1:
             raise InvalidConfigError(
                 f"feedback budget R*m = {self.sparsity * self.dims:g} "
                 "is below one element")
@@ -86,18 +84,23 @@ class ExperimentConfig:
         return interval >= 2 and self.n_sources >= 2
 
     @property
+    def rounds(self):
+        """Intervals the sources run: t_T for ``ddpp``, one for a baseline."""
+        return self.intervals if self.strategy == "ddpp" else 1
+
+    @property
     def per_source_quota(self):
         return self.total_select // self.n_sources
 
     def interval_quota(self, source_id, interval):
         """Picks source ``source_id`` owes in 1-based ``interval``.
 
-        Even split of the per-source quota; remainder slots rotate with the
-        source id so every interval moves data even when the quota does not
-        divide the interval count.
+        Even split of the per-source quota over the rounds; remainder slots
+        rotate with the source id so every interval moves data even when the
+        quota does not divide the round count.
         """
-        base, rem = divmod(self.per_source_quota, self.intervals)
-        return base + (1 if (interval - 1 - source_id) % self.intervals < rem else 0)
+        base, rem = divmod(self.per_source_quota, self.rounds)
+        return base + (1 if (interval - 1 - source_id) % self.rounds < rem else 0)
 
 
 @dataclass
@@ -144,17 +147,19 @@ class ExperimentResult:
 class SourceWorker:
     """Holds one source's rows and its send history; sees only its own source."""
 
-    def __init__(self, source_id, rows, config):
+    def __init__(self, source_id, rows, config, plan=None):
         self.source_id = source_id
         self.rows = rows
         self.config = config
+        self.plan = plan  # local ids the center chose, sent instead of picks
         self.sent = []
 
     def step(self, interval, feedback_frame, k):
         """Consume optional feedback, pick k new items, return a batch frame.
 
-        A feedback frame must name this source, the current ``interval``
-        and a packet as wide as the source's rows.
+        A set ``plan`` is sent in place of the picks.  A feedback frame must
+        name this source, the current ``interval`` and a packet as wide as
+        the source's rows.
         """
         if feedback_frame is not None:
             msg = decode_feedback(feedback_frame)
@@ -172,9 +177,11 @@ class SourceWorker:
         else:
             working = self.rows
         new = []
-        if k > 0:
+        if self.plan is not None:
+            new = list(self.plan)
+        elif k > 0:
             new = dpp.greedy_map_rows(working, k, preselected=self.sent).indices
-            self.sent.extend(new)
+        self.sent.extend(new)
         batch = SampleBatch(source_id=self.source_id, interval=interval,
                             local_indices=tuple(new), vectors=self.rows[new])
         return encode_batch(batch)
@@ -195,7 +202,7 @@ def _source_loop(worker, channel):
     """
     t = 0
     try:
-        for t in range(1, worker.config.intervals + 1):
+        for t in range(1, worker.config.rounds + 1):
             worker.serve(channel, t)
     except BaseException as exc:  # the thread's boundary: report, then end
         try:
@@ -212,9 +219,9 @@ class _Center:
     It holds what each source has sent and what each link has carried, and
     from that builds each source's feedback frame.
     Uplink counts carry only sample payload (k_T * m elements over a full
-    run, the same for every strategy); scalar diversity probes are tallied
-    apart.  The center sends at most one feedback frame per source per
-    interval, and each is capped at R*m elements.
+    run, the same for every strategy); maxdiv's scalar diversity probes,
+    one per source, are tallied apart.  The center sends at most one
+    feedback frame per source per interval, each capped at R*m elements.
     """
 
     def __init__(self, config, dataset):
@@ -228,7 +235,7 @@ class _Center:
         self.received = {}  # global index -> (source id, row), arrival order
         self.uplink = [0] * config.n_sources
         self.downlink = [0] * config.n_sources
-        self.uplink_bytes = self.downlink_bytes = self.probes = 0
+        self.uplink_bytes = self.downlink_bytes = 0
         self.sketch_rng = np.random.default_rng([config.seed, _SALT_SKETCH])
 
     def receive(self, frame, source_id, interval):
@@ -301,7 +308,7 @@ class _Center:
             "downlink_elements": sum(self.downlink),
             "uplink_bytes": self.uplink_bytes,
             "downlink_bytes": self.downlink_bytes,
-            "probe_elements": self.probes,
+            "probe_elements": config.n_sources if config.strategy == "maxdiv" else 0,
             "per_source_uplink": list(self.uplink),
             "per_source_downlink": list(self.downlink),
         }
@@ -320,15 +327,16 @@ def run_ground_truth(dataset, k_T):
     return dpp.greedy_map_rows(dataset.features, k_T)
 
 
-def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
-    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``).
+def _schedule(center, transport, ground_truth, plans=None):
+    """Run every source's rounds over a channel of its own; score the run.
 
     ``loopback`` serves each source inline on this thread over queues;
     ``tcp`` runs each in its own thread behind a socket.  Selections are
     identical in both, as a source sees only its own frames.
     """
-    center = _Center(config, dataset)
-    workers = [SourceWorker(i, dataset.source_rows(i), config)
+    config, dataset = center.config, center.dataset
+    workers = [SourceWorker(i, dataset.source_rows(i), config,
+                            plans[i] if plans else None)
                for i in range(config.n_sources)]
     if transport not in ("loopback", "tcp"):
         raise InvalidConfigError(f"unknown transport {transport!r}")
@@ -339,7 +347,7 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     for th in threads:
         th.start()
     try:
-        for t in range(1, config.intervals + 1):
+        for t in range(1, config.rounds + 1):
             if config.feedback_at(t):
                 for i, (center_end, _) in enumerate(pairs):
                     center_end.send(center.feedback(i, t))
@@ -365,6 +373,11 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     return center.result(ground_truth)
 
 
+def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
+    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``)."""
+    return _schedule(_Center(config, dataset), transport, ground_truth)
+
+
 def rd_diversity(rows, epsilon):
     """Rate-distortion style diversity of a whole source."""
     n_i, m = rows.shape
@@ -372,31 +385,30 @@ def rd_diversity(rows, epsilon):
     return logdet_psd(np.eye(m) + (m / (n_i * epsilon)) * inner)
 
 
-def run_baseline(config, dataset, ground_truth=None):
-    """Feedback-free comparison strategies sharing the ddpp accounting."""
+def run_experiment(config, dataset, transport="loopback", ground_truth=None):
+    """Run any strategy over ``transport``; ``ddpp`` goes to ``run_ddpp``.
+
+    A ``greedi`` source picks its own quota.  The other baselines' choices
+    need every source's score or a global draw, so the center plans each
+    source's local ids here (a simulation shortcut) and the source sends them.
+    """
+    if config.strategy == "ddpp":
+        return run_ddpp(config, dataset, transport=transport,
+                        ground_truth=ground_truth)
     center = _Center(config, dataset)
-    N, k_T = config.n_sources, config.total_select
-    assignments = dataset.partition.assignments
-    selections = [[] for _ in range(N)]  # the local ids each source sends
+    k_T, assignments = config.total_select, dataset.partition.assignments
+    rows = [dataset.source_rows(i) for i in range(config.n_sources)]
+    plans = [[] for _ in rows]  # the local ids each source sends
     if config.strategy == "greedi":
-        for i in range(N):
-            selections[i] = dpp.greedy_map_rows(dataset.source_rows(i),
-                                                config.per_source_quota).indices
+        plans = None  # each source runs its own greedy
     elif config.strategy == "greedymax":  # the source whose greedy scores best
-        picks, scores = [], []
-        for i in range(N):
-            rows = dataset.source_rows(i)
-            picks.append(dpp.greedy_map_rows(rows, k_T).indices)
-            scores.append(dpp.subset_logdet(rows, picks[i]))
-        winner = int(np.argmax(scores))
-        selections[winner] = picks[winner]
+        picks = [dpp.greedy_map_rows(r, k_T).indices for r in rows]
+        winner = int(np.argmax([dpp.subset_logdet(r, p)
+                                for r, p in zip(rows, picks)]))
+        plans[winner] = picks[winner]
     elif config.strategy == "maxdiv":  # the most diverse source, by probe
-        scores = [rd_diversity(dataset.source_rows(i), config.epsilon)
-                  for i in range(N)]
-        center.probes += N  # one scalar per source, apart from sample payload
-        winner = int(np.argmax(scores))
-        selections[winner] = dpp.greedy_map_rows(dataset.source_rows(winner),
-                                                 k_T).indices
+        winner = int(np.argmax([rd_diversity(r, config.epsilon) for r in rows]))
+        plans[winner] = dpp.greedy_map_rows(rows[winner], k_T).indices
     elif config.strategy == "random":  # a global draw, sent in draw order
         rng = np.random.default_rng([config.seed, _SALT_RANDOM])
         place = dict.fromkeys(rng.choice(dataset.n, size=k_T,
@@ -406,24 +418,10 @@ def run_baseline(config, dataset, ground_truth=None):
                 if g in place:
                     place[g] = (i, j)
         for i, j in place.values():
-            selections[i].append(j)
-    elif config.strategy == "stratified":
+            plans[i].append(j)
+    else:  # stratified
         rng = np.random.default_rng([config.seed, _SALT_STRATIFIED])
         for i, a in enumerate(assignments):
-            selections[i] = sorted(rng.choice(len(a), size=config.per_source_quota,
-                                              replace=False).tolist())
-    else:
-        raise InvalidConfigError(f"{config.strategy!r} is not a baseline strategy")
-    for i, local in enumerate(selections):  # one batch frame per source
-        center.receive(encode_batch(SampleBatch(
-            source_id=i, interval=1, local_indices=tuple(local),
-            vectors=dataset.features[[assignments[i][j] for j in local]])), i, 1)
-    return center.result(ground_truth)
-
-
-def run_experiment(config, dataset, transport="loopback", ground_truth=None):
-    """Dispatch on the configured strategy."""
-    if config.strategy == "ddpp":
-        return run_ddpp(config, dataset, transport=transport,
-                        ground_truth=ground_truth)
-    return run_baseline(config, dataset, ground_truth=ground_truth)
+            plans[i] = sorted(rng.choice(len(a), size=config.per_source_quota,
+                                         replace=False).tolist())
+    return _schedule(center, transport, ground_truth, plans)

@@ -321,7 +321,7 @@ def test_criterion_9_degeneracies():
     one = engine.run_ddpp(engine.ExperimentConfig(
         n_sources=3, dims=64, total_select=12, intervals=1, sparsity=12.0,
         seed=4), ds2)
-    union = engine.run_baseline(engine.ExperimentConfig(
+    union = engine.run_experiment(engine.ExperimentConfig(
         n_sources=3, dims=64, total_select=12, intervals=1, sparsity=12.0,
         seed=4, strategy="greedi"), ds2)
     assert set(one.selected_global_indices) == set(union.selected_global_indices)

@@ -431,6 +431,19 @@ MISSING_INPUTS = {
 
 SWEEPS = {"--R": "4", "--N": "2", "--seed-list": "0"}
 
+GOOD_RESULT = {"strategy": "ddpp", "seed": 0, "N": 2, "R": 4.0, "m": 6,
+               "rde": 0.1}
+
+# Each is line 2 of a results file whose line 1 is GOOD_RESULT.
+BAD_RESULT_LINES = {
+    "not JSON": b"not json",
+    "not UTF-8": b'\xff{"strategy": "ddpp"}',
+    "not an object": b"[1, 2]",
+    **{f"no {key}": json.dumps({k: v for k, v in GOOD_RESULT.items()
+                                if k != key}).encode()
+       for key in ("strategy", "seed", "N", "R", "rde")},
+}
+
 
 class TestRefusedInput:
     @pytest.mark.parametrize("name", sorted(MISSING_INPUTS))
@@ -474,3 +487,27 @@ class TestRefusedInput:
         assert run_cli(*argv) == 2
         assert "need at least one" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("bad", sorted(BAD_RESULT_LINES))
+    @pytest.mark.parametrize("command", [["report", "--out", "OUT"],
+                                         ["ttest", "--a", "ddpp", "--b", "greedi"]],
+                             ids=["report", "ttest"])
+    def test_a_malformed_results_line_is_a_typed_error(self, tmp_path, capsys,
+                                                       command, bad):
+        results = tmp_path / "results.jsonl"
+        results.write_bytes(json.dumps(GOOD_RESULT).encode() + b"\n"
+                            + BAD_RESULT_LINES[bad] + b"\n")
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in command]
+        assert run_cli(argv[0], "--results", str(results), *argv[1:]) == 2
+        assert f"{results}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["ddpp", "ddpp:greedi:x"])
+    def test_a_malformed_pairs_entry_is_a_typed_error(self, tmp_path, capsys,
+                                                      entry):
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(GOOD_RESULT) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("report", "--results", str(results), "--out", str(out),
+                       "--pairs", f"ddpp:random,{entry}") == 2
+        assert f"--pairs entry {entry!r} is not a:b" in capsys.readouterr().err
+        assert not out.exists()

@@ -353,7 +353,8 @@ def kernel(A):
 
 def make_packet(m, selected, block, values, vectors):
     return csi.CsiPacket(dims=m, selected_dims=tuple(selected),
-                         principal_block=csi.pack_lower_triangle(np.asarray(block)),
+                         principal_block=csi.pack_lower_triangle(
+                             np.reshape(block, (len(selected),) * 2)),
                          residual_values=np.asarray(values, dtype=float),
                          residual_vectors=np.asarray(vectors, dtype=float)
                          .reshape(len(values), m))

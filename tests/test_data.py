@@ -227,6 +227,21 @@ class TestPositivityScale:
         assert ds.scale > 1.0
         assert np.array_equal(ds.features, Z * ds.scale)
 
+    def test_source_rows_are_gathered_once_read_only_per_copy(self):
+        rng = np.random.default_rng(413)
+        Z = 0.01 * rng.normal(size=(30, 6))
+        part = data.partition(30, 3, policy="uniform_random", seed=0)
+        ds = data.Dataset(features=Z, partition=part)
+        rows = ds.source_rows(1)
+        assert ds.source_rows(1) is rows
+        assert not rows.flags.writeable
+        assert np.array_equal(rows, Z[list(part.assignments[1])])
+        scaled = data.apply_positivity_scale(ds, 3)
+        assert scaled.scale > 1.0
+        assert scaled.source_rows(1) is not rows
+        assert np.array_equal(scaled.source_rows(1), rows * scaled.scale)
+        assert ds.source_rows(1) is rows  # the copy left the original's alone
+
     def test_benchmark_dataset_shapes(self):
         ds = data.make_benchmark_dataset(seed=0, n_sources=2, dims=64,
                                          total_select=8, per_source_size=30)

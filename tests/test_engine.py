@@ -105,7 +105,7 @@ class TestDdppPipeline:
     def test_single_interval_equals_greedi(self):
         ds = small_dataset(seed=2, n_sources=2)
         a = engine.run_ddpp(config(intervals=1), ds)
-        b = engine.run_baseline(config(intervals=1, strategy="greedi"), ds)
+        b = engine.run_experiment(config(intervals=1, strategy="greedi"), ds)
         assert set(a.selected_global_indices) == set(b.selected_global_indices)
 
     def test_hand_built_two_source_feedback_example(self):
@@ -124,8 +124,8 @@ class TestDdppPipeline:
         H = csi.compute_projector(Z[[0]], 2)
         assert H.matrix == pytest.approx(np.diag([0.0, 1.0]), abs=1e-12)
         assert fed.selected_global_indices == [0, 5]
-        blind = engine.run_baseline(config(dims=2, total_select=2, sparsity=2.0,
-                                           intervals=1, strategy="greedi"), ds)
+        blind = engine.run_experiment(config(dims=2, total_select=2, sparsity=2.0,
+                                             intervals=1, strategy="greedi"), ds)
         assert set(blind.selected_global_indices) == {0, 3}
         assert fed.diversity_logdet > blind.diversity_logdet
 
@@ -147,9 +147,9 @@ class TestDdppPipeline:
             cfg = config(dims=6, total_select=2, sparsity=6.0,
                          compression="none", seed=seed)
             fed = engine.run_ddpp(cfg, ds)
-            blind = engine.run_baseline(config(dims=6, total_select=2,
-                                               sparsity=6.0, intervals=1,
-                                               strategy="greedi", seed=seed), ds)
+            blind = engine.run_experiment(config(dims=6, total_select=2,
+                                                 sparsity=6.0, intervals=1,
+                                                 strategy="greedi", seed=seed), ds)
             assert set(blind.selected_global_indices) == {0, 2}  # duplicates
             assert fed.selected_global_indices == [0, 3]
             assert fed.diversity_logdet > blind.diversity_logdet
@@ -266,8 +266,8 @@ class TestDdppPipeline:
                        for r in (2, 6)])
         ds = data.Dataset(features=Z, partition=data.SourcePartition(
             (tuple(range(20)), tuple(range(20, 40)))))
-        res = engine.run_baseline(config(strategy=strategy), ds,
-                                  ground_truth=engine.run_ground_truth(ds, 8))
+        res = engine.run_experiment(config(strategy=strategy), ds,
+                                    ground_truth=engine.run_ground_truth(ds, 8))
         picked = len(res.selected_global_indices)
         if strategy in ("random", "stratified"):
             assert picked == 8 and not res.rank_exhausted
@@ -299,6 +299,43 @@ class TestDdppPipeline:
         assert res.ledger["per_source_uplink"] == [15 * 512, 15 * 512]
 
 
+def counted(monkeypatch, name):
+    """Wrap ``engine.<name>``; returns the list of its calls' arguments."""
+    calls, real = [], getattr(engine, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, wrapper)
+    return calls
+
+
+class TestSchedule:
+    """Every strategy's frames cross the transport, one channel per source."""
+
+    @pytest.mark.parametrize("strategy", engine.STRATEGIES)
+    def test_tcp_equals_loopback_over_one_socket_per_source(self, monkeypatch,
+                                                            strategy):
+        ds = small_dataset(seed=4, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6, strategy=strategy)
+        gt = engine.run_ground_truth(ds, 6)
+        loop = engine.run_experiment(cfg, ds, ground_truth=gt).comparable()
+        opened = counted(monkeypatch, "tcp_pair")
+        tcp = engine.run_experiment(cfg, ds, transport="tcp", ground_truth=gt)
+        assert tcp.comparable() == loop
+        assert len(opened) == 3
+
+    @pytest.mark.parametrize("strategy", engine.STRATEGIES)
+    def test_run_ddpp_is_entered_once_for_ddpp_only(self, monkeypatch, strategy):
+        # the benchmark times every run_ddpp call by patching it by name,
+        # and baseline configs carry the same compression as ddpp's
+        calls = counted(monkeypatch, "run_ddpp")
+        engine.run_experiment(config(strategy=strategy),
+                              small_dataset(seed=4, n_sources=2))
+        assert len(calls) == (1 if strategy == "ddpp" else 0)
+
+
 def tamper_uplink(monkeypatch, source_id, change):
     """Source ``source_id``'s batch frames pass through ``change(batch)``."""
     real = engine.SourceWorker.step
@@ -326,12 +363,16 @@ class TestUplinkChecks:
         (lambda b: dataclasses.replace(
             b, vectors=np.hstack([b.vectors, b.vectors[:, :1]])), "width 9"),
     ], ids=["source_id >= N", "other source_id", "interval", "index", "width"])
-    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("transport, strategy", [
+        ("loopback", "ddpp"), ("tcp", "ddpp"),
+        ("loopback", "stratified"), ("tcp", "stratified"),
+    ], ids=["loopback", "tcp", "loopback-stratified", "tcp-stratified"])
     def test_mismatch_is_a_protocol_error(self, monkeypatch, change, message,
-                                          transport):
+                                          transport, strategy):
         ds = small_dataset(seed=4, n_sources=2)  # 20 rows per source, m = 8
         tamper_uplink(monkeypatch, 1, change)
-        out = run_within(20, engine.run_ddpp, config(), ds, transport=transport)
+        out = run_within(20, engine.run_experiment, config(strategy=strategy),
+                         ds, transport=transport)
         assert isinstance(out.error, ProtocolError), out.error
         assert message in str(out.error)
 
@@ -420,20 +461,20 @@ class TestLedger:
 class TestBaselines:
     def test_random_reproducible(self):
         ds = small_dataset(seed=8, n_sources=2)
-        a = engine.run_baseline(config(strategy="random"), ds)
-        b = engine.run_baseline(config(strategy="random"), ds)
+        a = engine.run_experiment(config(strategy="random"), ds)
+        b = engine.run_experiment(config(strategy="random"), ds)
         assert a.selected_global_indices == b.selected_global_indices
 
     def test_single_source_all_strategies_match_ground_truth_set(self):
         ds = small_dataset(seed=9, n_sources=1)
         gt = engine.run_ground_truth(ds, 8)
         for strategy in ("greedi", "greedymax", "maxdiv"):
-            res = engine.run_baseline(config(n_sources=1, strategy=strategy), ds)
+            res = engine.run_experiment(config(n_sources=1, strategy=strategy), ds)
             assert set(res.selected_global_indices) == set(gt.indices)
 
     def test_stratified_equal_share_per_source(self):
         ds = small_dataset(seed=10, n_sources=4, total_select=8)
-        res = engine.run_baseline(config(n_sources=4, strategy="stratified"), ds)
+        res = engine.run_experiment(config(n_sources=4, strategy="stratified"), ds)
         per_source = [sum(1 for g in res.selected_global_indices
                           if g in set(ds.partition.assignments[i]))
                       for i in range(4)]
@@ -441,16 +482,16 @@ class TestBaselines:
 
     def test_greedymax_uplinks_only_the_winner(self):
         ds = small_dataset(seed=11, n_sources=3, total_select=6)
-        res = engine.run_baseline(config(n_sources=3, total_select=6,
-                                         strategy="greedymax"), ds)
+        res = engine.run_experiment(config(n_sources=3, total_select=6,
+                                           strategy="greedymax"), ds)
         nonzero = [v for v in res.ledger["per_source_uplink"] if v]
         assert len(nonzero) == 1 and nonzero[0] == 6 * 8
         assert res.ledger["probe_elements"] == 0
 
     def test_maxdiv_charges_scalar_probes(self):
         ds = small_dataset(seed=12, n_sources=3, total_select=6)
-        res = engine.run_baseline(config(n_sources=3, total_select=6,
-                                         strategy="maxdiv"), ds)
+        res = engine.run_experiment(config(n_sources=3, total_select=6,
+                                           strategy="maxdiv"), ds)
         assert res.ledger["probe_elements"] == 3
         nonzero = [v for v in res.ledger["per_source_uplink"] if v]
         assert len(nonzero) == 1
@@ -459,7 +500,7 @@ class TestBaselines:
         ds = small_dataset(seed=13, n_sources=2)
         cfgs = [config(strategy=s) for s in
                 ("greedi", "greedymax", "maxdiv", "random", "stratified")]
-        totals = {engine.run_baseline(c, ds).ledger["uplink_elements"]
+        totals = {engine.run_experiment(c, ds).ledger["uplink_elements"]
                   for c in cfgs}
         totals.add(engine.run_ddpp(config(), ds).ledger["uplink_elements"])
         assert totals == {8 * 8}  # k_T * m, for every strategy
@@ -469,7 +510,7 @@ class TestBaselines:
         # unless rank runs out, so the center's re-ranking changes nothing.
         for seed in (22, 23, 24):
             ds = small_dataset(seed=seed, n_sources=2)
-            res = engine.run_baseline(config(strategy="greedi"), ds)
+            res = engine.run_experiment(config(strategy="greedi"), ds)
             union = ds.features[res.selected_global_indices]
             second = dpp.greedy_map(linalg.gram(union), 8)
             assert not second.rank_exhausted
@@ -478,7 +519,7 @@ class TestBaselines:
     def test_feedback_free_strategies_have_no_downlink(self):
         ds = small_dataset(seed=14, n_sources=2)
         for s in ("greedi", "greedymax", "maxdiv", "random", "stratified"):
-            res = engine.run_baseline(config(strategy=s), ds)
+            res = engine.run_experiment(config(strategy=s), ds)
             assert res.ledger["downlink_elements"] == 0
 
 
