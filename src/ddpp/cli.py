@@ -299,7 +299,14 @@ def _write_pca_csv(args, lines):
     manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.results)),
                                  "manifest.json")
     with _open(manifest_path, InvalidConfigError) as fh:
-        resolved = json.load(fh)["resolved"]
+        try:
+            manifest = json.load(fh)
+        except ValueError:
+            manifest = None
+    resolved = manifest.get("resolved") if isinstance(manifest, dict) else None
+    if not isinstance(resolved, dict):
+        raise InvalidConfigError(
+            f"{manifest_path}: not a JSON object with a 'resolved' object")
     match = [ln for ln in lines
              if ln["seed"] == args.pca_seed and ln["strategy"] == args.pca_strategy]
     if not match:

@@ -132,8 +132,11 @@ def _load_ddpm(path):
 
 def _load_csv(path, label_column):
     rows, labels = [], []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise IngestError("empty csv file")
     start = 0

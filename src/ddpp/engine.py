@@ -18,7 +18,7 @@ import numpy as np
 from . import csi, dpp, metrics
 from .errors import (BudgetViolationError, InvalidConfigError,
                      InvalidInputError, ProtocolError)
-from .linalg import logdet_psd, symmetrize
+from .linalg import logdet_psd
 from .protocol import (MAGIC_ERROR, FeedbackMsg, SampleBatch, decode_batch,
                        decode_error, decode_feedback, encode_batch,
                        encode_error, encode_feedback, loopback_pair, tcp_pair)
@@ -374,15 +374,24 @@ def _schedule(center, transport, ground_truth, plans=None):
 
 
 def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
-    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``)."""
+    """Interval-by-interval feedback pipeline (Algorithm ``ddpp``).
+
+    Only a ``ddpp`` config runs here; ``run_experiment`` runs any strategy.
+    """
+    if config.strategy != "ddpp":
+        raise InvalidConfigError(
+            f"run_ddpp runs the ddpp strategy, not {config.strategy!r}; "
+            "use run_experiment")
     return _schedule(_Center(config, dataset), transport, ground_truth)
 
 
 def rd_diversity(rows, epsilon):
     """Rate-distortion style diversity of a whole source."""
     n_i, m = rows.shape
-    inner = symmetrize(rows.T @ rows)  # scaling amplifies float asymmetry
-    return logdet_psd(np.eye(m) + (m / (n_i * epsilon)) * inner)
+    M = rows.T @ rows  # I + c X^T X, built in place; Cholesky reads one triangle
+    M *= m / (n_i * epsilon)
+    M.flat[::m + 1] += 1.0
+    return logdet_psd(M)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):

@@ -7,7 +7,6 @@ and symmetric kernels, checked where data enters the package, not here.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 from .errors import InvalidInputError, NotPositiveDefiniteError, NotPsdError
 
@@ -52,12 +51,32 @@ def gram(Z):
 def logdet_psd(M):
     """log det of a symmetric positive definite matrix via Cholesky.
 
-    A failed factorization raises with the failing pivot index.
+    Only the lower triangle is read.  A failed factorization raises with the
+    failing pivot: the first leading block of order j that does not factor
+    gives pivot j - 1.
     """
-    c, info = dpotrf(M, lower=1)
-    if info:
-        raise NotPositiveDefiniteError(int(info) - 1)
+    try:
+        c = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(_failing_pivot(M)) from None
     return float(2.0 * np.sum(np.log(np.diag(c))))
+
+
+def _failing_pivot(M):
+    """Pivot of a matrix whose Cholesky fails, by bisection on leading blocks.
+
+    A leading block that factors has only leading blocks that factor, so
+    the order of the first failing one is found in log2(n) factorizations.
+    """
+    good, bad = 0, M.shape[0]  # orders known to factor / to fail
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(M[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    return bad - 1
 
 
 def spectral_decomp(M):

@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from . import dpp
 from .errors import (DegenerateInputError, InvalidInputError,
@@ -39,8 +38,11 @@ def welch_ttest(xs, ys):
     """Two-sided Welch t-test; returns (t, p).
 
     Uses the Welch-Satterthwaite degrees of freedom and the regularized
-    incomplete beta function for the tail probability.
+    incomplete beta function for the tail probability.  SciPy, which
+    provides it, is imported here so that nothing else in the package loads it.
     """
+    from scipy.special import betainc
+
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size < 2 or ys.size < 2:

@@ -501,6 +501,20 @@ class TestRefusedInput:
         assert run_cli(argv[0], "--results", str(results), *argv[1:]) == 2
         assert f"{results}:2: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("manifest", [b"not json", b"[1, 2]",
+                                          b'{"command": []}',
+                                          b'{"resolved": "x"}'],
+                             ids=["not JSON", "not an object", "no resolved",
+                                  "resolved not an object"])
+    def test_a_malformed_manifest_is_a_typed_error(self, tmp_path, capsys,
+                                                   manifest):
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(GOOD_RESULT) + "\n")
+        (tmp_path / "manifest.json").write_bytes(manifest)
+        assert run_cli("report", "--results", str(results),
+                       "--out", str(tmp_path / "out"), "--pca-seed", "0") == 2
+        assert f"{tmp_path / 'manifest.json'}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", ["ddpp", "ddpp:greedi:x"])
     def test_a_malformed_pairs_entry_is_a_typed_error(self, tmp_path, capsys,
                                                       entry):

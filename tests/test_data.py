@@ -47,6 +47,13 @@ class TestCsv:
         with pytest.raises(IngestError):
             data.load_features(path, fmt="csv")
 
+    def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        with pytest.raises(IngestError, match="not UTF-8") as err:
+            data.load_features(path, fmt="csv")
+        assert str(path) in str(err.value)
+
     def test_header_without_rows_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n")

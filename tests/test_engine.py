@@ -335,6 +335,15 @@ class TestSchedule:
                               small_dataset(seed=4, n_sources=2))
         assert len(calls) == (1 if strategy == "ddpp" else 0)
 
+    @pytest.mark.parametrize("strategy", [s for s in engine.STRATEGIES
+                                          if s != "ddpp"])
+    def test_run_ddpp_refuses_another_strategy(self, strategy):
+        # it would run the ddpp pipeline and label the result as a baseline
+        cfg = config(n_sources=3, total_select=6, strategy=strategy)
+        with pytest.raises(InvalidConfigError, match="run_experiment"):
+            engine.run_ddpp(cfg, small_dataset(seed=11, n_sources=3,
+                                               total_select=6))
+
 
 def tamper_uplink(monkeypatch, source_id, change):
     """Source ``source_id``'s batch frames pass through ``change(batch)``."""
@@ -495,6 +504,16 @@ class TestBaselines:
         assert res.ledger["probe_elements"] == 3
         nonzero = [v for v in res.ledger["per_source_uplink"] if v]
         assert len(nonzero) == 1
+
+    @pytest.mark.parametrize("n_i,m", [(5, 12), (40, 12), (30, 64), (300, 64)])
+    @pytest.mark.parametrize("epsilon", [1e-6, 1.0])
+    def test_maxdiv_probe_is_logdet_of_identity_plus_scaled_gram(
+            self, n_i, m, epsilon):
+        rows = np.random.default_rng(n_i * m).normal(size=(n_i, m)) * 3.0
+        inner = linalg.symmetrize(rows.T @ rows)
+        sign, ref = np.linalg.slogdet(np.eye(m) + m / (n_i * epsilon) * inner)
+        assert sign == 1.0
+        assert engine.rd_diversity(rows, epsilon) == pytest.approx(ref, rel=1e-9)
 
     def test_zero_overhead_uplink_identical_across_strategies(self):
         ds = small_dataset(seed=13, n_sources=2)

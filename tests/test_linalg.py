@@ -67,6 +67,33 @@ class TestLogdetPsd:
             linalg.logdet_psd(M)
         assert err.value.pivot == 1
 
+    @staticmethod
+    def first_indefinite_block(M):
+        """0-based order minus one of the first leading block that is not PD."""
+        for j in range(1, M.shape[0] + 1):
+            if np.linalg.eigvalsh(M[:j, :j]).min() <= 0:
+                return j - 1
+        return None
+
+    @pytest.mark.parametrize("n,pivot", [(1, 0), (7, 0), (7, 3), (7, 6),
+                                         (12, 5), (12, 11)])
+    def test_failure_pivot_on_dense_indefinite_matrix(self, n, pivot):
+        # the Schur complement of the leading block at ``pivot`` is -0.5
+        rng = np.random.default_rng(100 + 13 * n + pivot)
+        M = random_psd(rng, n) + 0.1 * np.eye(n)
+        a = M[pivot, :pivot]
+        M[pivot, pivot] = a @ np.linalg.solve(M[:pivot, :pivot], a) - 0.5
+        assert self.first_indefinite_block(M) == pivot
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            linalg.logdet_psd(M)
+        assert err.value.pivot == pivot
+
+    def test_reads_only_the_lower_triangle(self):
+        rng = np.random.default_rng(13)
+        M = random_psd(rng, 6) + np.eye(6)
+        garbage = np.tril(M) + np.triu(rng.normal(size=(6, 6)) * 50.0, 1)
+        assert linalg.logdet_psd(garbage) == linalg.logdet_psd(M)
+
 
 class TestSpectralDecomp:
     def test_diagonal(self):
