@@ -314,10 +314,13 @@ def _write_pca_csv(args, lines):
             f"no result for seed {args.pca_seed} strategy {args.pca_strategy!r}")
     line = match[0]
     ns = argparse.Namespace(**resolved)
-    if ns.data:
-        dataset = _load_dataset(ns, line["N"])
-    else:
-        dataset = _gen_dataset(args.pca_seed, line["N"], ns)
+    try:
+        dataset = (_load_dataset(ns, line["N"]) if ns.data
+                   else _gen_dataset(args.pca_seed, line["N"], ns))
+    except AttributeError as exc:  # a setting the run resolved is missing
+        if exc.obj is not ns:
+            raise
+        raise InvalidConfigError(f"{manifest_path}: no {exc.name!r} setting") from None
     coords = metrics.pca2d(dataset.features)
     chosen = set(line["selected_indices"])
     out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")

@@ -64,15 +64,15 @@ class SourcePartition:
 class Dataset:
     """Features plus their source partition; labels ride along if present.
 
-    Construction checks the features once (``as_matrix``); the package
-    trusts them from then on.
+    Construction checks the features once (``as_matrix``), trusted from then
+    on.  ``memo`` keeps what a unit's runs share; a rescaled copy starts empty.
     """
 
     features: np.ndarray
     partition: SourcePartition
     labels: np.ndarray = None
     scale: float = 1.0
-    _rows: dict = field(default_factory=dict, init=False, repr=False,
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def __post_init__(self):
@@ -88,12 +88,22 @@ class Dataset:
 
     def source_rows(self, i):
         """Source ``i``'s rows: gathered on first use, then shared read-only."""
-        rows = self._rows.get(i)
-        if rows is None:
+        def gather():
             rows = self.features[list(self.partition.assignments[i])]
             rows.flags.writeable = False
-            self._rows[i] = rows
-        return rows
+            return rows
+        return self.memo(("rows", i), gather)
+
+    def source_greedy(self, i, k):
+        """``dpp.greedy_map_rows`` of k picks on source ``i``'s rows, run once."""
+        return self.memo(("greedy", i, k),
+                         lambda: dpp.greedy_map_rows(self.source_rows(i), k))
+
+    def memo(self, key, build):
+        """``build()``, run once per ``key``; callers share the value unchanged."""
+        if (value := self._memo.get(key)) is None:
+            value = self._memo[key] = build()
+        return value
 
 
 def save_ddpm(path, Z, labels=None):
@@ -216,7 +226,9 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     if radius_jitter:
         means *= rng.uniform(1 - radius_jitter, 1 + radius_jitter, size=(n_clusters, 1))
     labels = np.arange(n) % n_clusters
-    Z = means[labels] + spread * scale * rng.normal(size=(n, m))
+    Z = spread * scale * rng.normal(size=(n, m))
+    for c in range(n_clusters):  # in place: rows c, c + n_clusters, ... are cluster c
+        Z[c::n_clusters] += means[c]
     if norm_tail:
         Z *= np.exp(norm_tail * rng.normal(size=(n, 1)))
     return Z, labels.astype(np.int64)

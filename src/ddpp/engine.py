@@ -147,19 +147,20 @@ class ExperimentResult:
 class SourceWorker:
     """Holds one source's rows and its send history; sees only its own source."""
 
-    def __init__(self, source_id, rows, config, plan=None):
+    def __init__(self, source_id, rows, config, greedy, plan=None):
         self.source_id = source_id
         self.rows = rows
         self.config = config
         self.plan = plan  # local ids the center chose, sent instead of picks
+        self.greedy = greedy  # k -> greedy_map_rows(rows, k), kept per unit
         self.sent = []
 
     def step(self, interval, feedback_frame, k):
         """Consume optional feedback, pick k new items, return a batch frame.
 
-        A set ``plan`` is sent in place of the picks.  A feedback frame must
-        name this source, the current ``interval`` and a packet as wide as
-        the source's rows.
+        A set ``plan`` replaces the picks; ``greedy`` makes them before any
+        feedback or send.  A feedback frame must name this source, the
+        current ``interval`` and a packet as wide as the source's rows.
         """
         if feedback_frame is not None:
             msg = decode_feedback(feedback_frame)
@@ -179,6 +180,8 @@ class SourceWorker:
         new = []
         if self.plan is not None:
             new = list(self.plan)
+        elif k > 0 and feedback_frame is None and not self.sent:
+            new = self.greedy(k).indices
         elif k > 0:
             new = dpp.greedy_map_rows(working, k, preselected=self.sent).indices
         self.sent.extend(new)
@@ -272,10 +275,16 @@ class _Center:
 
         Its packet compresses the projector onto what the other sources'
         rows have not covered; before any arrive, that is the identity.
+        The dataset keeps interval 2's: interval-1 picks are alike across runs.
         """
-        config, m = self.config, self.dataset.dims
-        rows = [row for s, row in self.received.values() if s != source_id]
-        H = csi.compute_projector(np.vstack(rows) if rows else None, m)
+        config, dataset, m = self.config, self.dataset, self.dataset.dims
+        if interval == 2:
+            ids = [g for g, (s, _) in self.received.items() if s != source_id]
+            H = dataset.memo(("basis", *ids), lambda: csi.compute_projector(
+                dataset.features[ids], m))
+        else:
+            rows = [row for s, row in self.received.values() if s != source_id]
+            H = csi.compute_projector(np.vstack(rows) if rows else None, m)
         if config.compression == "proposed":
             packet = csi.compress(H, config.sparsity, config.block_fraction)
         elif config.compression == "svd":
@@ -336,6 +345,7 @@ def _schedule(center, transport, ground_truth, plans=None):
     """
     config, dataset = center.config, center.dataset
     workers = [SourceWorker(i, dataset.source_rows(i), config,
+                            lambda k, i=i: dataset.source_greedy(i, k),
                             plans[i] if plans else None)
                for i in range(config.n_sources)]
     if transport not in ("loopback", "tcp"):
@@ -388,9 +398,9 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
 def rd_diversity(rows, epsilon):
     """Rate-distortion style diversity of a whole source."""
     n_i, m = rows.shape
-    M = rows.T @ rows  # I + c X^T X, built in place; Cholesky reads one triangle
-    M *= m / (n_i * epsilon)
-    M.flat[::m + 1] += 1.0
+    M = rows @ rows.T if n_i < m else rows.T @ rows  # smaller Gram, same det
+    M *= m / (n_i * epsilon)  # I + c M, built in place; Cholesky reads one triangle
+    M.flat[::M.shape[0] + 1] += 1.0
     return logdet_psd(M)
 
 
@@ -411,13 +421,13 @@ def run_experiment(config, dataset, transport="loopback", ground_truth=None):
     if config.strategy == "greedi":
         plans = None  # each source runs its own greedy
     elif config.strategy == "greedymax":  # the source whose greedy scores best
-        picks = [dpp.greedy_map_rows(r, k_T).indices for r in rows]
+        picks = [dataset.source_greedy(i, k_T).indices for i in range(len(rows))]
         winner = int(np.argmax([dpp.subset_logdet(r, p)
                                 for r, p in zip(rows, picks)]))
         plans[winner] = picks[winner]
     elif config.strategy == "maxdiv":  # the most diverse source, by probe
         winner = int(np.argmax([rd_diversity(r, config.epsilon) for r in rows]))
-        plans[winner] = dpp.greedy_map_rows(rows[winner], k_T).indices
+        plans[winner] = dataset.source_greedy(winner, k_T).indices
     elif config.strategy == "random":  # a global draw, sent in draw order
         rng = np.random.default_rng([config.seed, _SALT_RANDOM])
         place = dict.fromkeys(rng.choice(dataset.n, size=k_T,

@@ -515,6 +515,24 @@ class TestRefusedInput:
                        "--out", str(tmp_path / "out"), "--pca-seed", "0") == 2
         assert f"{tmp_path / 'manifest.json'}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["data", "spread", "kT"])
+    def test_a_manifest_missing_a_run_setting_is_a_typed_error(
+            self, tmp_path, capsys, missing):
+        # rebuilding the dataset from defaults could silently draw another one
+        run = tmp_path / "run"
+        assert run_cli("run", "--out", str(run), "--strategies", "ddpp",
+                       "--N", "2", "--kT", "4", "--m", "8", "--ni", "12",
+                       "--clusters", "4", "--seed-list", "0") == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        del manifest["resolved"][missing]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("report", "--results", str(run / "results.jsonl"),
+                       "--out", str(tmp_path / "out"), "--pca-seed", "0") == 2
+        err = capsys.readouterr().err
+        assert f"{run / 'manifest.json'}: no {missing!r} setting" in err
+        assert not (tmp_path / "out" / "pca_seed0.csv").exists()
+
     @pytest.mark.parametrize("entry", ["ddpp", "ddpp:greedi:x"])
     def test_a_malformed_pairs_entry_is_a_typed_error(self, tmp_path, capsys,
                                                       entry):

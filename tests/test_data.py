@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +130,27 @@ class TestSynth:
         for c in range(2):
             assert np.count_nonzero(Z[labels == c][0]) <= 4
 
+    def test_equals_the_textbook_sum_bit_for_bit(self):
+        # means[labels] + spread * scale * noise, on the same draws
+        n, m, C = 23, 7, 5
+        Z, labels = data.synth_gaussian_mixture(seed=6, n=n, m=m, n_clusters=C,
+                                                spread=0.3, scale=4.0)
+        rng = np.random.default_rng(np.random.SeedSequence([6, 0x5D]))
+        means = rng.normal(size=(C, m))
+        means *= 4.0 / np.linalg.norm(means, axis=1, keepdims=True)
+        ref = means[labels] + 0.3 * 4.0 * rng.normal(size=(n, m))
+        assert Z.tobytes() == ref.tobytes()
+
+    def test_holds_one_feature_sized_array(self):
+        n, m = 4000, 64
+        tracemalloc.start()
+        try:
+            data.synth_gaussian_mixture(seed=7, n=n, m=m, n_clusters=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * m * 8  # no means[labels] beside the noise
+
     def test_too_many_clusters(self):
         with pytest.raises(InvalidInputError):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=5)
@@ -248,6 +273,64 @@ class TestPositivityScale:
         assert scaled.source_rows(1) is not rows
         assert np.array_equal(scaled.source_rows(1), rows * scaled.scale)
         assert ds.source_rows(1) is rows  # the copy left the original's alone
+
+    def test_memo_builds_once_per_key_and_per_copy(self):
+        rng = np.random.default_rng(414)
+        Z = 0.01 * rng.normal(size=(30, 6))
+        part = data.partition(30, 3, policy="uniform_random", seed=0)
+        ds = data.Dataset(features=Z, partition=part)
+        built = []
+
+        def build():
+            built.append(len(built))
+            return object()
+
+        value = ds.memo(("x", 1), build)
+        assert ds.memo(("x", 1), build) is value
+        assert ds.memo(("x", 2), build) is not value
+        greedy = ds.source_greedy(1, 4)
+        assert ds.source_greedy(1, 4) is greedy
+        assert greedy == dpp.greedy_map_rows(ds.source_rows(1), 4)
+        scaled = data.apply_positivity_scale(ds, 3)
+        assert scaled.scale > 1.0
+        assert scaled.memo(("x", 1), build) is not value
+        assert scaled.source_greedy(1, 4) == dpp.greedy_map_rows(
+            scaled.source_rows(1), 4)
+        assert ds.memo(("x", 1), build) is value  # the copy left these alone
+        assert ds.source_greedy(1, 4) is greedy
+        assert built == [0, 1, 2]
+
+    def test_memo_under_concurrent_callers(self):
+        # tcp source threads share one dataset; a race may build a value
+        # twice, but every answer equals the one built alone
+        rng = np.random.default_rng(416)
+        part = data.partition(48, 3, policy="uniform_random", seed=1)
+        ds = data.Dataset(features=rng.normal(size=(48, 8)), partition=part)
+        alone = data.Dataset(features=ds.features, partition=part)
+        plain = {(i, k): dpp.greedy_map_rows(alone.source_rows(i), k)
+                 for i in range(3) for k in range(9)}
+        wrong = []
+
+        def caller(seed):
+            for i, k in np.random.default_rng(seed).integers(0, 9, (200, 2)):
+                i, k = int(i) % 3, int(k)
+                if ds.source_greedy(i, k) != plain[i, k] or not np.array_equal(
+                        ds.source_rows(i), alone.source_rows(i)):
+                    wrong.append((i, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(s,))
+                       for s in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
 
     def test_benchmark_dataset_shapes(self):
         ds = data.make_benchmark_dataset(seed=0, n_sources=2, dims=64,

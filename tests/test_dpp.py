@@ -189,6 +189,26 @@ class TestGreedyMap:
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
             assert short.rank_exhausted == (len(full.indices) < k)
 
+    @pytest.mark.parametrize("shape, rank, K", [
+        ((40, 12), None, 12),   # random rows, K up to the width
+        ((40, 12), 5, 9),       # rank-deficient rows: the floor stops it at 5
+        ((30, 6), None, 10),    # K past the width's rank floor
+    ])
+    def test_rows_prefix_is_the_shorter_run_bit_for_bit(self, shape, rank, K):
+        # a pick does not depend on how many picks follow it
+        rng = np.random.default_rng(sum(shape) + K)
+        Z = rng.normal(size=shape)
+        if rank is not None:
+            Z = rng.normal(size=(shape[0], rank)) @ rng.normal(size=(rank, shape[1]))
+        full = dpp.greedy_map_rows(Z, K)
+        floor = min(rank or shape[1], shape[1])
+        assert len(full.indices) == min(K, floor)
+        for k in range(K + 1):
+            short = dpp.greedy_map_rows(Z, k)
+            assert short.indices == full.indices[:k]
+            assert short.stepwise_logdets == full.stepwise_logdets[:k]
+            assert short.rank_exhausted == (len(full.indices) < k)
+
 
 class TestBruteForceMap:
     def test_diagonal(self):

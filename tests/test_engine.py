@@ -210,8 +210,9 @@ class TestDdppPipeline:
         H = csi.compute_projector(rng.normal(size=(20, m)), m)
         frame = protocol.encode_feedback(protocol.FeedbackMsg(
             target_source=0, interval=2, packet=csi.compress(H, R=2.0)))
-        worker = engine.SourceWorker(0, rng.normal(size=(n_i, m)),
-                                     config(dims=m))
+        rows = rng.normal(size=(n_i, m))
+        worker = engine.SourceWorker(
+            0, rows, config(dims=m), lambda k: dpp.greedy_map_rows(rows, k))
         tracemalloc.start()
         try:
             worker.step(2, frame, 4)
@@ -299,15 +300,15 @@ class TestDdppPipeline:
         assert res.ledger["per_source_uplink"] == [15 * 512, 15 * 512]
 
 
-def counted(monkeypatch, name):
-    """Wrap ``engine.<name>``; returns the list of its calls' arguments."""
-    calls, real = [], getattr(engine, name)
+def counted(monkeypatch, name, module=engine):
+    """Wrap ``module.<name>``; returns the list of its calls' arguments."""
+    calls, real = [], getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -543,11 +544,12 @@ class TestBaselines:
 
 
 class TestSharedLocalGreedy:
-    """Strategies run in any order on one Dataset give the same results."""
+    """Runs in any order on one Dataset, which keeps the greedy picks and
+    first-round projectors they share, give the results of fresh ones."""
 
-    RUNS = [("greedi", "proposed"), ("greedymax", "proposed"),
-            ("maxdiv", "proposed"), ("ddpp", "proposed"), ("ddpp", "svd"),
-            ("ddpp", "random_sketch"), ("ddpp", "none")]
+    RUNS = [(s, "proposed", R) for s in engine.STRATEGIES for R in (5.0, 8.0)]
+    RUNS += [("ddpp", c, R) for c in ("svd", "random_sketch", "none")
+             for R in (5.0, 8.0)]
 
     @staticmethod
     def rank_deficient():
@@ -564,16 +566,59 @@ class TestSharedLocalGreedy:
         (rank_deficient, {}),
     ])
     def test_warm_equals_cold(self, make, overrides):
-        def run(ds, strategy, compression):
+        def run(ds, strategy, compression, R, transport="loopback"):
             cfg = config(**{**overrides, "strategy": strategy,
-                            "compression": compression})
+                            "compression": compression, "sparsity": R})
             gt = engine.run_ground_truth(ds, cfg.total_select)
-            return engine.run_experiment(cfg, ds, ground_truth=gt).comparable()
+            return engine.run_experiment(cfg, ds, transport=transport,
+                                         ground_truth=gt).comparable()
 
         cold = {key: run(make(), *key) for key in self.RUNS}
-        warm_ds = make()
-        warm = {key: run(warm_ds, *key) for key in reversed(self.RUNS)}
-        assert warm == cold
+        shuffle = np.random.default_rng(7).permutation
+        for transport in ("loopback", "tcp"):
+            warm_ds = make()
+            warm = {self.RUNS[j]: run(warm_ds, *self.RUNS[j], transport)
+                    for j in shuffle(len(self.RUNS))}
+            assert warm == cold, transport
+
+    def test_maxdiv_after_greedymax_runs_no_greedy(self, monkeypatch):
+        ds = small_dataset(seed=34, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6)
+        gt = engine.run_ground_truth(ds, 6)
+        engine.run_experiment(dataclasses.replace(cfg, strategy="greedymax"),
+                              ds, ground_truth=gt)
+        calls = counted(monkeypatch, "greedy_map_rows", dpp)
+        engine.run_experiment(dataclasses.replace(cfg, strategy="maxdiv"),
+                              ds, ground_truth=gt)
+        assert calls == []
+
+    @pytest.mark.parametrize("intervals", [2, 3])
+    def test_a_second_compression_builds_no_first_round_projector(
+            self, monkeypatch, intervals):
+        ds = small_dataset(seed=35, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6, intervals=intervals)
+        calls = counted(monkeypatch, "compute_projector", csi)
+        engine.run_ddpp(cfg, ds)
+        assert len(calls) == 3 * (intervals - 1)
+        del calls[:]
+        engine.run_ddpp(dataclasses.replace(cfg, compression="svd"), ds)
+        assert len(calls) == 3 * (intervals - 2)  # later rounds still build
+
+    def test_the_kept_first_round_projector_comes_from_the_dataset_rows(
+            self, monkeypatch):
+        # the key fixes the value: a frame's vectors never reach the memo
+        tamper_uplink(monkeypatch, 0, lambda b: dataclasses.replace(
+            b, vectors=b.vectors + 1.0))
+        ds = small_dataset(seed=36, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6)
+        run = engine.run_ddpp(cfg, ds)
+        picks = run.selected_global_indices[:3]  # interval 1, arrival order
+        for source in range(3):
+            ids = [g for g in picks
+                   if g not in ds.partition.assignments[source]]
+            kept = ds.memo(("basis", *ids), lambda: None)
+            assert np.array_equal(kept.basis, csi.compute_projector(
+                ds.features[ids], cfg.dims).basis)
 
 
 class TestCompressionVariants:

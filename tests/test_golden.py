@@ -25,7 +25,8 @@ ALL = "ddpp,greedi,greedymax,maxdiv,random,stratified"
 SMALL = ["--m", "16", "--N", "2,3", "--ni", "30", "--kT", "12",
          "--clusters", "6", "--seed-list", "0,1,2"]
 
-# every strategy, every compression, both transports, momentum on and off
+# every strategy, every compression, both transports, momentum on and off,
+# and one unit serving several R
 CAMPAIGNS = {
     "all-loopback": ["--strategies", ALL, *SMALL],
     "all-m64": ["--strategies", ALL, "--m", "64", "--N", "4", "--ni", "60",
@@ -40,6 +41,7 @@ CAMPAIGNS = {
                     *SMALL],
     "no-momentum-svd": ["--strategies", "ddpp", "--no-momentum",
                         "--compression", "svd", "--tT", "3", *SMALL],
+    "all-R-sweep": ["--strategies", ALL, "--R", "3,6", *SMALL],
 }
 
 HEADER = ("Regenerate only in a change that declares the re-baseline in "
