@@ -177,7 +177,7 @@ def _campaign_unit(args, seed, n_sources, loaded):
              for cfg in _unit_configs(args, seed, n_sources, dataset.dims)]
     gt_key = f"seed={seed},N={n_sources},m={dataset.dims},kT={args.kT}"
     gt_entry = {"indices": [int(i) for i in gt.indices],
-                "logdet": dpp.subset_logdet(dataset.features, gt.indices),
+                "logdet": engine.ground_truth_logdet(dataset, gt),
                 "scale": dataset.scale}
     return lines, gt_key, gt_entry
 

@@ -3,11 +3,11 @@
 The greedy search maintains an incremental Cholesky factorization: after t
 consumed items each candidate i carries a partial factor column c_i and a
 squared pivot d_i^2 = L_ii - ||c_i||^2, which is exactly the determinant
-gain of adding i.  Consuming an item costs one rank-one update over all
-candidates, so k picks run in O(k^2 n) once the kernel diagonal is known.
-The search reads the kernel only through its diagonal and the rows of
-consumed items; the rows of items held from earlier calls are fetched in
-one batch.
+gain of adding i.  Consuming an item costs one kernel row and a rank-one
+update over all n candidates, so k picks run in O(k^2 n) plus k row reads,
+with k factor rows of n.  The rows of items held from earlier calls are
+fetched in one batch.  On features Z a lazy search reads only the rows that
+could win a pick instead (``greedy_map_rows``).
 
 Contract: finite float64 input and symmetric kernels, checked where data
 enters the package, not here.
@@ -27,6 +27,13 @@ EARLY_STOP_REL = 1e-12
 
 BRUTE_FORCE_GUARD = 10**6
 
+# greedy_map_rows goes lazy from this many entries of Z up: below it, one
+# kernel row per pick costs less than the lazy bookkeeping (2-core VM).
+LAZY_MIN_ENTRIES = 1 << 17
+# Rows of Z one lazy refresh block gathers, in bytes: 256 KB blocks raised a
+# paper-64 run's peak RSS by 0.8 MB, 64 KB ones by 0.15 MB (same VM).
+REFRESH_BYTES = 1 << 16
+
 
 @dataclass
 class MapResult:
@@ -36,6 +43,19 @@ class MapResult:
     stepwise_logdets: list
     rank_exhausted: bool = False
     frame: np.ndarray = None  # set by greedy_map_projector only
+
+
+def _start(gain, k, preselected, excluded, scale=None):
+    """Checks k, pins excluded gains; returns the held list and the floor."""
+    if k < 0:
+        raise InvalidInputError("k must be non-negative")
+    if scale is None:
+        scale = max(float(np.max(gain)), 0.0) if gain.size else 0.0
+    preselected = [int(p) for p in preselected]
+    # A preselected item is conditioned on before its gain is pinned.
+    for j in set(int(j) for j in excluded).difference(preselected):
+        gain[j] = -np.inf
+    return preselected, EARLY_STOP_REL * scale
 
 
 def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
@@ -53,18 +73,10 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
     that, so no pick is made once it is spanned, however large the
     rounding noise left in ``diag``.
     """
-    if k < 0:
-        raise InvalidInputError("k must be non-negative")
-    preselected = [int(p) for p in preselected]
-    held = len(preselected)
-    n = diag.shape[0]
-    if scale is None:
-        scale = max(float(np.max(diag)), 0.0) if n else 0.0
-    floor = EARLY_STOP_REL * scale
-    # A preselected item is conditioned on before its gain is pinned.
-    for j in set(int(j) for j in excluded).difference(preselected):
-        diag[j] = -np.inf
+    preselected, floor = _start(diag, k, preselected, excluded, scale)
+    held, n = len(preselected), diag.shape[0]
     rows = np.empty((min(held + k, rank), n))
+    square = np.empty(n)
     held_rows = kernel_rows(preselected) if held else None
     t = 0
     chosen, logdets, total = [], [], 0.0
@@ -73,16 +85,18 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
             j = preselected[step]
             row = held_rows[step]
         else:
-            j = int(np.argmax(diag)) if n else None
+            j = int(diag.argmax()) if n else None
             if j is None or diag[j] <= floor or t == rank:
                 break
             row = kernel_rows(j)
         d2 = float(diag[j])
         if d2 > floor and t < rank:
-            e = (row - rows[:t, j] @ rows[:t]) / math.sqrt(d2)
-            rows[t] = e
+            e = rows[t]  # written in place: e = (row - c_j^T C) / d_j
+            np.matmul(rows[:t, j], rows[:t], out=e)
+            np.subtract(row, e, out=e)
+            e /= math.sqrt(d2)
             t += 1
-            diag -= np.square(e)
+            diag -= np.square(e, out=square)
         diag[j] = -np.inf
         if step >= held:
             chosen.append(j)
@@ -93,13 +107,69 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
     return result, rows[:t]
 
 
+def _lazy_greedy(Z, k, preselected=(), excluded=()):
+    """``_greedy`` on the kernel Z Z^T, refreshing only gains that can win.
+
+    The consumed rows span an orthonormal frame U (Gram-Schmidt, pivot
+    sqrt(gain)); a gain ||z_i||^2 - ||U z_i||^2 is stamped with the frame
+    size it was computed at.  Gains only fall as U grows, so a stale gain
+    bounds the current one, and a pick refreshes the stale gains that reach
+    the best current one (ties too: argmax favors the lower index).  Held
+    items, ``excluded``, the floor and the rank cap (Z's width) act as there.
+    """
+    n, m = Z.shape
+    norms = np.einsum("ij,ij->i", Z, Z)
+    gain = norms.copy()
+    preselected, floor = _start(gain, k, preselected, excluded)
+    held, t = len(preselected), 0
+    frame = np.empty((min(held + k, m), m))
+    stamp = np.zeros(n, dtype=np.intp)
+    block = max(1, REFRESH_BYTES // (8 * m))
+
+    def refresh(idx):
+        for part in (idx[a:a + block] for a in range(0, idx.size, block)):
+            proj = Z[part] @ frame[:t].T
+            gain[part] = norms[part] - np.einsum("ij,ij->i", proj, proj)
+        stamp[idx] = t
+
+    chosen, logdets, total = [], [], 0.0
+    for step in range(held + k):
+        if step < held:
+            j = preselected[step]
+            refresh(np.array([j]))
+        elif not n or t == m:
+            break
+        else:
+            j = int(gain.argmax())
+            if stamp[j] < t and gain[j] > floor:
+                refresh(np.array([j]))
+                stale = np.flatnonzero(gain >= max(gain[j], floor))
+                refresh(stale[stamp[stale] < t])
+                j = int(gain.argmax())
+            if gain[j] <= floor:
+                break
+        d2 = float(gain[j])
+        if d2 > floor and t < m:
+            c = frame[:t] @ Z[j]
+            frame[t] = (Z[j] - c @ frame[:t]) / math.sqrt(d2)
+            t += 1
+        gain[j] = -np.inf
+        if step >= held:
+            chosen.append(j)
+            total += math.log(d2)
+            logdets.append(total)
+    return MapResult(indices=chosen, stepwise_logdets=logdets,
+                     rank_exhausted=len(chosen) < k)
+
+
 def greedy_map(L, k, preselected=(), excluded=()):
     """Greedy MAP selection of k items maximizing log det of the kernel.
 
     ``preselected`` items condition the geometry first (their gains are
     consumed but they are not reported), implementing selection given an
-    already-held set; ``excluded`` items are never picked.  Ties break
-    toward the lowest index.  If the best remaining gain hits the rank
+    already-held set; ``excluded`` items are never picked.  Bitwise-equal
+    gains break toward the lowest index; between gains equal only in exact
+    arithmetic, rounding decides.  If the best remaining gain hits the rank
     floor before k picks, the result is shorter and flagged.
     """
     diag = np.diag(L).copy()
@@ -109,11 +179,14 @@ def greedy_map(L, k, preselected=(), excluded=()):
 def greedy_map_rows(Z, k, preselected=(), excluded=()):
     """greedy_map on the kernel Z Z^T without materializing it.
 
-    Kernel rows are formed on demand: one product Z[preselected] Z^T for
-    the held items, then one matvec per pick.  Memory stays linear in n
-    (plus one row per held item), the preferred path for large n.  The
-    kernel's rank is at most Z's width.
+    From LAZY_MIN_ENTRIES entries of Z up, a pick reads only the rows that
+    could win it (about 30 of a 5 000-row ground truth), keeping n-vectors
+    and an m-wide frame.  Below, it reads Z[preselected] Z^T once and one
+    matvec over all of Z per pick, keeping (held + k) Cholesky rows of n.
+    The kernel's rank is at most Z's width.
     """
+    if Z.shape[0] * Z.shape[1] >= LAZY_MIN_ENTRIES:
+        return _lazy_greedy(Z, k, preselected, excluded)
     diag = np.einsum("ij,ij->i", Z, Z)
     return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
                    excluded, rank=Z.shape[1])[0]

@@ -311,7 +311,9 @@ class _Center:
         if ground_truth is None:
             ground_truth = run_ground_truth(dataset, config.total_select)
         selected = list(self.received)
-        report = metrics.rde(dataset.features, ground_truth.indices, selected)
+        report = metrics.rde(
+            ground_truth_logdet(dataset, ground_truth),
+            dpp.subset_logdet(dataset.features, selected))
         ledger = {
             "uplink_elements": sum(self.uplink),
             "downlink_elements": sum(self.downlink),
@@ -334,6 +336,13 @@ def run_ground_truth(dataset, k_T):
     if k_T < 1:
         raise InvalidInputError("k_T must be positive")
     return dpp.greedy_map_rows(dataset.features, k_T)
+
+
+def ground_truth_logdet(dataset, ground_truth):
+    """log det of the ground truth's rows, computed once per dataset."""
+    ids = ground_truth.indices
+    return dataset.memo(("gt_logdet", *ids),
+                        lambda: dpp.subset_logdet(dataset.features, ids))
 
 
 def _schedule(center, transport, ground_truth, plans=None):

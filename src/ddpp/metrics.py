@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dpp
 from .errors import (DegenerateInputError, InvalidInputError,
                      ScalingViolationError)
 
@@ -19,17 +18,16 @@ class RdeReport:
     rde: float
 
 
-def rde(Z, gt_indices, sel_indices):
+def rde(gt_logdet, sel_logdet):
     """1 - sel/gt ratio of log-volumes, clamped to [0, 1]; 0 is optimal.
 
-    Requires the dataset to be pre-scaled so the ground-truth log-volume is
-    positive; a singular selection saturates at 1.
+    Takes the ``dpp.subset_logdet`` of the ground-truth and of the selected
+    rows.  Requires the dataset to be pre-scaled so the ground-truth
+    log-volume is positive; a singular selection saturates at 1.
     """
-    gt_logdet = dpp.subset_logdet(Z, gt_indices)
     if not gt_logdet > 0:
         raise ScalingViolationError(
             f"ground-truth log det is {gt_logdet:g}; rescale features until positive")
-    sel_logdet = dpp.subset_logdet(Z, sel_indices)
     value = min(max(1.0 - sel_logdet / gt_logdet, 0.0), 1.0)
     return RdeReport(gt_logdet=gt_logdet, sel_logdet=sel_logdet, rde=value)
 

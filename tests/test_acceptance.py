@@ -291,8 +291,9 @@ def test_criterion_7_saturation_note():
     part = data.partition(24, 2, policy="uniform_random", seed=0)
     ds = data.apply_positivity_scale(data.Dataset(features=Z, partition=part), 8)
     assert dpp.subset_logdet(ds.features, list(range(10))) == -np.inf
-    report = metrics.rde(ds.features, engine.run_ground_truth(ds, 8).indices,
-                         list(range(10)))
+    gt = engine.run_ground_truth(ds, 8).indices
+    report = metrics.rde(dpp.subset_logdet(ds.features, gt),
+                         dpp.subset_logdet(ds.features, list(range(10))))
     assert report.rde == 1.0
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
@@ -208,6 +210,96 @@ class TestGreedyMap:
             assert short.indices == full.indices[:k]
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
             assert short.rank_exhausted == (len(full.indices) < k)
+
+
+def eager_rows(Z, k, preselected=(), excluded=()):
+    """The streaming greedy on Z Z^T, whatever Z's shape."""
+    diag = np.einsum("ij,ij->i", Z, Z)
+    return dpp._greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
+                       excluded, rank=Z.shape[1])[0]
+
+
+def assert_same_run(lazy, eager):
+    assert lazy.indices == eager.indices
+    assert lazy.rank_exhausted == eager.rank_exhausted
+    np.testing.assert_allclose(lazy.stepwise_logdets, eager.stepwise_logdets,
+                               rtol=1e-9, atol=1e-9)
+
+
+class TestLazyGreedy:
+    """The lazy search, entered directly so that small shapes reach it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_the_eager_greedy(self, data):
+        # Full-rank rows: on a kernel of rank below Z's width, the pick
+        # after the rank is spanned is rounding noise against the floor.
+        n = data.draw(st.integers(1, 40), label="n")
+        m = data.draw(st.integers(1, 12), label="m")
+        k = data.draw(st.integers(0, 15), label="k")
+        held = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=min(n, 6)), label="held")
+        excluded = data.draw(st.lists(st.integers(0, n - 1), max_size=5),
+                             label="excluded")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Z = rng.normal(size=(n, m))
+        assert_same_run(dpp._lazy_greedy(Z, k, held, excluded),
+                        eager_rows(Z, k, held, excluded))
+
+    def test_a_stale_lower_index_tied_on_its_bound_is_refreshed(self):
+        # After row 0 (frame e0), row 2's gain falls from 29 to exactly 25,
+        # the stale bound of row 1, whose own gain is only 16.  Refreshing
+        # only bounds above the best gain would hand the tie to row 1.
+        Z = np.array([[10.0, 0.0, 0.0], [3.0, 4.0, 0.0], [2.0, 5.0, 0.0],
+                      [0.0, 0.0, 1.0]])
+        res = dpp._lazy_greedy(Z, 3)
+        assert res.indices == [0, 2, 3]
+        assert res.stepwise_logdets == pytest.approx(
+            [math.log(100.0), math.log(2500.0), math.log(2500.0)], abs=1e-12)
+        assert_same_run(res, eager_rows(Z, 3))
+
+    def test_held_item_at_rank_floor_adds_no_row(self):
+        rng = np.random.default_rng(112)
+        Z = rng.normal(size=(30, 8))
+        Z[5] = -2.0 * Z[0]
+        res = dpp._lazy_greedy(Z, 5, [0, 5, 12])
+        assert_same_run(res, eager_rows(Z, 5, [0, 12], [5]))
+        assert len(res.indices) == 5
+
+    def test_excluded_items_are_never_picked(self):
+        Z = np.random.default_rng(113).normal(size=(12, 20))
+        res = dpp._lazy_greedy(Z, 12, excluded=[0, 3, 7])
+        assert len(res.indices) == 9 and res.rank_exhausted
+        assert not {0, 3, 7} & set(res.indices)
+        assert_same_run(res, eager_rows(Z, 12, excluded=[0, 3, 7]))
+
+    @pytest.mark.parametrize("n, m, rank", [(10, 25, 10), (40, 6, 6),
+                                            (40, 12, 4)])
+    def test_k_above_the_rank_stops_at_the_rank(self, n, m, rank):
+        rng = np.random.default_rng(n + m + rank)
+        Z = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m))
+        res = dpp._lazy_greedy(Z, rank + 3)
+        assert len(res.indices) == rank and res.rank_exhausted
+        assert_same_run(res, eager_rows(Z, rank + 3))
+
+    def test_picks_do_not_depend_on_how_many_follow(self):
+        Z = np.random.default_rng(114).normal(size=(60, 16))
+        full = dpp._lazy_greedy(Z, 16, [4, 9])
+        for k in range(17):
+            short = dpp._lazy_greedy(Z, k, [4, 9])
+            assert short.indices == full.indices[:k]
+            assert short.stepwise_logdets == full.stepwise_logdets[:k]
+
+    @pytest.mark.parametrize("shape, path", [((300, 512), "_lazy_greedy"),
+                                             ((500, 64), "_greedy")])
+    def test_the_public_entry_takes_the_path_its_shape_calls_for(
+            self, monkeypatch, shape, path):
+        Z = np.random.default_rng(115).normal(size=shape)
+        held = [3, 50, 7]
+        want = dpp.greedy_map(linalg.gram(Z), 40, held, held)
+        other = {"_lazy_greedy": "_greedy", "_greedy": "_lazy_greedy"}[path]
+        monkeypatch.setattr(dpp, other, None)  # the other path is never taken
+        assert_same_run(dpp.greedy_map_rows(Z, 40, held, held), want)
 
 
 class TestBruteForceMap:

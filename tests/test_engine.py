@@ -592,6 +592,24 @@ class TestSharedLocalGreedy:
                               ds, ground_truth=gt)
         assert calls == []
 
+    def test_a_paper_512_unit_scores_its_ground_truth_once(self, monkeypatch):
+        # 3 positivity probes, 10 maxdiv probes, the ground truth once and
+        # each of the 8 runs' selection: 22 (29 when every run rescored
+        # the ground truth)
+        calls = counted(monkeypatch, "subset_logdet", dpp)
+        ds = data.make_benchmark_dataset(2000, 10, 512, 120)
+        gt = engine.run_ground_truth(ds, 120)
+        cfg = config(n_sources=10, dims=512, total_select=120, sparsity=45.0,
+                     seed=2000)
+        for strategy in engine.STRATEGIES:
+            engine.run_experiment(dataclasses.replace(cfg, strategy=strategy),
+                                  ds, ground_truth=gt)
+        for compression in ("svd", "random_sketch"):
+            engine.run_ddpp(dataclasses.replace(cfg, compression=compression),
+                            ds, ground_truth=gt)
+        assert len(calls) == 22
+        assert sum(list(args[1]) == gt.indices for args, _ in calls) == 1
+
     @pytest.mark.parametrize("intervals", [2, 3])
     def test_a_second_compression_builds_no_first_round_projector(
             self, monkeypatch, intervals):

@@ -42,6 +42,14 @@ CAMPAIGNS = {
     "no-momentum-svd": ["--strategies", "ddpp", "--no-momentum",
                         "--compression", "svd", "--tT", "3", *SMALL],
     "all-R-sweep": ["--strategies", ALL, "--R", "3,6", *SMALL],
+    # benchmark scale: perfbench's paper-512 flags, where every greedy runs
+    # on thousands of rows 512 wide
+    "paper-512": ["--strategies", ALL, "--seed-list", "1", "--N", "10",
+                  "--m", "512", "--kT", "120", "--tT", "2", "--R", "45.0",
+                  "--ni", "500", "--clusters", "80", "--spread", "0.03",
+                  "--scale", "10.0", "--radius-jitter", "0.2",
+                  "--norm-tail", "0.4", "--mean-sparsity", "0.3",
+                  "--partition-policy", "cluster_skewed", "--skew", "0.1"],
 }
 
 HEADER = ("Regenerate only in a change that declares the re-baseline in "
