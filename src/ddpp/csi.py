@@ -106,8 +106,8 @@ class CsiPacket:
 
 def pack_lower_triangle(B):
     """Row-major packed lower triangle of a square matrix."""
-    i, j = np.tril_indices(B.shape[0])
-    return np.ascontiguousarray(B[i, j], dtype=np.float64)
+    return np.ascontiguousarray(B[np.tri(B.shape[0], dtype=bool)],
+                                dtype=np.float64)
 
 
 def unpack_lower_triangle(packed, r):
@@ -115,9 +115,9 @@ def unpack_lower_triangle(packed, r):
     if len(packed) != (r * r + r) // 2:
         raise InvalidInputError("packed triangle length mismatch")
     B = np.zeros((r, r))
-    i, j = np.tril_indices(r)
-    B[i, j] = packed
-    B[j, i] = packed
+    lower = np.tri(r, dtype=bool)  # row-major, as pack_lower_triangle
+    B[lower] = packed
+    B.T[lower] = packed
     return B
 
 

@@ -6,8 +6,8 @@ squared pivot d_i^2 = L_ii - ||c_i||^2, which is exactly the determinant
 gain of adding i.  Consuming an item costs one kernel row and a rank-one
 update over all n candidates, so k picks run in O(k^2 n) plus k row reads,
 with k factor rows of n.  The rows of items held from earlier calls are
-fetched in one batch.  On features Z a lazy search reads only the rows that
-could win a pick instead (``greedy_map_rows``).
+fetched in one batch.  ``greedy_map_rows`` on features Z forms the kernel
+for few rows and many picks, else streams Z or reads only rows that can win.
 
 Contract: finite float64 input and symmetric kernels, checked where data
 enters the package, not here.
@@ -27,8 +27,10 @@ EARLY_STOP_REL = 1e-12
 
 BRUTE_FORCE_GUARD = 10**6
 
-# greedy_map_rows goes lazy from this many entries of Z up: below it, one
-# kernel row per pick costs less than the lazy bookkeeping (2-core VM).
+# greedy_map_rows forms Z Z^T when n <= m and n <= GRAM_ROWS_PER_PICK *
+# (held + k), else goes lazy from LAZY_MIN_ENTRIES entries of Z up: below,
+# a kernel row per pick beats the lazy bookkeeping (crossovers, 2-core VM).
+GRAM_ROWS_PER_PICK = 8
 LAZY_MIN_ENTRIES = 1 << 17
 # Rows of Z one lazy refresh block gathers, in bytes: 256 KB blocks raised a
 # paper-64 run's peak RSS by 0.8 MB, 64 KB ones by 0.15 MB (same VM).
@@ -163,33 +165,40 @@ def _lazy_greedy(Z, k, preselected=(), excluded=()):
 
 
 def greedy_map(L, k, preselected=(), excluded=()):
-    """Greedy MAP selection of k items maximizing log det of the kernel.
+    """Greedy MAP selection of k items maximizing log det of the kernel L.
 
-    ``preselected`` items condition the geometry first (their gains are
-    consumed but they are not reported), implementing selection given an
-    already-held set; ``excluded`` items are never picked.  Bitwise-equal
-    gains break toward the lowest index; between gains equal only in exact
-    arithmetic, rounding decides.  If the best remaining gain hits the rank
-    floor before k picks, the result is shorter and flagged.
+    Reads one row of L per pick (``greedy_map_rows`` runs it on Z Z^T for
+    few rows and many picks).  ``preselected`` items condition the geometry
+    first (their gains are consumed but they are not reported), implementing
+    selection given an already-held set; ``excluded`` items are never
+    picked.  Bitwise-equal gains break toward the lowest index; between
+    gains equal only in exact arithmetic, rounding decides.  A rank-floor
+    hit before k picks gives a shorter, flagged result.
     """
     diag = np.diag(L).copy()
     return _greedy(diag, lambda idx: L[idx], k, preselected, excluded)[0]
 
 
 def greedy_map_rows(Z, k, preselected=(), excluded=()):
-    """greedy_map on the kernel Z Z^T without materializing it.
+    """greedy_map on the kernel Z Z^T, in one of three forms by Z's shape.
 
-    From LAZY_MIN_ENTRIES entries of Z up, a pick reads only the rows that
-    could win it (about 30 of a 5 000-row ground truth), keeping n-vectors
-    and an m-wide frame.  Below, it reads Z[preselected] Z^T once and one
-    matvec over all of Z per pick, keeping (held + k) Cholesky rows of n.
-    The kernel's rank is at most Z's width.
+    With n <= m rows and n <= GRAM_ROWS_PER_PICK * (held + k) it *is*
+    greedy_map(Z Z^T), the n x n kernel formed once.  Otherwise the kernel
+    is never formed.  From LAZY_MIN_ENTRIES entries of Z up, a pick reads
+    only the rows that could win it (about 30 of a 5 000-row ground truth),
+    keeping n-vectors and an m-wide frame.  Below, it reads Z[preselected]
+    Z^T once and one matvec over all of Z per pick, keeping (held + k)
+    Cholesky rows of n.  The kernel's rank is at most Z's width.  The forms
+    round differently, so exact ties may break differently between them.
     """
-    if Z.shape[0] * Z.shape[1] >= LAZY_MIN_ENTRIES:
+    n, m = Z.shape
+    if n <= m and n <= GRAM_ROWS_PER_PICK * (len(preselected) + k):
+        return greedy_map(Z @ Z.T, k, preselected, excluded)
+    if n * m >= LAZY_MIN_ENTRIES:
         return _lazy_greedy(Z, k, preselected, excluded)
     diag = np.einsum("ij,ij->i", Z, Z)
     return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
-                   excluded, rank=Z.shape[1])[0]
+                   excluded, rank=m)[0]
 
 
 def greedy_map_projector(B, k):

@@ -39,6 +39,18 @@ def stepwise_exhaustive_greedy(L, k, preselected=(), excluded=()):
     return picks, logdets
 
 
+def counted(monkeypatch, name, module):
+    """Wrap ``module.<name>``; returns the list of its calls' arguments."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def small_dataset(seed, n_sources, dims=8, per_source=20, total_select=8):
     """Desk-scale benchmark-flavoured dataset for engine tests."""
     n = n_sources * per_source

@@ -146,6 +146,17 @@ class TestSelectDims:
         assert math.log(greedy_det) >= math.log(best) - math.log(1 / (1 - 1 / math.e)) - 1e-9
 
 
+class TestPackedTriangle:
+    @pytest.mark.parametrize("r", [1, 2, 151])
+    def test_packs_in_the_order_of_tril_indices(self, r):
+        B = np.random.default_rng(r).normal(size=(r, r))
+        B = B + B.T
+        i, j = np.tril_indices(r)
+        packed = csi.pack_lower_triangle(B)
+        assert packed.tobytes() == B[i, j].tobytes()
+        assert np.array_equal(csi.unpack_lower_triangle(packed, r), B)
+
+
 class TestCompressReconstruct:
     def test_identity_full_budget_roundtrips_exactly(self):
         m = 6

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counted
 from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
 
@@ -226,6 +227,23 @@ def assert_same_run(lazy, eager):
                                rtol=1e-9, atol=1e-9)
 
 
+def assert_same_above_noise(a, b, scale):
+    """Same picks and gains until either run's gain falls to 1e-6 * scale.
+
+    Past a pick that small, the gains left may be rounding noise: once
+    ill-conditioned held items span a rank below Z's width, noise can clear
+    the floor, and whether and what to pick is rounding's call.
+    """
+    gains = [np.exp(np.diff(r.stepwise_logdets, prepend=0.0)) for r in (a, b)]
+    cut = min(int(np.argmax(np.append(g, 0.0) <= 1e-6 * scale))
+              for g in gains)
+    assert a.indices[:cut] == b.indices[:cut]
+    np.testing.assert_allclose(gains[0][:cut], gains[1][:cut], rtol=0,
+                               atol=1e-9 * scale)
+    if all(len(g) == cut for g in gains):
+        assert a.rank_exhausted == b.rank_exhausted
+
+
 class TestLazyGreedy:
     """The lazy search, entered directly so that small shapes reach it."""
 
@@ -290,16 +308,42 @@ class TestLazyGreedy:
             assert short.indices == full.indices[:k]
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
 
-    @pytest.mark.parametrize("shape, path", [((300, 512), "_lazy_greedy"),
-                                             ((500, 64), "_greedy")])
+    # 3 held + 40 picks: up to 8 * 43 = 344 rows form the Gram, if m >= n
+    @pytest.mark.parametrize("shape, path", [((345, 512), "_lazy_greedy"),
+                                             ((344, 64), "_greedy"),
+                                             ((344, 512), "greedy_map")])
     def test_the_public_entry_takes_the_path_its_shape_calls_for(
             self, monkeypatch, shape, path):
         Z = np.random.default_rng(115).normal(size=shape)
         held = [3, 50, 7]
         want = dpp.greedy_map(linalg.gram(Z), 40, held, held)
-        other = {"_lazy_greedy": "_greedy", "_greedy": "_lazy_greedy"}[path]
-        monkeypatch.setattr(dpp, other, None)  # the other path is never taken
+        entered = {name: counted(monkeypatch, name, dpp)
+                   for name in ("greedy_map", "_lazy_greedy", "_greedy")}
         assert_same_run(dpp.greedy_map_rows(Z, 40, held, held), want)
+        taken = {name: len(calls) for name, calls in entered.items()}
+        taken["_greedy"] -= taken["greedy_map"]  # the Gram path's own entry
+        assert taken == {name: int(name == path) for name in taken}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_the_gram_path_agrees_with_the_lazy_greedy(self, data):
+        # n <= m continuous rows of inner rank r, full (r = n) or not.  The
+        # gains, not their logs, are compared: the log of a pivot far below
+        # the largest diagonal magnifies its rounding.
+        n = data.draw(st.integers(1, 24), label="n")
+        m = data.draw(st.integers(n, 30), label="m")
+        r = data.draw(st.integers(1, n), label="r")
+        held = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                  max_size=min(n, 6)), label="held")
+        k = data.draw(st.integers(max(0, -(-n // 8) - len(held)), 15),
+                      label="k")  # n <= 8 (held + k): the Gram side
+        excluded = data.draw(st.lists(st.integers(0, n - 1), max_size=5),
+                             label="excluded")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Z = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
+        assert_same_above_noise(dpp.greedy_map_rows(Z, k, held, excluded),
+                                dpp._lazy_greedy(Z, k, held, excluded),
+                                float(np.max(np.einsum("ij,ij->i", Z, Z))))
 
 
 class TestBruteForceMap:

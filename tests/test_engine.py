@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (poison_feedback, run_within, small_dataset,
+from conftest import (counted, poison_feedback, run_within, small_dataset,
                       stepwise_exhaustive_greedy)
 from ddpp import cli, csi, data, dpp, engine, linalg, protocol
 from ddpp.errors import (BudgetViolationError, DdppError, InvalidConfigError,
@@ -300,18 +300,6 @@ class TestDdppPipeline:
         assert res.ledger["per_source_uplink"] == [15 * 512, 15 * 512]
 
 
-def counted(monkeypatch, name, module=engine):
-    """Wrap ``module.<name>``; returns the list of its calls' arguments."""
-    calls, real = [], getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 class TestSchedule:
     """Every strategy's frames cross the transport, one channel per source."""
 
@@ -322,7 +310,7 @@ class TestSchedule:
         cfg = config(n_sources=3, total_select=6, strategy=strategy)
         gt = engine.run_ground_truth(ds, 6)
         loop = engine.run_experiment(cfg, ds, ground_truth=gt).comparable()
-        opened = counted(monkeypatch, "tcp_pair")
+        opened = counted(monkeypatch, "tcp_pair", engine)
         tcp = engine.run_experiment(cfg, ds, transport="tcp", ground_truth=gt)
         assert tcp.comparable() == loop
         assert len(opened) == 3
@@ -331,7 +319,7 @@ class TestSchedule:
     def test_run_ddpp_is_entered_once_for_ddpp_only(self, monkeypatch, strategy):
         # the benchmark times every run_ddpp call by patching it by name,
         # and baseline configs carry the same compression as ddpp's
-        calls = counted(monkeypatch, "run_ddpp")
+        calls = counted(monkeypatch, "run_ddpp", engine)
         engine.run_experiment(config(strategy=strategy),
                               small_dataset(seed=4, n_sources=2))
         assert len(calls) == (1 if strategy == "ddpp" else 0)
@@ -609,6 +597,36 @@ class TestSharedLocalGreedy:
                             ds, ground_truth=gt)
         assert len(calls) == 22
         assert sum(list(args[1]) == gt.indices for args, _ in calls) == 1
+
+    @pytest.mark.parametrize(
+        "dims, n_sources, k_T, t_T, strategies, compressions, grams", [
+            (512, 10, 120, 2, engine.STRATEGIES, ("svd", "random_sketch"),
+             {"greedymax": 10}),
+            (64, 20, 40, 2, engine.STRATEGIES, (), {}),
+            (512, 2, 120, 6, ("ddpp", "greedi"), (), {}),
+        ], ids=["paper-512", "paper-64", "deep-feedback-tcp"])
+    def test_only_greedymax_source_greedies_form_the_gram(
+            self, monkeypatch, dims, n_sources, k_T, t_T, strategies,
+            compressions, grams):
+        # a source's 500 rows form their Gram when 500 <= m and 500 <= 8 k:
+        # greedymax's k_T = 120 on m = 512; maxdiv reads greedymax's memo
+        calls = counted(monkeypatch, "greedy_map", dpp)
+        ds = data.make_benchmark_dataset(2000, n_sources, dims, k_T)
+        gt = engine.run_ground_truth(ds, k_T)
+        cfg = config(n_sources=n_sources, dims=dims, total_select=k_T,
+                     intervals=t_T, sparsity=0.75 * k_T / t_T, seed=2000)
+        entered = {"ground truth": len(calls)}
+        for strategy in strategies:
+            del calls[:]
+            engine.run_experiment(dataclasses.replace(cfg, strategy=strategy),
+                                  ds, ground_truth=gt)
+            entered[strategy] = len(calls)
+        for compression in compressions:
+            del calls[:]
+            engine.run_ddpp(dataclasses.replace(cfg, compression=compression),
+                            ds, ground_truth=gt)
+            entered[compression] = len(calls)
+        assert {run: n for run, n in entered.items() if n} == grams
 
     @pytest.mark.parametrize("intervals", [2, 3])
     def test_a_second_compression_builds_no_first_round_projector(
