@@ -6,11 +6,11 @@ and compares it against brute-force enumeration of every subset.
 
 import numpy as np
 
-from ddpp import dpp, linalg
+from ddpp import dpp
 
 rng = np.random.default_rng(0)
 Z = rng.normal(size=(12, 6)) * 2.0
-L = linalg.gram(Z)
+L = Z @ Z.T
 
 k = 4
 greedy = dpp.greedy_map(L, k)

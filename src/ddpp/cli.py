@@ -19,7 +19,6 @@ from . import __version__, data, dpp, engine, metrics
 from .errors import (BudgetViolationError, DdppError, IngestError,
                      InvalidConfigError, NotPositiveDefiniteError, NotPsdError,
                      ScalingViolationError)
-from .linalg import gram
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -335,7 +334,10 @@ def _write_pca_csv(args, lines):
 
 def cmd_oracle(args):
     Z, _ = _read_data(args)
-    result = dpp.brute_force_map(gram(Z), args.k)
+    if args.k > Z.shape[1]:
+        raise InvalidConfigError(f"k {args.k} exceeds dims {Z.shape[1]}; "
+                                 "such selections are singular")
+    result = dpp.brute_force_map(Z @ Z.T, args.k)
     print(json.dumps({"indices": result.indices,
                       "logdet": result.stepwise_logdets[-1]}))
     return 0

@@ -199,9 +199,9 @@ def _residual_terms(H, selected, r1):
         G = H.basis @ B.T
         C = np.eye(B.shape[0]) - G.T @ G  # H on span(B)
         C[:r0, :r0] = 0.0  # minus the block the packet carries
-        dec = spectral_decomp(symmetrize(C))
-        values = np.concatenate([values, dec.eigenvalues[:extra]])
-        vectors = np.vstack([vectors, dec.eigenvectors[:, :extra].T @ B])
+        w, V = spectral_decomp(symmetrize(C))
+        values = np.concatenate([values, w[:extra]])
+        vectors = np.vstack([vectors, V[:, :extra].T @ B])
     keep = values > RANK_TOL  # R's top eigenvalue lies in [0, 1]
     return values[keep], vectors[keep]
 

@@ -191,6 +191,8 @@ def load_features(path, fmt="csv", label_column=False):
         raise IngestError(f"cannot read {path}: {exc.strerror}") from None
     if Z.ndim != 2 or Z.shape[0] == 0:
         raise IngestError("no data rows")
+    if Z.shape[1] == 0:
+        raise IngestError("no feature columns")
     if not np.isfinite(Z).all():
         bad = int(np.argwhere(~np.isfinite(Z).all(axis=1))[0][0])
         raise IngestError("non-finite feature value", row=bad)

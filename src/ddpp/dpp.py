@@ -43,25 +43,19 @@ class MapResult:
 
     indices: list
     stepwise_logdets: list
-    rank_exhausted: bool = False
     frame: np.ndarray = None  # set by greedy_map_projector only
 
 
-def _start(gain, k, preselected, excluded, scale=None):
-    """Checks k, pins excluded gains; returns the held list and the floor."""
+def _start(gain, k, preselected, scale=None):
+    """Checks k; returns the held list and the floor."""
     if k < 0:
         raise InvalidInputError("k must be non-negative")
     if scale is None:
         scale = max(float(np.max(gain)), 0.0) if gain.size else 0.0
-    preselected = [int(p) for p in preselected]
-    # A preselected item is conditioned on before its gain is pinned.
-    for j in set(int(j) for j in excluded).difference(preselected):
-        gain[j] = -np.inf
-    return preselected, EARLY_STOP_REL * scale
+    return [int(p) for p in preselected], EARLY_STOP_REL * scale
 
 
-def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
-            rank=math.inf):
+def _greedy(diag, kernel_rows, k, preselected, scale=None, rank=math.inf):
     """Run the greedy; returns (MapResult, its Cholesky rows in order).
 
     ``kernel_rows(idx)`` returns rows of the kernel whose diagonal ``diag``
@@ -75,7 +69,7 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
     that, so no pick is made once it is spanned, however large the
     rounding noise left in ``diag``.
     """
-    preselected, floor = _start(diag, k, preselected, excluded, scale)
+    preselected, floor = _start(diag, k, preselected, scale)
     held, n = len(preselected), diag.shape[0]
     rows = np.empty((min(held + k, rank), n))
     square = np.empty(n)
@@ -104,12 +98,10 @@ def _greedy(diag, kernel_rows, k, preselected, excluded, scale=None,
             chosen.append(j)
             total += math.log(d2)
             logdets.append(total)
-    result = MapResult(indices=chosen, stepwise_logdets=logdets,
-                       rank_exhausted=len(chosen) < k)
-    return result, rows[:t]
+    return MapResult(indices=chosen, stepwise_logdets=logdets), rows[:t]
 
 
-def _lazy_greedy(Z, k, preselected=(), excluded=()):
+def _lazy_greedy(Z, k, preselected=()):
     """``_greedy`` on the kernel Z Z^T, refreshing only gains that can win.
 
     The consumed rows span an orthonormal frame U (Gram-Schmidt, pivot
@@ -117,12 +109,12 @@ def _lazy_greedy(Z, k, preselected=(), excluded=()):
     size it was computed at.  Gains only fall as U grows, so a stale gain
     bounds the current one, and a pick refreshes the stale gains that reach
     the best current one (ties too: argmax favors the lower index).  Held
-    items, ``excluded``, the floor and the rank cap (Z's width) act as there.
+    items, the floor and the rank cap (Z's width) act as there.
     """
     n, m = Z.shape
     norms = np.einsum("ij,ij->i", Z, Z)
     gain = norms.copy()
-    preselected, floor = _start(gain, k, preselected, excluded)
+    preselected, floor = _start(gain, k, preselected)
     held, t = len(preselected), 0
     frame = np.empty((min(held + k, m), m))
     stamp = np.zeros(n, dtype=np.intp)
@@ -160,26 +152,24 @@ def _lazy_greedy(Z, k, preselected=(), excluded=()):
             chosen.append(j)
             total += math.log(d2)
             logdets.append(total)
-    return MapResult(indices=chosen, stepwise_logdets=logdets,
-                     rank_exhausted=len(chosen) < k)
+    return MapResult(indices=chosen, stepwise_logdets=logdets)
 
 
-def greedy_map(L, k, preselected=(), excluded=()):
+def greedy_map(L, k, preselected=()):
     """Greedy MAP selection of k items maximizing log det of the kernel L.
 
     Reads one row of L per pick (``greedy_map_rows`` runs it on Z Z^T for
     few rows and many picks).  ``preselected`` items condition the geometry
     first (their gains are consumed but they are not reported), implementing
-    selection given an already-held set; ``excluded`` items are never
-    picked.  Bitwise-equal gains break toward the lowest index; between
-    gains equal only in exact arithmetic, rounding decides.  A rank-floor
-    hit before k picks gives a shorter, flagged result.
+    selection given an already-held set.  Bitwise-equal gains break toward
+    the lowest index; between gains equal only in exact arithmetic, rounding
+    decides.  A rank-floor hit before k picks gives a shorter result.
     """
     diag = np.diag(L).copy()
-    return _greedy(diag, lambda idx: L[idx], k, preselected, excluded)[0]
+    return _greedy(diag, lambda idx: L[idx], k, preselected)[0]
 
 
-def greedy_map_rows(Z, k, preselected=(), excluded=()):
+def greedy_map_rows(Z, k, preselected=()):
     """greedy_map on the kernel Z Z^T, in one of three forms by Z's shape.
 
     With n <= m rows and n <= GRAM_ROWS_PER_PICK * (held + k) it *is*
@@ -193,12 +183,11 @@ def greedy_map_rows(Z, k, preselected=(), excluded=()):
     """
     n, m = Z.shape
     if n <= m and n <= GRAM_ROWS_PER_PICK * (len(preselected) + k):
-        return greedy_map(Z @ Z.T, k, preselected, excluded)
+        return greedy_map(Z @ Z.T, k, preselected)
     if n * m >= LAZY_MIN_ENTRIES:
-        return _lazy_greedy(Z, k, preselected, excluded)
+        return _lazy_greedy(Z, k, preselected)
     diag = np.einsum("ij,ij->i", Z, Z)
-    return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
-                   excluded, rank=m)[0]
+    return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected, rank=m)[0]
 
 
 def greedy_map_projector(B, k):
@@ -219,7 +208,7 @@ def greedy_map_projector(B, k):
         return out
 
     diag = 1.0 - np.einsum("ij,ij->j", B, B)
-    result, frame = _greedy(diag, row, k, (), (), scale=1.0)
+    result, frame = _greedy(diag, row, k, (), scale=1.0)
     result.frame = frame
     return result
 

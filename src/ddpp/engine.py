@@ -116,9 +116,6 @@ class ExperimentResult:
     scale: float
     rank_exhausted: bool
 
-    def comparable(self):
-        return {**self.to_json_dict(), "ledger": self.ledger}
-
     def to_json_dict(self):
         c = self.config
         return {
@@ -311,9 +308,9 @@ class _Center:
         if ground_truth is None:
             ground_truth = run_ground_truth(dataset, config.total_select)
         selected = list(self.received)
-        report = metrics.rde(
-            ground_truth_logdet(dataset, ground_truth),
-            dpp.subset_logdet(dataset.features, selected))
+        gt_logdet = ground_truth_logdet(dataset, ground_truth)
+        sel_logdet = dpp.subset_logdet(dataset.features, selected)
+        rde = metrics.rde(gt_logdet, sel_logdet)
         ledger = {
             "uplink_elements": sum(self.uplink),
             "downlink_elements": sum(self.downlink),
@@ -324,8 +321,8 @@ class _Center:
             "per_source_downlink": list(self.downlink),
         }
         return ExperimentResult(
-            selected_global_indices=selected, diversity_logdet=report.sel_logdet,
-            rde=report.rde, gt_logdet=report.gt_logdet, ledger=ledger,
+            selected_global_indices=selected, diversity_logdet=sel_logdet,
+            rde=rde, gt_logdet=gt_logdet, ledger=ledger,
             config=config, scale=dataset.scale,
             # every strategy owes k_T; only a greedy at its rank floor files fewer
             rank_exhausted=len(selected) < config.total_select)

@@ -17,9 +17,9 @@ class NotPositiveDefiniteError(DdppError):
 
     pivot = None  # as rebuilt from a wire frame
 
-    def __init__(self, pivot, message=None):
+    def __init__(self, pivot):
         self.pivot = pivot
-        super().__init__(message or f"matrix not positive definite (pivot {pivot})")
+        super().__init__(f"matrix not positive definite (pivot {pivot})")
 
 
 class NotPsdError(DdppError):

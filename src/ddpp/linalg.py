@@ -4,8 +4,6 @@ Contract: finite float64 input (log-determinant chains amplify rounding)
 and symmetric kernels, checked where data enters the package, not here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError, NotPsdError
@@ -14,12 +12,12 @@ from .errors import InvalidInputError, NotPositiveDefiniteError, NotPsdError
 RANK_TOL = 1e-10
 
 
-def as_matrix(a, name="matrix"):
-    """Entry check: ``a`` as a finite 2-D float64 array with at least one row."""
+def as_matrix(a, name):
+    """Entry check: ``a`` as a finite 2-D float64 array, neither side empty."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise InvalidInputError(f"{name} must be 2-D with at least one row, "
-                                f"got shape {arr.shape}")
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise InvalidInputError(f"{name} must be 2-D with at least one row "
+                                f"and one column, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
@@ -28,24 +26,6 @@ def as_matrix(a, name="matrix"):
 def symmetrize(M):
     """(M + M^T) / 2; bitwise-symmetric thanks to commutative float addition."""
     return (M + M.T) / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns are eigenvectors, orthonormal
-
-
-def gram(Z):
-    """Similarity kernel L = Z Z^T of a feature matrix (one sample per row).
-
-    The result is exactly symmetric by construction.
-    """
-    if Z.shape[0] == 0:
-        raise InvalidInputError("feature matrix must have at least one row")
-    return symmetrize(Z @ Z.T)
 
 
 def logdet_psd(M):
@@ -80,10 +60,10 @@ def _failing_pivot(M):
 
 
 def spectral_decomp(M):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
+    """Eigenpairs (w, V) of a symmetric matrix, w descending, V by columns."""
     w, V = np.linalg.eigh(M)
     order = np.argsort(w)[::-1]
-    return SpectralDecomp(eigenvalues=w[order], eigenvectors=V[:, order])
+    return w[order], V[:, order]
 
 
 def psd_eigh(M):
@@ -92,26 +72,10 @@ def psd_eigh(M):
     Eigenvalues in [-1e-6, 0) are treated as rounding noise and clamped;
     anything below -1e-6 raises.
     """
-    dec = spectral_decomp(M)
-    w = dec.eigenvalues
+    w, V = spectral_decomp(M)
     if w.size and w[-1] < -1e-6:
         raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -1e-06")
-    return np.clip(w, 0.0, None), dec.eigenvectors
-
-
-def psd_sqrt(M):
-    """Symmetric square root V diag(w)^{1/2} V^T of a PSD matrix (psd_eigh)."""
-    w, V = psd_eigh(M)
-    return symmetrize((V * np.sqrt(w)) @ V.T)
-
-
-def numerical_rank(values, tol=RANK_TOL):
-    """Count of entries above tol * max(values); zero for an empty input."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0
-    cutoff = tol * np.max(np.abs(values))
-    return int(np.sum(np.abs(values) > cutoff))
+    return np.clip(w, 0.0, None), V
 
 
 def orthonormal_row_basis(Z):
@@ -123,5 +87,5 @@ def orthonormal_row_basis(Z):
     if Z.shape[0] == 0 or Z.size == 0:
         return np.zeros((0, Z.shape[1]))
     _, s, Vh = np.linalg.svd(Z, full_matrices=False)
-    r = numerical_rank(s)
+    r = int(np.sum(s > RANK_TOL * s[0]))  # s is non-negative, descending
     return Vh[:r].copy()

@@ -1,21 +1,11 @@
 """Selection quality metrics and downstream evaluation helpers."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateInputError, InvalidInputError,
                      ScalingViolationError)
-
-
-@dataclass(frozen=True)
-class RdeReport:
-    """Relative diversity error of a selection against the ground truth."""
-
-    gt_logdet: float
-    sel_logdet: float
-    rde: float
 
 
 def rde(gt_logdet, sel_logdet):
@@ -28,8 +18,7 @@ def rde(gt_logdet, sel_logdet):
     if not gt_logdet > 0:
         raise ScalingViolationError(
             f"ground-truth log det is {gt_logdet:g}; rescale features until positive")
-    value = min(max(1.0 - sel_logdet / gt_logdet, 0.0), 1.0)
-    return RdeReport(gt_logdet=gt_logdet, sel_logdet=sel_logdet, rde=value)
+    return min(max(1.0 - sel_logdet / gt_logdet, 0.0), 1.0)
 
 
 def welch_ttest(xs, ys):

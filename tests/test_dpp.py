@@ -6,37 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted
+from conftest import counted, stepwise_exhaustive_greedy
 from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
 
 
-def stepwise_oracle(L, k, preselected=(), excluded=()):
-    """Greedy by direct determinant evaluation at every step (slow but exact)."""
-    chosen = list(preselected)
-    picks, logdets = [], []
-    blocked = set(excluded) | set(preselected)
-    for _ in range(k):
-        best, best_gain = None, -np.inf
-        base = np.linalg.slogdet(L[np.ix_(chosen, chosen)])[1] if chosen else 0.0
-        for i in range(L.shape[0]):
-            if i in blocked or i in picks:
-                continue
-            trial = chosen + [i]
-            sign, val = np.linalg.slogdet(L[np.ix_(trial, trial)])
-            gain = val - base if sign > 0 else -np.inf
-            if gain > best_gain + 1e-12:
-                best, best_gain = i, gain
-        if best is None or not math.isfinite(best_gain):
-            break
-        chosen.append(best)
-        picks.append(best)
-        logdets.append(np.linalg.slogdet(L[np.ix_(chosen, chosen)])[1])
-    return picks, logdets
-
-
 def random_psd(rng, n, rank=None):
-    return linalg.gram(rng.normal(size=(n, rank or n)))
+    Z = rng.normal(size=(n, rank or n))
+    return Z @ Z.T
 
 
 class TestGreedyMap:
@@ -45,11 +22,10 @@ class TestGreedyMap:
         assert res.indices == [0, 1]
         assert res.stepwise_logdets == pytest.approx(
             [math.log(3.0), math.log(3.0) + math.log(2.0)], abs=1e-12)
-        assert not res.rank_exhausted
 
     def test_duplicate_row_degeneracy(self):
         Z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        res = dpp.greedy_map(linalg.gram(Z), 2)
+        res = dpp.greedy_map(Z @ Z.T, 2)
         assert res.indices == [0, 2]
 
     def test_matches_stepwise_exhaustive_oracle(self):
@@ -57,7 +33,7 @@ class TestGreedyMap:
         for _ in range(10):
             L = random_psd(rng, 10)
             res = dpp.greedy_map(L, 3)
-            picks, logdets = stepwise_oracle(L, 3)
+            picks, logdets = stepwise_exhaustive_greedy(L, 3)
             assert res.indices == picks
             assert res.stepwise_logdets == pytest.approx(logdets, abs=1e-8)
 
@@ -70,21 +46,15 @@ class TestGreedyMap:
 
     def test_rank_exhaustion_flag(self):
         Z = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        res = dpp.greedy_map(linalg.gram(Z), 3)
-        assert res.rank_exhausted
+        res = dpp.greedy_map(Z @ Z.T, 3)
         assert len(res.indices) == 2
-
-    def test_excluded_never_picked(self):
-        L = np.diag([3.0, 2.0, 1.0])
-        res = dpp.greedy_map(L, 2, excluded=[0])
-        assert res.indices == [1, 2]
 
     def test_preselected_conditions_but_is_not_reported(self):
         rng = np.random.default_rng(103)
         L = random_psd(rng, 9)
         res = dpp.greedy_map(L, 3, preselected=[4, 7])
         assert 4 not in res.indices and 7 not in res.indices
-        picks, _ = stepwise_oracle(L, 3, preselected=[4, 7])
+        picks, _ = stepwise_exhaustive_greedy(L, 3, preselected=[4, 7])
         assert res.indices == picks
 
     def test_continuation_matches_single_run(self):
@@ -92,7 +62,7 @@ class TestGreedyMap:
         L = random_psd(rng, 10)
         full = dpp.greedy_map(L, 6)
         head = full.indices[:3]
-        tail = dpp.greedy_map(L, 3, preselected=head, excluded=head)
+        tail = dpp.greedy_map(L, 3, preselected=head)
         assert head + tail.indices == full.indices
 
     def test_conditioning_equals_schur_complement_selection(self):
@@ -112,7 +82,7 @@ class TestGreedyMap:
     def test_full_rank_total_matches_subset_logdet(self):
         rng = np.random.default_rng(106)
         Z = rng.normal(size=(9, 9))
-        res = dpp.greedy_map(linalg.gram(Z), 9)
+        res = dpp.greedy_map(Z @ Z.T, 9)
         assert res.stepwise_logdets[-1] == pytest.approx(
             dpp.subset_logdet(Z, res.indices), abs=1e-8)
 
@@ -122,30 +92,30 @@ class TestGreedyMap:
         rng = np.random.default_rng(107)
         bench = data.make_benchmark_dataset(seed=0, n_sources=2, dims=64,
                                             total_select=40)
-        cases = [  # (Z, k, held, rank exhausted)
+        cases = [  # (Z, k, held, rank floor hit)
             (rng.normal(size=(30, 6)), 5, [], False),
             (rng.normal(size=(30, 12)), 5, [3, 17, 8, 25], False),  # later interval
             (rng.normal(size=(30, 3)) @ rng.normal(size=(3, 6)), 5, [], True),
             (bench.source_rows(1), 40, [], False),
         ]
         for Z, k, held, exhausted in cases:
-            a = dpp.greedy_map(linalg.gram(Z), k, preselected=held, excluded=held)
-            b = dpp.greedy_map_rows(Z, k, preselected=held, excluded=held)
+            a = dpp.greedy_map(Z @ Z.T, k, preselected=held)
+            b = dpp.greedy_map_rows(Z, k, preselected=held)
             assert a.indices == b.indices
-            assert a.rank_exhausted == b.rank_exhausted == exhausted
+            assert (len(a.indices) < k) == exhausted
             assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
 
     def test_held_item_at_rank_floor_adds_no_row(self):
         # Held item 5 repeats held item 0's direction, so its gain sits at
         # the rank floor when it is consumed: the held rows come in one
-        # batch, and the picks are those made as if 5 were only excluded.
+        # batch, and the picks are those made as if 5 were not held.
         rng = np.random.default_rng(112)
         Z = rng.normal(size=(30, 8))
         Z[5] = -2.0 * Z[0]
         held = [0, 5, 12]
         a = dpp.greedy_map_rows(Z, 5, preselected=held)
-        b = dpp.greedy_map(linalg.gram(Z), 5, preselected=held)
-        c = dpp.greedy_map(linalg.gram(Z), 5, preselected=[0, 12], excluded=[5])
+        b = dpp.greedy_map(Z @ Z.T, 5, preselected=held)
+        c = dpp.greedy_map(Z @ Z.T, 5, preselected=[0, 12])
         assert a.indices == b.indices == c.indices and len(a.indices) == 5
         assert a.stepwise_logdets == pytest.approx(b.stepwise_logdets, abs=1e-9)
         assert a.stepwise_logdets == pytest.approx(c.stepwise_logdets, abs=1e-9)
@@ -171,12 +141,12 @@ class TestGreedyMap:
         B = linalg.orthonormal_row_basis(
             np.random.default_rng(110).normal(size=(6, 6)))
         res = dpp.greedy_map_projector(B, 3)
-        assert res.indices == [] and res.rank_exhausted
+        assert res.indices == []
         assert res.frame.shape == (0, 6)
 
     def test_zero_kernel_exhausts_immediately(self):
         res = dpp.greedy_map(np.zeros((4, 4)), 2)
-        assert res.indices == [] and res.rank_exhausted
+        assert res.indices == []
 
     @pytest.mark.parametrize("rank", [None, 4])
     def test_prefix_stable(self, rank):
@@ -185,12 +155,11 @@ class TestGreedyMap:
         L = random_psd(rng, 12, rank=rank)
         K = 9
         full = dpp.greedy_map(L, K)
-        assert full.rank_exhausted == (rank is not None)
+        assert (len(full.indices) < K) == (rank is not None)
         for k in range(K):
             short = dpp.greedy_map(L, k)
             assert short.indices == full.indices[:k]
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
-            assert short.rank_exhausted == (len(full.indices) < k)
 
     @pytest.mark.parametrize("shape, rank, K", [
         ((40, 12), None, 12),   # random rows, K up to the width
@@ -210,19 +179,17 @@ class TestGreedyMap:
             short = dpp.greedy_map_rows(Z, k)
             assert short.indices == full.indices[:k]
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
-            assert short.rank_exhausted == (len(full.indices) < k)
 
 
-def eager_rows(Z, k, preselected=(), excluded=()):
+def eager_rows(Z, k, preselected=()):
     """The streaming greedy on Z Z^T, whatever Z's shape."""
     diag = np.einsum("ij,ij->i", Z, Z)
     return dpp._greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
-                       excluded, rank=Z.shape[1])[0]
+                       rank=Z.shape[1])[0]
 
 
 def assert_same_run(lazy, eager):
     assert lazy.indices == eager.indices
-    assert lazy.rank_exhausted == eager.rank_exhausted
     np.testing.assert_allclose(lazy.stepwise_logdets, eager.stepwise_logdets,
                                rtol=1e-9, atol=1e-9)
 
@@ -240,8 +207,6 @@ def assert_same_above_noise(a, b, scale):
     assert a.indices[:cut] == b.indices[:cut]
     np.testing.assert_allclose(gains[0][:cut], gains[1][:cut], rtol=0,
                                atol=1e-9 * scale)
-    if all(len(g) == cut for g in gains):
-        assert a.rank_exhausted == b.rank_exhausted
 
 
 class TestLazyGreedy:
@@ -257,12 +222,9 @@ class TestLazyGreedy:
         k = data.draw(st.integers(0, 15), label="k")
         held = data.draw(st.lists(st.integers(0, n - 1), unique=True,
                                   max_size=min(n, 6)), label="held")
-        excluded = data.draw(st.lists(st.integers(0, n - 1), max_size=5),
-                             label="excluded")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         Z = rng.normal(size=(n, m))
-        assert_same_run(dpp._lazy_greedy(Z, k, held, excluded),
-                        eager_rows(Z, k, held, excluded))
+        assert_same_run(dpp._lazy_greedy(Z, k, held), eager_rows(Z, k, held))
 
     def test_a_stale_lower_index_tied_on_its_bound_is_refreshed(self):
         # After row 0 (frame e0), row 2's gain falls from 29 to exactly 25,
@@ -281,15 +243,8 @@ class TestLazyGreedy:
         Z = rng.normal(size=(30, 8))
         Z[5] = -2.0 * Z[0]
         res = dpp._lazy_greedy(Z, 5, [0, 5, 12])
-        assert_same_run(res, eager_rows(Z, 5, [0, 12], [5]))
+        assert_same_run(res, eager_rows(Z, 5, [0, 12]))
         assert len(res.indices) == 5
-
-    def test_excluded_items_are_never_picked(self):
-        Z = np.random.default_rng(113).normal(size=(12, 20))
-        res = dpp._lazy_greedy(Z, 12, excluded=[0, 3, 7])
-        assert len(res.indices) == 9 and res.rank_exhausted
-        assert not {0, 3, 7} & set(res.indices)
-        assert_same_run(res, eager_rows(Z, 12, excluded=[0, 3, 7]))
 
     @pytest.mark.parametrize("n, m, rank", [(10, 25, 10), (40, 6, 6),
                                             (40, 12, 4)])
@@ -297,7 +252,7 @@ class TestLazyGreedy:
         rng = np.random.default_rng(n + m + rank)
         Z = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, m))
         res = dpp._lazy_greedy(Z, rank + 3)
-        assert len(res.indices) == rank and res.rank_exhausted
+        assert len(res.indices) == rank
         assert_same_run(res, eager_rows(Z, rank + 3))
 
     def test_picks_do_not_depend_on_how_many_follow(self):
@@ -316,10 +271,10 @@ class TestLazyGreedy:
             self, monkeypatch, shape, path):
         Z = np.random.default_rng(115).normal(size=shape)
         held = [3, 50, 7]
-        want = dpp.greedy_map(linalg.gram(Z), 40, held, held)
+        want = dpp.greedy_map(Z @ Z.T, 40, held)
         entered = {name: counted(monkeypatch, name, dpp)
                    for name in ("greedy_map", "_lazy_greedy", "_greedy")}
-        assert_same_run(dpp.greedy_map_rows(Z, 40, held, held), want)
+        assert_same_run(dpp.greedy_map_rows(Z, 40, held), want)
         taken = {name: len(calls) for name, calls in entered.items()}
         taken["_greedy"] -= taken["greedy_map"]  # the Gram path's own entry
         assert taken == {name: int(name == path) for name in taken}
@@ -337,12 +292,10 @@ class TestLazyGreedy:
                                   max_size=min(n, 6)), label="held")
         k = data.draw(st.integers(max(0, -(-n // 8) - len(held)), 15),
                       label="k")  # n <= 8 (held + k): the Gram side
-        excluded = data.draw(st.lists(st.integers(0, n - 1), max_size=5),
-                             label="excluded")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         Z = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
-        assert_same_above_noise(dpp.greedy_map_rows(Z, k, held, excluded),
-                                dpp._lazy_greedy(Z, k, held, excluded),
+        assert_same_above_noise(dpp.greedy_map_rows(Z, k, held),
+                                dpp._lazy_greedy(Z, k, held),
                                 float(np.max(np.einsum("ij,ij->i", Z, Z))))
 
 
@@ -390,7 +343,7 @@ class TestSubsetLogdet:
         rng = np.random.default_rng(120)
         Z = rng.normal(size=(6, 4))
         A = [1, 3, 5]
-        expected = linalg.logdet_psd(linalg.gram(Z[A]))
+        expected = linalg.logdet_psd(Z[A] @ Z[A].T)
         assert dpp.subset_logdet(Z, A) == pytest.approx(expected, abs=1e-10)
 
     def test_singular_sentinel(self):

@@ -24,27 +24,23 @@ def rde(Z, gt, sel):
 class TestRde:
     def test_zero_when_selection_equals_ground_truth(self):
         Z = orthogonal_rows_with_log_norms([1.0, 2.0, 3.0])
-        report = rde(Z, [0, 1, 2], [2, 1, 0])
-        assert report.rde == 0.0
+        assert rde(Z, [0, 1, 2], [2, 1, 0]) == 0.0
 
     def test_ratio_arithmetic(self):
         # gt volume = 10 nats, selection = 9 nats -> error 0.1
         Z = orthogonal_rows_with_log_norms([2.5, 2.5, 2.5, 2.0])
-        report = rde(Z, [0, 1], [2, 3])
-        assert report.gt_logdet == pytest.approx(10.0, abs=1e-9)
-        assert report.sel_logdet == pytest.approx(9.0, abs=1e-9)
-        assert report.rde == pytest.approx(0.1, abs=1e-9)
+        assert dpp.subset_logdet(Z, [0, 1]) == pytest.approx(10.0, abs=1e-9)
+        assert dpp.subset_logdet(Z, [2, 3]) == pytest.approx(9.0, abs=1e-9)
+        assert rde(Z, [0, 1], [2, 3]) == pytest.approx(0.1, abs=1e-9)
 
     def test_clamped_to_unit_interval(self):
         Z = np.vstack([orthogonal_rows_with_log_norms([3.0, 3.0]),
                        [[math.exp(3.0), 0.0]]])  # row 2 duplicates row 0
-        report = rde(Z, [0, 1], [0, 2])  # singular selection
-        assert report.rde == 1.0
+        assert rde(Z, [0, 1], [0, 2]) == 1.0  # singular selection
 
     def test_better_than_ground_truth_clamps_to_zero(self):
         Z = orthogonal_rows_with_log_norms([1.0, 2.0, 3.0])
-        report = rde(Z, [0, 1], [1, 2])
-        assert report.rde == 0.0
+        assert rde(Z, [0, 1], [1, 2]) == 0.0
 
     def test_scaling_violation(self):
         Z = 0.1 * np.eye(3)
@@ -54,7 +50,7 @@ class TestRde:
     def test_antitone_in_selection_quality(self):
         Z = orthogonal_rows_with_log_norms([3.0, 2.5, 2.0, 1.5, 1.0])
         gt = [0, 1]
-        worse = [rde(Z, gt, sel).rde
+        worse = [rde(Z, gt, sel)
                  for sel in ([0, 1], [1, 2], [2, 3], [3, 4])]
         assert worse == sorted(worse)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_within
 from ddpp import csi, protocol
 from ddpp.errors import (DdppError, DecodeError, InvalidInputError,
                          NotPositiveDefiniteError, NotPsdError)
@@ -274,9 +275,9 @@ class TestChannels:
         try:
             payload = bytes(range(256)) * 10
             center.send(payload)
-            assert source.recv(timeout=5) == payload
+            assert run_within(5, source.recv).result == payload
             source.send(b"")
-            assert center.recv(timeout=5) == b""
+            assert run_within(5, center.recv).result == b""
         finally:
             center.close()
             source.close()
