@@ -72,14 +72,11 @@ def _float_list(text):
 
 def _gen_dataset(seed, n_sources, args):
     """Synthetic dataset + partition for one campaign point."""
-    n = n_sources * args.ni
-    Z, labels = data.synth_gaussian_mixture(
-        seed=seed, n=n, m=args.m, n_clusters=args.clusters,
-        spread=args.spread, scale=args.scale, radius_jitter=args.radius_jitter,
-        norm_tail=args.norm_tail, mean_sparsity=args.mean_sparsity)
-    part = data.partition(n, n_sources, policy=_partition_policy(args, labels),
-                          seed=seed, cluster_labels=labels, skew=args.skew)
-    ds = data.Dataset(features=Z, partition=part, labels=labels)
+    ds = data.synth_dataset(
+        seed, n_sources, n_sources * args.ni, args.m, args.clusters,
+        policy=args.partition_policy or "cluster_skewed", skew=args.skew,
+        mean_sparsity=args.mean_sparsity, spread=args.spread, scale=args.scale,
+        radius_jitter=args.radius_jitter, norm_tail=args.norm_tail)
     return data.apply_positivity_scale(ds, args.kT)
 
 
@@ -320,7 +317,7 @@ def _write_pca_csv(args, lines):
         if exc.obj is not ns:
             raise
         raise InvalidConfigError(f"{manifest_path}: no {exc.name!r} setting") from None
-    coords = metrics.pca2d(dataset.features)
+    coords = metrics.pca2d(dataset.rows(range(dataset.n)))
     chosen = set(line["selected_indices"])
     out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")
     with open(out_path, "w", newline="") as fh:
@@ -334,9 +331,12 @@ def _write_pca_csv(args, lines):
 
 def cmd_oracle(args):
     Z, _ = _read_data(args)
-    if args.k > Z.shape[1]:
-        raise InvalidConfigError(f"k {args.k} exceeds dims {Z.shape[1]}; "
+    n, m = Z.shape
+    if args.k > m:
+        raise InvalidConfigError(f"k {args.k} exceeds dims {m}; "
                                  "such selections are singular")
+    if not 1 <= args.k <= n:
+        raise InvalidConfigError(f"k must be in 1..{min(n, m)}, got {args.k}")
     result = dpp.brute_force_map(Z @ Z.T, args.k)
     print(json.dumps({"indices": result.indices,
                       "logdet": result.stepwise_logdets[-1]}))

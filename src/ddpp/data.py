@@ -9,10 +9,11 @@ CSV files hold one sample per row, optional header, and optionally a
 trailing integer label column (the caller flags it).
 """
 
+import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,39 +61,62 @@ class SourcePartition:
         return cls(parts)
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Features plus their source partition; labels ride along if present.
 
-    Construction checks the features once (``as_matrix``), trusted from then
-    on.  ``memo`` keeps what a unit's runs share; a rescaled copy starts empty.
+    The n x m features are held once, source-major, in ``store``: source
+    0's rows in assignment order, then source 1's, and so on; ``order``
+    maps a store row to its global id.  Global ids are the only ids outside
+    this class: ``rows(ids)`` gathers rows by global id, and
+    ``source_rows(i)`` is a read-only view of source i's slice of the store.
+
+    ``features`` come in global order.  Construction checks them once
+    (``as_matrix``, trusted from then on), refuses a partition that does not
+    cover rows 0..n-1 exactly once, and permutes them into the store.
+    ``memo`` keeps what a unit's runs share; a rescaled copy starts empty.
     """
 
-    features: np.ndarray
-    partition: SourcePartition
-    labels: np.ndarray = None
-    scale: float = 1.0
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    def __init__(self, features, partition, labels=None, scale=1.0):
+        features = as_matrix(features, "features")
+        order = _store_order(partition.validate(features.shape[0]))
+        self._hold(features[order], order, partition, labels, scale)
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", as_matrix(self.features, "features"))
+    @classmethod
+    def _of_store(cls, store, order, partition, labels, scale):
+        """A dataset over ``store``, already source-major in ``order``."""
+        dataset = cls.__new__(cls)
+        dataset._hold(store, order, partition, labels, scale)
+        return dataset
+
+    def _hold(self, store, order, partition, labels, scale):
+        store.flags.writeable = order.flags.writeable = False  # views too
+        self.store, self.order = store, order
+        self.partition, self.labels, self.scale = partition, labels, scale
+        self._position = _inverse(order)
+        ends = itertools.accumulate(len(a) for a in partition.assignments)
+        self._sources = tuple(store[end - len(a):end]
+                              for end, a in zip(ends, partition.assignments))
+        self._memo = {}
 
     @property
     def n(self):
-        return self.features.shape[0]
+        return self.store.shape[0]
 
     @property
     def dims(self):
-        return self.features.shape[1]
+        return self.store.shape[1]
+
+    def rows(self, ids):
+        """The rows of the global ids ``ids``, in that order (a copy)."""
+        return self.store[self._position[np.asarray(ids, dtype=np.intp)]]
+
+    def logdet(self, ids):
+        """``dpp.subset_logdet`` of the rows of the global ids ``ids``."""
+        return dpp.subset_logdet(self.rows(ids), range(len(ids)))
 
     def source_rows(self, i):
-        """Source ``i``'s rows: gathered on first use, then shared read-only."""
-        def gather():
-            rows = self.features[list(self.partition.assignments[i])]
-            rows.flags.writeable = False
-            return rows
-        return self.memo(("rows", i), gather)
+        """Source ``i``'s rows, a read-only view of the store."""
+        return self._sources[i]
 
     def source_greedy(self, i, k):
         """``dpp.greedy_map_rows`` of k picks on source ``i``'s rows, run once."""
@@ -104,6 +128,19 @@ class Dataset:
         if (value := self._memo.get(key)) is None:
             value = self._memo[key] = build()
         return value
+
+
+def _store_order(partition):
+    """Global ids in store order: every source's assignment, in turn."""
+    return np.fromiter(itertools.chain.from_iterable(partition.assignments),
+                       dtype=np.intp)
+
+
+def _inverse(order):
+    """The permutation's inverse: position[order[r]] = r."""
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return position
 
 
 def save_ddpm(path, Z, labels=None):
@@ -199,8 +236,24 @@ def load_features(path, fmt="csv", label_column=False):
     return Z, labels
 
 
+# The generator draws its noise in row chunks of this many bytes: only the
+# result and one chunk's temporaries are held, and the chunks give the same
+# stream as one n x m draw.
+SYNTH_CHUNK_BYTES = 1 << 18
+
+
+def _mixture_labels(n, n_clusters, mean_sparsity):
+    """Sample g's cluster, g mod n_clusters, once the mixture's settings pass."""
+    if not 1 <= n_clusters <= n:
+        raise InvalidInputError(f"cluster count {n_clusters} must lie in 1..{n}")
+    if not 0 < mean_sparsity <= 1:
+        raise InvalidInputError("mean_sparsity must lie in (0, 1]")
+    return np.arange(n, dtype=np.int64) % n_clusters
+
+
 def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
-                           radius_jitter=0.0, norm_tail=0.0, mean_sparsity=1.0):
+                           radius_jitter=0.0, norm_tail=0.0, mean_sparsity=1.0,
+                           order=None):
     """Gaussian-mixture features: means on a scaled sphere plus isotropic noise.
 
     ``radius_jitter`` perturbs each cluster's radius by a uniform factor in
@@ -210,13 +263,12 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     feature embeddings (rare samples are far more salient than typical
     ones).  ``mean_sparsity`` < 1 restricts every cluster mean to a random
     coordinate subset of that fraction, giving the axis-aligned structure
-    typical of rectified embeddings.  Deterministic for a fixed seed.
-    Returns (features, labels).
+    typical of rectified embeddings.  Sample g is in cluster g mod
+    n_clusters.  Deterministic for a fixed seed.  Row r holds sample r, or,
+    given a store ``order`` (see ``Dataset``), sample order[r]; the values
+    are the same bit for bit.  Returns (features, labels).
     """
-    if not 1 <= n_clusters <= n:
-        raise InvalidInputError(f"cluster count {n_clusters} must lie in 1..{n}")
-    if not 0 < mean_sparsity <= 1:
-        raise InvalidInputError("mean_sparsity must lie in (0, 1]")
+    labels = _mixture_labels(n, n_clusters, mean_sparsity)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5D]))
     means = rng.normal(size=(n_clusters, m))
     if mean_sparsity < 1:
@@ -227,13 +279,38 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     means *= scale / np.linalg.norm(means, axis=1, keepdims=True)
     if radius_jitter:
         means *= rng.uniform(1 - radius_jitter, 1 + radius_jitter, size=(n_clusters, 1))
-    labels = np.arange(n) % n_clusters
-    Z = spread * scale * rng.normal(size=(n, m))
-    for c in range(n_clusters):  # in place: rows c, c + n_clusters, ... are cluster c
-        Z[c::n_clusters] += means[c]
+    position = None if order is None else _inverse(order)
+    Z = np.empty((n, m))
+    step = max(1, SYNTH_CHUNK_BYTES // (8 * m))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        chunk = rng.normal(size=(b - a, m))
+        chunk *= spread * scale
+        chunk += means[labels[a:b]]
+        Z[slice(a, b) if position is None else position[a:b]] = chunk
     if norm_tail:
-        Z *= np.exp(norm_tail * rng.normal(size=(n, 1)))
-    return Z, labels.astype(np.int64)
+        tail = np.exp(norm_tail * rng.normal(size=(n, 1)))
+        Z *= tail if order is None else tail[order]
+    return Z, labels
+
+
+def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
+                  mean_sparsity, **mixture):
+    """``synth_gaussian_mixture`` split by ``partition``, as one ``Dataset``.
+
+    The labels fix the partition before any row is drawn, so the rows are
+    drawn straight into the dataset's source-major store; they equal the
+    global-order generator's rows, permuted, bit for bit.  ``mixture``
+    holds the generator's other settings.
+    """
+    labels = _mixture_labels(n, n_clusters, mean_sparsity)
+    part = partition(n, n_sources, policy=policy, seed=seed,
+                     cluster_labels=labels, skew=skew)
+    order = _store_order(part)
+    Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
+                                  mean_sparsity=mean_sparsity, order=order,
+                                  **mixture)
+    return Dataset._of_store(Z, order, part, labels, 1.0)
 
 
 def _fill(part, pools, clusters, need):
@@ -323,13 +400,9 @@ def make_benchmark_dataset(seed, n_sources, dims, total_select,
     if dims not in BENCHMARK_FAMILY:
         raise InvalidConfigError(
             f"no benchmark family for dims={dims}; known: {sorted(BENCHMARK_FAMILY)}")
-    n = n_sources * per_source_size
-    Z, labels = synth_gaussian_mixture(seed=seed, n=n, m=dims,
-                                       **BENCHMARK_FAMILY[dims],
-                                       **BENCHMARK_COMMON)
-    part = partition(n, n_sources, policy="cluster_skewed", seed=seed,
-                     cluster_labels=labels, skew=BENCHMARK_SKEW)
-    ds = Dataset(features=Z, partition=part, labels=labels)
+    ds = synth_dataset(seed, n_sources, n_sources * per_source_size, dims,
+                       policy="cluster_skewed", skew=BENCHMARK_SKEW,
+                       **BENCHMARK_FAMILY[dims], **BENCHMARK_COMMON)
     return apply_positivity_scale(ds, total_select)
 
 
@@ -337,21 +410,21 @@ POSITIVITY_PROBE_SEEDS = (0, 1, 2)  # one random k-subset probed per seed
 POSITIVITY_TARGET = 1.0  # the log-volume the worst probe is lifted to
 
 
-def positivity_scale(Z, k):
+def positivity_scale(dataset, k):
     """Scalar c such that any reasonable k-subset of c*Z has positive log-volume.
 
-    Probes random k-subsets under a few seeds; c maps the worst probe to
-    ``POSITIVITY_TARGET`` (diversity ratios then stay well away from the 0
-    crossing).  Already-positive data keeps c = 1.
+    Probes random k-subsets of global ids under a few seeds; c maps the
+    worst probe to ``POSITIVITY_TARGET`` (diversity ratios then stay well
+    away from the 0 crossing).  Already-positive data keeps c = 1.
     """
-    n = Z.shape[0]
+    n = dataset.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"probe size k={k} out of range")
     worst = math.inf
     for s in POSITIVITY_PROBE_SEEDS:
         rng = np.random.default_rng(np.random.SeedSequence([int(s), 0xC1]))
         idx = rng.choice(n, size=k, replace=False)
-        worst = min(worst, dpp.subset_logdet(Z, idx.tolist()))
+        worst = min(worst, dataset.logdet(idx))
     if not math.isfinite(worst):
         raise InvalidInputError("probe subsets are singular; cannot rescale")
     if worst >= POSITIVITY_TARGET:
@@ -362,8 +435,8 @@ def positivity_scale(Z, k):
 
 def apply_positivity_scale(dataset, k):
     """Rescaled copy of the dataset; the factor is recorded on the result."""
-    c = positivity_scale(dataset.features, k)
+    c = positivity_scale(dataset, k)
     if c == 1.0:
         return dataset
-    return Dataset(features=dataset.features * c, partition=dataset.partition,
-                   labels=dataset.labels, scale=dataset.scale * c)
+    return Dataset._of_store(dataset.store * c, dataset.order, dataset.partition,
+                             dataset.labels, dataset.scale * c)

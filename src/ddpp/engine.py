@@ -278,7 +278,7 @@ class _Center:
         if interval == 2:
             ids = [g for g, (s, _) in self.received.items() if s != source_id]
             H = dataset.memo(("basis", *ids), lambda: csi.compute_projector(
-                dataset.features[ids], m))
+                dataset.rows(ids), m))
         else:
             rows = [row for s, row in self.received.values() if s != source_id]
             H = csi.compute_projector(np.vstack(rows) if rows else None, m)
@@ -309,7 +309,7 @@ class _Center:
             ground_truth = run_ground_truth(dataset, config.total_select)
         selected = list(self.received)
         gt_logdet = ground_truth_logdet(dataset, ground_truth)
-        sel_logdet = dpp.subset_logdet(dataset.features, selected)
+        sel_logdet = dataset.logdet(selected)
         rde = metrics.rde(gt_logdet, sel_logdet)
         ledger = {
             "uplink_elements": sum(self.uplink),
@@ -329,17 +329,24 @@ class _Center:
 
 
 def run_ground_truth(dataset, k_T):
-    """Centralized greedy over all samples; the reference selection."""
+    """Centralized greedy over all samples; the reference selection.
+
+    It runs on the dataset's source-major store and names its picks by
+    global id.  Bitwise-equal gains break toward the earlier store row, so
+    with a row duplicated in two sources it may name either copy; the
+    log-volume, and so every RDE, is the same.
+    """
     if k_T < 1:
         raise InvalidInputError("k_T must be positive")
-    return dpp.greedy_map_rows(dataset.features, k_T)
+    result = dpp.greedy_map_rows(dataset.store, k_T)
+    return dpp.MapResult(indices=dataset.order[result.indices].tolist(),
+                         stepwise_logdets=result.stepwise_logdets)
 
 
 def ground_truth_logdet(dataset, ground_truth):
     """log det of the ground truth's rows, computed once per dataset."""
     ids = ground_truth.indices
-    return dataset.memo(("gt_logdet", *ids),
-                        lambda: dpp.subset_logdet(dataset.features, ids))
+    return dataset.memo(("gt_logdet", *ids), lambda: dataset.logdet(ids))
 
 
 def _schedule(center, transport, ground_truth, plans=None):

@@ -224,7 +224,8 @@ def test_criterion_5_exact_csi_equivalence():
         sel = res.selected_global_indices
         picks_by_interval = [[sel[0:1], sel[1:2]], [sel[2:3], sel[3:4]]]
         for source in (0, 1):
-            expected = _conditional_reference(ds.features, part.assignments,
+            expected = _conditional_reference(ds.rows(range(ds.n)),
+                                              part.assignments,
                                               picks_by_interval, source, 1)
             assert picks_by_interval[1][source] == expected
     print("\nCRITERION 5: PASS - 50 two-source runs reproduce centralized "
@@ -290,10 +291,11 @@ def test_criterion_7_saturation_note():
                                        spread=0.1, scale=8.0)
     part = data.partition(24, 2, policy="uniform_random", seed=0)
     ds = data.apply_positivity_scale(data.Dataset(features=Z, partition=part), 8)
-    assert dpp.subset_logdet(ds.features, list(range(10))) == -np.inf
+    scaled = ds.rows(range(ds.n))  # global order
+    assert dpp.subset_logdet(scaled, list(range(10))) == -np.inf
     gt = engine.run_ground_truth(ds, 8).indices
-    assert metrics.rde(dpp.subset_logdet(ds.features, gt),
-                       dpp.subset_logdet(ds.features, list(range(10)))) == 1.0
+    assert metrics.rde(dpp.subset_logdet(scaled, gt),
+                       dpp.subset_logdet(scaled, list(range(10)))) == 1.0
 
 
 def test_criterion_8_compression_ablation(campaign):
@@ -341,7 +343,7 @@ def test_criterion_9_degeneracies():
     sel = runs["none"].selected_global_indices
     picks_by_interval = [[sel[0:2], sel[2:4]], [sel[4:6], sel[6:8]]]
     for source in (0, 1):
-        expected = _conditional_reference(ds3.features,
+        expected = _conditional_reference(ds3.rows(range(ds3.n)),
                                           ds3.partition.assignments,
                                           picks_by_interval, source, 2)
         assert picks_by_interval[1][source] == expected

@@ -418,6 +418,15 @@ class TestOracleAndTtest:
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds dims 2" in captured.err
 
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_oracle_refuses_k_outside_one_to_the_row_count(self, tmp_path,
+                                                           capsys, k):
+        path = tmp_path / "d.csv"
+        path.write_text("3,0,1\n0,2,1\n")  # 2 rows, 3 wide
+        assert run_cli("oracle", "--data", str(path), f"--k={k}") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"k must be in 1..2, got {k}" in captured.err
+
     def test_ttest_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("run", "--out", str(out), "--strategies", "ddpp,random",

@@ -136,6 +136,35 @@ class TestSynth:
                                             norm_tail=0.3, mean_sparsity=0.5)
         assert a.tobytes() == b.tobytes() and np.array_equal(la, lb)
 
+    def test_chunked_draws_equal_one_draw(self, monkeypatch):
+        settings = dict(seed=9, n=41, m=6, n_clusters=4, spread=0.2,
+                        radius_jitter=0.2, norm_tail=0.4, mean_sparsity=0.5)
+        whole, _ = data.synth_gaussian_mixture(**settings)  # one chunk
+        monkeypatch.setattr(data, "SYNTH_CHUNK_BYTES", 3 * 8 * 6)
+        chunked, _ = data.synth_gaussian_mixture(**settings)  # 3-row chunks
+        assert chunked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("mean_sparsity", [1.0, 0.3])
+    @pytest.mark.parametrize("norm_tail", [0.0, 0.4])
+    @pytest.mark.parametrize("policy", ["uniform_random", "cluster_skewed"])
+    def test_source_major_rows_are_the_global_rows_permuted(
+            self, policy, norm_tail, mean_sparsity):
+        n, m, N, C = 1230, 64, 3, 7
+        step = data.SYNTH_CHUNK_BYTES // (8 * m)
+        assert n > step and n % step  # several chunks, the last one short
+        mixture = dict(spread=0.05, scale=10.0, radius_jitter=0.2,
+                       norm_tail=norm_tail, mean_sparsity=mean_sparsity)
+        ds = data.synth_dataset(11, N, n, m, C, policy=policy, skew=0.2,
+                                **mixture)
+        Z, labels = data.synth_gaussian_mixture(11, n, m, C, **mixture)
+        part = data.partition(n, N, policy=policy, seed=11,
+                              cluster_labels=labels, skew=0.2)
+        assert ds.partition == part and np.array_equal(ds.labels, labels)
+        order = [g for a in part.assignments for g in a]
+        assert np.array_equal(ds.store, Z[order])
+        assert ds.store.tobytes() == Z[order].tobytes()
+        assert ds.rows(range(n)).tobytes() == Z.tobytes()
+
     def test_mean_sparsity_limits_support(self):
         Z, labels = data.synth_gaussian_mixture(seed=5, n=6, m=20, n_clusters=2,
                                                 spread=0.0, mean_sparsity=0.2)
@@ -192,8 +221,50 @@ class TestDataset:
     def test_features_widened_to_float64(self):
         ds = data.Dataset(features=np.eye(2, 3, dtype=np.float32),
                           partition=self.PART)
-        assert ds.features.dtype == np.float64
-        assert np.array_equal(ds.features, np.eye(2, 3))
+        assert ds.store.dtype == np.float64
+        assert np.array_equal(ds.rows([0, 1]), np.eye(2, 3))
+
+    @pytest.mark.parametrize("assignments", [
+        ((0,),), ((0, 1), (1,)), ((0,), (2,)), ((0,), (1, 2)), ((), ())])
+    def test_partition_must_cover_every_row_once(self, assignments):
+        # the store has no place for an unassigned or twice-assigned row
+        with pytest.raises(InvalidInputError):
+            data.Dataset(features=np.eye(2, 3),
+                         partition=data.SourcePartition(assignments))
+
+    def test_rows_are_stored_source_major_and_read_by_global_id(self):
+        Z = np.arange(12.0).reshape(6, 2)
+        part = data.SourcePartition(((4, 1), (0, 5, 2), (3,)))
+        ds = data.Dataset(features=Z, partition=part)
+        assert ds.order.tolist() == [4, 1, 0, 5, 2, 3]
+        assert np.array_equal(ds.store, Z[[4, 1, 0, 5, 2, 3]])
+        assert np.array_equal(ds.rows([5, 0, 3]), Z[[5, 0, 3]])
+        assert ds.rows([]).shape == (0, 2)
+        for i, ids in enumerate(part.assignments):
+            rows = ds.source_rows(i)
+            assert np.array_equal(rows, Z[list(ids)])
+            assert np.shares_memory(rows, ds.store)
+            assert not rows.flags.writeable
+        assert not ds.store.flags.writeable
+
+    def test_a_benchmark_dataset_holds_its_rows_once(self):
+        n_sources, per_source, m = 4, 2000, 64
+        size = n_sources * per_source * m * 8
+        data.make_benchmark_dataset(seed=1, n_sources=2, dims=m,
+                                    total_select=16, per_source_size=20)
+        tracemalloc.start()  # after a warm-up: lazy imports are not counted
+        try:
+            ds = data.make_benchmark_dataset(seed=0, n_sources=n_sources,
+                                             dims=m, total_select=16,
+                                             per_source_size=per_source)
+            views = [ds.source_rows(i) for i in range(n_sources)]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.scale == 1.0  # a rescale would copy the store
+        assert sum(v.shape[0] for v in views) == ds.n
+        assert held < 1.25 * size  # one n x m array, not two
+        assert peak < 1.5 * size
 
 
 class TestPartition:
@@ -247,15 +318,19 @@ class TestPartition:
 
 
 class TestPositivityScale:
+    # a shuffled partition: the probes must read rows by global id
+    PART = data.partition(50, 5, policy="uniform_random", seed=0)
+
     def test_already_positive_untouched(self):
         rng = np.random.default_rng(410)
         Z = 5.0 * rng.normal(size=(50, 8))
-        assert data.positivity_scale(Z, 4) == 1.0
+        ds = data.Dataset(features=Z, partition=self.PART)
+        assert data.positivity_scale(ds, 4) == 1.0
 
     def test_rescale_lifts_probe_above_target(self):
         rng = np.random.default_rng(411)
         Z = 0.01 * rng.normal(size=(50, 8))
-        c = data.positivity_scale(Z, 4)
+        c = data.positivity_scale(data.Dataset(features=Z, partition=self.PART), 4)
         assert c > 1.0
         worst = min(dpp.subset_logdet(
             Z * c, np.random.default_rng(np.random.SeedSequence([s, 0xC1]))
@@ -269,7 +344,7 @@ class TestPositivityScale:
         ds = data.apply_positivity_scale(
             data.Dataset(features=Z, partition=part), 3)
         assert ds.scale > 1.0
-        assert np.array_equal(ds.features, Z * ds.scale)
+        assert np.array_equal(ds.rows(range(30)), Z * ds.scale)
 
     def test_source_rows_are_gathered_once_read_only_per_copy(self):
         rng = np.random.default_rng(413)
@@ -318,7 +393,7 @@ class TestPositivityScale:
         rng = np.random.default_rng(416)
         part = data.partition(48, 3, policy="uniform_random", seed=1)
         ds = data.Dataset(features=rng.normal(size=(48, 8)), partition=part)
-        alone = data.Dataset(features=ds.features, partition=part)
+        alone = data.Dataset(features=ds.rows(range(48)), partition=part)
         plain = {(i, k): dpp.greedy_map_rows(alone.source_rows(i), k)
                  for i in range(3) for k in range(9)}
         wrong = []
@@ -347,7 +422,7 @@ class TestPositivityScale:
     def test_benchmark_dataset_shapes(self):
         ds = data.make_benchmark_dataset(seed=0, n_sources=2, dims=64,
                                          total_select=8, per_source_size=30)
-        assert ds.features.shape == (60, 64)
+        assert ds.store.shape == (60, 64)
         assert ds.partition.n_sources == 2
         assert ds.labels is not None
 

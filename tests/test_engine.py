@@ -94,6 +94,38 @@ class TestGroundTruth:
         picks, _ = stepwise_exhaustive_greedy(Z @ Z.T, 6)
         assert res.indices == picks
 
+    @pytest.mark.parametrize("seed", [4000, 4001, 4002])
+    @pytest.mark.parametrize("n_sources,dims,k_T,per_source", [
+        (10, 512, 120, 60),   # paper-512, lazy
+        (20, 64, 40, 30),     # paper-64, one kernel row per pick
+        (20, 64, 40, 110),    # paper-64, lazy
+        (2, 512, 120, 300),   # deep-feedback-tcp, lazy
+    ])
+    def test_store_order_picks_as_the_global_order(self, seed, n_sources,
+                                                   dims, k_T, per_source):
+        ds = data.make_benchmark_dataset(seed, n_sources, dims, k_T,
+                                         per_source_size=per_source)
+        res = engine.run_ground_truth(ds, k_T)
+        ref = dpp.greedy_map_rows(ds.rows(range(ds.n)), k_T)
+        assert res.indices == ref.indices
+        assert res.stepwise_logdets == ref.stepwise_logdets
+
+    def test_exact_ties_break_by_store_position(self):
+        # global id 5 and 30 hold one row; source 0 holds 30, so the store
+        # greedy meets it first and names it where the global one names 5
+        rng = np.random.default_rng(601)
+        Z = rng.normal(size=(40, 8))
+        Z[5] = Z[30] = 10.0 * rng.normal(size=8)
+        part = data.SourcePartition((tuple(range(20, 40)), tuple(range(20))))
+        ds = data.Dataset(features=Z, partition=part)
+        res = engine.run_ground_truth(ds, 4)
+        ref = dpp.greedy_map_rows(Z, 4)
+        assert ref.indices[0] == 5 and res.indices[0] == 30
+        assert res.indices == [30 if g == 5 else g for g in ref.indices]
+        assert res.stepwise_logdets == ref.stepwise_logdets
+        assert engine.ground_truth_logdet(ds, res) == \
+            dpp.subset_logdet(Z, ref.indices)
+
     def test_single_source_ddpp_reproduces_ground_truth_exactly(self):
         ds = small_dataset(seed=1, n_sources=1)
         res = engine.run_ddpp(config(n_sources=1), ds)
@@ -519,7 +551,7 @@ class TestBaselines:
         for seed in (22, 23, 24):
             ds = small_dataset(seed=seed, n_sources=2)
             res = engine.run_experiment(config(strategy="greedi"), ds)
-            union = ds.features[res.selected_global_indices]
+            union = ds.rows(res.selected_global_indices)
             second = dpp.greedy_map(union @ union.T, 8)
             assert sorted(second.indices) == list(range(8))
 
@@ -595,7 +627,8 @@ class TestSharedLocalGreedy:
             engine.run_ddpp(dataclasses.replace(cfg, compression=compression),
                             ds, ground_truth=gt)
         assert len(calls) == 22
-        assert sum(list(args[1]) == gt.indices for args, _ in calls) == 1
+        gt_rows = ds.rows(gt.indices)  # a call names rows, not global ids
+        assert sum(np.array_equal(args[0], gt_rows) for args, _ in calls) == 1
 
     @pytest.mark.parametrize(
         "dims, n_sources, k_T, t_T, strategies, compressions, grams", [
@@ -653,7 +686,7 @@ class TestSharedLocalGreedy:
                    if g not in ds.partition.assignments[source]]
             kept = ds.memo(("basis", *ids), lambda: None)
             assert np.array_equal(kept.basis, csi.compute_projector(
-                ds.features[ids], cfg.dims).basis)
+                ds.rows(ids), cfg.dims).basis)
 
 
 class TestCompressionVariants:
