@@ -71,13 +71,13 @@ def _float_list(text):
 
 
 def _gen_dataset(seed, n_sources, args):
-    """Synthetic dataset + partition for one campaign point."""
-    ds = data.synth_dataset(
+    """Synthetic dataset + partition for one campaign point, rescaled."""
+    return data.synth_dataset(
         seed, n_sources, n_sources * args.ni, args.m, args.clusters,
         policy=args.partition_policy or "cluster_skewed", skew=args.skew,
-        mean_sparsity=args.mean_sparsity, spread=args.spread, scale=args.scale,
+        mean_sparsity=args.mean_sparsity, positivity_k=args.kT,
+        spread=args.spread, scale=args.scale,
         radius_jitter=args.radius_jitter, norm_tail=args.norm_tail)
-    return data.apply_positivity_scale(ds, args.kT)
 
 
 def _partition_policy(args, labels):

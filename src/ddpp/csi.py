@@ -13,7 +13,7 @@ split between a dense principal block on greedily chosen dimensions
 (r0 rows/columns, (r0^2+r0)/2 packed elements) and a truncated
 eigendecomposition of what the block misses (r1 vectors, r1*m elements).
 The center holds H as the orthonormal basis of what it received and
-builds both parts from greedy MAP frames; it forms no m x m matrix.
+builds both parts from one greedy MAP run on H; it forms no m x m matrix.
 
 Contract: finite float64 input, checked where data enters the package, and
 packets validated where they are built or decoded, not on every use.
@@ -134,8 +134,23 @@ def compute_projector(Z_Y, m):
         return Projector(basis=np.zeros((0, m)))
     if Z_Y.shape[1] != m:
         raise InvalidInputError(f"expected {m} columns, got {Z_Y.shape[1]}")
-    Q = orthonormal_row_basis(Z_Y)
-    return Projector(basis=np.eye(m) if Q.shape[0] == m else Q)
+    return _spanned(orthonormal_row_basis(Z_Y))
+
+
+def projector_in_frame(Z_Y, frame):
+    """``compute_projector`` for rows inside the span of ``frame``'s rows.
+
+    ``frame`` has orthonormal rows, m wide.  The rank-revealing SVD runs
+    on Z_Y's coordinates in it, q x r rather than q x m; they have Z_Y's
+    singular values, so the rank rule reads the same values.  Many row
+    sets inside one span share a frame: factor their union once.
+    """
+    return _spanned(orthonormal_row_basis(Z_Y @ frame.T) @ frame)
+
+
+def _spanned(Q):
+    """The projector of basis Q; a basis of all m dimensions becomes I."""
+    return Projector(basis=np.eye(Q.shape[1]) if Q.shape[0] == Q.shape[1] else Q)
 
 
 def split_budget(R, m, block_fraction=0.5):
@@ -159,40 +174,28 @@ def split_budget(R, m, block_fraction=0.5):
     return r0, r1
 
 
-def select_dims(H, r0):
-    """Greedy MAP on the projector itself picks the block dimensions.
-
-    Returns sorted indices; fewer than r0 when the projector's rank is
-    exhausted first.
-    """
-    if r0 > H.dims:
-        raise InvalidInputError("r0 exceeds dimension count")
-    return sorted(dpp.greedy_map_projector(H.basis, r0).indices)
-
-
-def _residual_terms(H, selected, r1):
+def _residual_terms(H, selected, frame, r1):
     """Top-r1 eigenpairs of R = H minus its block on S = ``selected``.
 
     R's largest eigenvalue is 1, and its eigenspace is exactly
-    E = {x : x_S = 0, Qx = 0}.  A greedy frame of E, all with value 1,
-    comes first: it is canonical, where an eigensolver returns an arbitrary
-    basis of E.  Only when r1 exceeds dim E is R eigendecomposed, on E's
-    complement (at most |S| + q dims).  Non-positive values are dropped.
+    E = {x : x_S = 0, Qx = 0}.  ``frame`` holds the block greedy's
+    Cholesky rows after S: past S the greedy runs on the conditional
+    kernel, which is the projector onto E, so they are a greedy frame of E,
+    zero on S up to rounding (set exactly), all with value 1.  They come
+    first: canonical, where an eigensolver returns an arbitrary basis of
+    E.  Only when r1 exceeds dim E, where the greedy stops short, is R
+    eigendecomposed, on E's complement (at most |S| + q dims).
+    Non-positive values are dropped.
     """
-    m = H.dims
-    if r1 <= 0:
-        return np.zeros(0), np.zeros((0, m))
-    off = np.setdiff1d(np.arange(m), selected)
-    # Rows of W: an orthonormal basis of Q's rows with their S columns
-    # removed; E is the null space of W on the off-S coordinates.
-    W = orthonormal_row_basis(H.basis[:, off])
-    frame = dpp.greedy_map_projector(W, r1).frame
-    values = np.ones(len(frame))
-    vectors = np.zeros((len(frame), m))
-    vectors[:, off] = frame
+    frame[:, selected] = 0.0
+    values, vectors = np.ones(len(frame)), frame
     extra = r1 - len(frame)
     if extra > 0:
-        r0 = len(selected)
+        m, r0 = H.dims, len(selected)
+        off = np.setdiff1d(np.arange(m), selected)
+        # Rows of W: an orthonormal basis of Q's rows with their S columns
+        # removed; E is the null space of W on the off-S coordinates.
+        W = orthonormal_row_basis(H.basis[:, off])
         B = np.zeros((r0 + W.shape[0], m))  # orthonormal basis of E's complement
         B[np.arange(r0), selected] = 1.0
         B[r0:, off] = W
@@ -217,10 +220,19 @@ def _packet(H, selected, values=None, vectors=None):
 
 
 def compress(H, R, block_fraction=0.5):
-    """Budgeted packet: greedy principal block plus spectral residual terms."""
+    """Budgeted packet: greedy principal block plus spectral residual terms.
+
+    One greedy MAP on H makes up to r0 + r1 picks.  The first r0, sorted,
+    are the block dimensions S (fewer once H's rank is spent); the greedy
+    is prefix-stable, so they are what an r0-pick greedy would choose.  Its
+    Cholesky rows after them are the residual's frame of E
+    (``_residual_terms``).
+    """
     r0, r1 = split_budget(R, H.dims, block_fraction)
-    selected = select_dims(H, r0)
-    return _packet(H, selected, *_residual_terms(H, selected, r1))
+    greedy = dpp.greedy_map_projector(H.basis, r0 + r1)
+    selected = sorted(greedy.indices[:r0])
+    return _packet(H, selected,
+                   *_residual_terms(H, selected, greedy.frame[r0:], r1))
 
 
 def compress_svd(H, R):
@@ -291,5 +303,13 @@ def precode(Z, packet, momentum=True):
     w, U = psd_eigh(symmetrize(M))
     root = np.sqrt(w)
     F = U * (np.sqrt(2.0 * root + w) if momentum else root)
-    ZPF = np.hstack([Z[:, selected], Z @ Q.T]) @ F
-    return np.hstack([Z, ZPF]) if momentum else ZPF
+    # Z P, gathered and multiplied into one buffer: no stacked copies
+    ZP = np.empty((Z.shape[0], r0 + Q.shape[0]))
+    np.take(Z, selected, axis=1, out=ZP[:, :r0])
+    np.matmul(Z, Q.T, out=ZP[:, r0:])
+    if not momentum:
+        return ZP @ F
+    out = np.empty((Z.shape[0], m + F.shape[1]))
+    out[:, :m] = Z
+    np.matmul(ZP, F, out=out[:, m:])
+    return out

@@ -295,13 +295,16 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
 
 
 def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
-                  mean_sparsity, **mixture):
+                  mean_sparsity, positivity_k=None, **mixture):
     """``synth_gaussian_mixture`` split by ``partition``, as one ``Dataset``.
 
     The labels fix the partition before any row is drawn, so the rows are
     drawn straight into the dataset's source-major store; they equal the
-    global-order generator's rows, permuted, bit for bit.  ``mixture``
-    holds the generator's other settings.
+    global-order generator's rows, permuted, bit for bit.  With
+    ``positivity_k`` the store is then positivity-scaled for that many
+    picks in place, before the dataset holds it: the values of
+    ``apply_positivity_scale``, without its copy.  ``mixture`` holds the
+    generator's other settings.
     """
     labels = _mixture_labels(n, n_clusters, mean_sparsity)
     part = partition(n, n_sources, policy=policy, seed=seed,
@@ -310,7 +313,13 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
                                   mean_sparsity=mean_sparsity, order=order,
                                   **mixture)
-    return Dataset._of_store(Z, order, part, labels, 1.0)
+    c = 1.0
+    if positivity_k is not None:  # probes read a view; Z stays writable
+        c = positivity_scale(Dataset._of_store(Z.view(), order, part, labels,
+                                               1.0), positivity_k)
+        if c != 1.0:
+            Z *= c
+    return Dataset._of_store(Z, order, part, labels, c)
 
 
 def _fill(part, pools, clusters, need):
@@ -400,10 +409,10 @@ def make_benchmark_dataset(seed, n_sources, dims, total_select,
     if dims not in BENCHMARK_FAMILY:
         raise InvalidConfigError(
             f"no benchmark family for dims={dims}; known: {sorted(BENCHMARK_FAMILY)}")
-    ds = synth_dataset(seed, n_sources, n_sources * per_source_size, dims,
-                       policy="cluster_skewed", skew=BENCHMARK_SKEW,
-                       **BENCHMARK_FAMILY[dims], **BENCHMARK_COMMON)
-    return apply_positivity_scale(ds, total_select)
+    return synth_dataset(seed, n_sources, n_sources * per_source_size, dims,
+                         policy="cluster_skewed", skew=BENCHMARK_SKEW,
+                         positivity_k=total_select, **BENCHMARK_FAMILY[dims],
+                         **BENCHMARK_COMMON)
 
 
 POSITIVITY_PROBE_SEEDS = (0, 1, 2)  # one random k-subset probed per seed
@@ -434,7 +443,10 @@ def positivity_scale(dataset, k):
 
 
 def apply_positivity_scale(dataset, k):
-    """Rescaled copy of the dataset; the factor is recorded on the result."""
+    """Rescaled copy of the dataset; the factor is recorded on the result.
+
+    ``synth_dataset`` scales a store it owns in place instead.
+    """
     c = positivity_scale(dataset, k)
     if c == 1.0:
         return dataset

@@ -18,7 +18,7 @@ import numpy as np
 from . import csi, dpp, metrics
 from .errors import (BudgetViolationError, InvalidConfigError,
                      InvalidInputError, ProtocolError)
-from .linalg import logdet_psd
+from .linalg import logdet_psd, right_singular_vectors
 from .protocol import (MAGIC_ERROR, FeedbackMsg, SampleBatch, decode_batch,
                        decode_error, decode_feedback, encode_batch,
                        encode_error, encode_feedback, loopback_pair, tcp_pair)
@@ -272,13 +272,20 @@ class _Center:
 
         Its packet compresses the projector onto what the other sources'
         rows have not covered; before any arrive, that is the identity.
-        The dataset keeps interval 2's: interval-1 picks are alike across runs.
+        The dataset keeps interval 2's: interval-1 picks are alike across
+        runs.  Each source's foreign rows are a subset of all received, so
+        every one is built in one frame of them, factored once per unit.
         """
         config, dataset, m = self.config, self.dataset, self.dataset.dims
         if interval == 2:
-            ids = [g for g, (s, _) in self.received.items() if s != source_id]
-            H = dataset.memo(("basis", *ids), lambda: csi.compute_projector(
-                dataset.rows(ids), m))
+            received = list(self.received)
+            ids = [g for g in received if self.received[g][0] != source_id]
+
+            def basis():
+                frame = dataset.memo(("frame", *received), lambda:
+                                     right_singular_vectors(dataset.rows(received)))
+                return csi.projector_in_frame(dataset.rows(ids), frame)
+            H = dataset.memo(("basis", *ids), basis)
         else:
             rows = [row for s, row in self.received.values() if s != source_id]
             H = csi.compute_projector(np.vstack(rows) if rows else None, m)

@@ -89,3 +89,15 @@ def orthonormal_row_basis(Z):
     _, s, Vh = np.linalg.svd(Z, full_matrices=False)
     r = int(np.sum(s > RANK_TOL * s[0]))  # s is non-negative, descending
     return Vh[:r].copy()
+
+
+def right_singular_vectors(Z):
+    """Every right singular vector of Z's thin SVD, none dropped by rank.
+
+    The min(n, m) orthonormal rows span a space holding rowspace(Z), so
+    any subset of Z's rows has its coordinates in them (see
+    ``csi.projector_in_frame``).  An input with no rows yields 0 rows.
+    """
+    if Z.shape[0] == 0:
+        return np.zeros((0, Z.shape[1]))
+    return np.linalg.svd(Z, full_matrices=False)[2]

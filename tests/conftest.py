@@ -12,7 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ddpp import csi, data, linalg  # noqa: E402
+from ddpp import csi, data, dpp, linalg  # noqa: E402
 
 
 def stepwise_exhaustive_greedy(L, k, preselected=()):
@@ -43,6 +43,39 @@ def psd_sqrt(M):
     """Symmetric square root V diag(w)^{1/2} V^T of a PSD matrix (psd_eigh)."""
     w, V = linalg.psd_eigh(M)
     return linalg.symmetrize((V * np.sqrt(w)) @ V.T)
+
+
+def svd_residual_terms(H, selected, r1):
+    """The residual terms as a second greedy on an SVD basis built them.
+
+    The reference for ``csi.compress``, whose one greedy on H continues
+    past S instead.  Rows of W: an orthonormal basis of Q's rows with their
+    S columns removed; E = {x : x_S = 0, Qx = 0} is W's null space on the
+    off-S coordinates, and the greedy frame of I - W^T W spans it.
+    """
+    m = H.dims
+    if r1 <= 0:
+        return np.zeros(0), np.zeros((0, m))
+    off = np.setdiff1d(np.arange(m), selected)
+    W = linalg.orthonormal_row_basis(H.basis[:, off])
+    frame = dpp.greedy_map_projector(W, r1).frame
+    values = np.ones(len(frame))
+    vectors = np.zeros((len(frame), m))
+    vectors[:, off] = frame
+    extra = r1 - len(frame)
+    if extra > 0:
+        r0 = len(selected)
+        B = np.zeros((r0 + W.shape[0], m))  # orthonormal basis of E's complement
+        B[np.arange(r0), selected] = 1.0
+        B[r0:, off] = W
+        G = H.basis @ B.T
+        C = np.eye(B.shape[0]) - G.T @ G  # H on span(B)
+        C[:r0, :r0] = 0.0  # minus the block the packet carries
+        w, V = linalg.spectral_decomp(linalg.symmetrize(C))
+        values = np.concatenate([values, w[:extra]])
+        vectors = np.vstack([vectors, V[:, :extra].T @ B])
+    keep = values > linalg.RANK_TOL  # R's top eigenvalue lies in [0, 1]
+    return values[keep], vectors[keep]
 
 
 def comparable(result):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import psd_sqrt, small_dataset
+from conftest import counted, psd_sqrt, small_dataset, svd_residual_terms
 from ddpp import csi, dpp, engine, linalg
 from ddpp.errors import InvalidInputError, NotPsdError
 
@@ -84,6 +84,45 @@ class TestComputeProjector:
         assert res.ledger["downlink_bytes"] == 2 * 46
 
 
+class TestProjectorInFrame:
+    """One frame of every received row serves each subset's projector."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 9), rows=st.integers(1, 12),
+           duplicates=st.integers(0, 3), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_compute_projector(self, m, rows, duplicates, data, seed):
+        # rows from 12 can span all of m = 9, and duplicates repeat a row
+        # or combine two, so subsets may be rank-deficient
+        received = held_rows(np.random.default_rng(seed), m, rows, duplicates)
+        ids = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
+        frame = linalg.right_singular_vectors(received)
+        H = csi.projector_in_frame(received[ids], frame)
+        reference = csi.compute_projector(received[ids], m)
+        assert H.basis.shape == reference.basis.shape
+        assert np.allclose(H.basis.T @ H.basis,
+                           reference.basis.T @ reference.basis,
+                           rtol=0, atol=1e-12)
+
+    def test_rows_spanning_every_dimension_give_basis_i(self):
+        received = np.random.default_rng(204).normal(size=(7, 5))
+        frame = linalg.right_singular_vectors(received)
+        H = csi.projector_in_frame(received[[6, 0, 3, 1, 4]], frame)
+        assert np.array_equal(H.basis, np.eye(5))
+
+    def test_the_svd_reads_coordinates_in_the_frame(self, monkeypatch):
+        received = np.random.default_rng(205).normal(size=(4, 30))
+        frame = linalg.right_singular_vectors(received)
+        calls = counted(monkeypatch, "orthonormal_row_basis", csi)
+        csi.projector_in_frame(received[[2, 0]], frame)
+        assert [args[0].shape for args, _ in calls] == [(2, 4)]  # not (2, 30)
+
+    def test_nothing_received_gives_identity(self):
+        frame = linalg.right_singular_vectors(np.zeros((0, 4)))
+        H = csi.projector_in_frame(np.zeros((0, 4)), frame)
+        assert H.basis.shape == (0, 4) and np.array_equal(H.matrix, np.eye(4))
+
+
 class TestSplitBudget:
     def test_reference_configuration(self):
         assert csi.split_budget(45, 512, 0.5) == (151, 22)
@@ -122,24 +161,32 @@ class TestSplitBudget:
         assert r0 * (r0 + 1) // 2 + r1 * m <= Fraction(budget)
 
 
+def block_dims(H, r0):
+    """compress's block dimensions S under a budget that holds an r0 block
+    and no residual term."""
+    R = (r0 * (r0 + 1) / 2 + 0.5) / H.dims
+    return list(csi.compress(H, R, block_fraction=1.0).selected_dims)
+
+
 class TestSelectDims:
     def test_identity_ties_break_low(self):
         H = csi.Projector(basis=np.zeros((0, 5)))
-        assert csi.select_dims(H, 3) == [0, 1, 2]
+        assert block_dims(H, 3) == [0, 1, 2]
 
     def test_zeroed_dimension_skipped(self):
         H = csi.Projector(basis=np.array([[1.0, 0.0, 0.0]]))
-        assert csi.select_dims(H, 1) == [1]
+        assert block_dims(H, 1) == [1]
 
     def test_rank_exhaustion_returns_fewer(self):
         rng = np.random.default_rng(210)
         H, _ = random_projector(rng, 6, 4)  # rank 2
-        assert len(csi.select_dims(H, 5)) == 2
+        assert len(block_dims(H, 5)) == 2
 
     def test_greedy_close_to_exhaustive_in_log_domain(self):
         rng = np.random.default_rng(211)
         H, _ = random_projector(rng, 9, 2)
-        picked = csi.select_dims(H, 4)
+        picked = block_dims(H, 4)
+        assert len(picked) == 4
         greedy_det = np.linalg.det(H.matrix[np.ix_(picked, picked)])
         best = max(np.linalg.det(H.matrix[np.ix_(J, J)])
                    for J in itertools.combinations(range(9), 4))
@@ -289,10 +336,19 @@ def held_rows(rng, m, rows, duplicates):
 
 
 def check_compress_against_dense(H, R, block_fraction):
-    """compress equals the dense-eigh reference; returns (r1, dim E)."""
+    """compress equals the dense-eigh reference and the packet of an
+    r0-pick greedy plus ``svd_residual_terms``; returns (r1, dim E)."""
     packet = csi.compress(H, R, block_fraction)
-    _, r1 = csi.split_budget(R, H.dims, block_fraction)
+    r0, r1 = csi.split_budget(R, H.dims, block_fraction)
     selected = list(packet.selected_dims)
+    assert selected == sorted(dpp.greedy_map_projector(H.basis, r0).indices)
+    values, vectors = svd_residual_terms(H, selected, r1)
+    assert packet.residual_vectors.shape == vectors.shape
+    assert np.allclose(packet.residual_values, values, rtol=0, atol=1e-12)
+    assert np.allclose(packet.residual_vectors, vectors, rtol=0, atol=1e-12)
+    # the frame of E is exactly zero on S, and the eigensolver's terms agree
+    assert np.array_equal(packet.residual_vectors[:, selected],
+                          vectors[:, selected])
     residual, values, vectors = dense_residual_terms(H.matrix, selected, r1)
     assert_matches_dense(H, packet, residual, values, vectors)
     # E = {x : x_S = 0, Qx = 0}, the residual's eigenvalue-1 space
@@ -320,11 +376,14 @@ class TestDenseReference:
         (6, 6, 0, 2.0, 0.5, True),     # rows span everything: H = 0
         (10, 9, 0, 5.0, 0.5, True),    # rank-1 H, block exhausts its rank
     ])
-    def test_fixed_cases(self, m, rows, duplicates, R, bf, beyond_E):
+    def test_fixed_cases(self, monkeypatch, m, rows, duplicates, R, bf,
+                         beyond_E):
         rng = np.random.default_rng(260 + m + rows)
         H = csi.compute_projector(held_rows(rng, m, rows, duplicates), m)
+        factored = counted(monkeypatch, "orthonormal_row_basis", csi)
         r1, dim_e = check_compress_against_dense(H, R, bf)
         assert (r1 > dim_e) == beyond_E
+        assert len(factored) == beyond_E  # only the eigensolver factors
         check_svd_against_dense(H, R)
 
     @settings(max_examples=200, deadline=None)

@@ -267,6 +267,28 @@ class TestDataset:
         assert peak < 1.5 * size
 
 
+    def test_a_rescaled_synthetic_dataset_is_scaled_in_place(self):
+        # small cluster means make every probe negative: c is about 22
+        n, m, k = 5000, 512, 120
+        settings = dict(seed=3, n_sources=10, n=n, m=m, n_clusters=80,
+                        policy="cluster_skewed", skew=0.1, mean_sparsity=0.3,
+                        spread=0.03, scale=0.05, radius_jitter=0.2,
+                        norm_tail=0.4)
+        data.synth_dataset(**{**settings, "n": 20, "m": 8, "n_clusters": 2},
+                           positivity_k=2)
+        tracemalloc.start()  # after a warm-up: lazy imports are not counted
+        try:
+            ds = data.synth_dataset(**settings, positivity_k=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * m * 8  # no rescaled copy beside the store
+        copied = data.apply_positivity_scale(data.synth_dataset(**settings), k)
+        assert ds.scale == copied.scale > 1.0
+        assert ds.store.tobytes() == copied.store.tobytes()
+        assert not ds.store.flags.writeable
+
+
 class TestPartition:
     def test_single_source_takes_everything(self):
         part = data.partition(6, 1, policy="uniform_random", seed=0)

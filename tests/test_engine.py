@@ -663,14 +663,22 @@ class TestSharedLocalGreedy:
     @pytest.mark.parametrize("intervals", [2, 3])
     def test_a_second_compression_builds_no_first_round_projector(
             self, monkeypatch, intervals):
+        # interval 2 factors everything received once (m wide) and builds
+        # each source's basis in that frame; later intervals build N each
         ds = small_dataset(seed=35, n_sources=3, total_select=6)
         cfg = config(n_sources=3, total_select=6, intervals=intervals)
-        calls = counted(monkeypatch, "compute_projector", csi)
+        factored = counted(monkeypatch, "right_singular_vectors", engine)
+        framed = counted(monkeypatch, "projector_in_frame", csi)
+        built = counted(monkeypatch, "compute_projector", csi)
         engine.run_ddpp(cfg, ds)
-        assert len(calls) == 3 * (intervals - 1)
-        del calls[:]
-        engine.run_ddpp(dataclasses.replace(cfg, compression="svd"), ds)
-        assert len(calls) == 3 * (intervals - 2)  # later rounds still build
+        assert (len(factored), len(framed)) == (1, 3)
+        assert len(built) == 3 * (intervals - 2)
+        for compression in ("svd", "random_sketch"):
+            del factored[:], framed[:], built[:]
+            engine.run_ddpp(dataclasses.replace(cfg, compression=compression),
+                            ds)
+            assert (len(factored), len(framed)) == (0, 0)
+            assert len(built) == 3 * (intervals - 2)  # later rounds still build
 
     def test_the_kept_first_round_projector_comes_from_the_dataset_rows(
             self, monkeypatch):
@@ -681,12 +689,13 @@ class TestSharedLocalGreedy:
         cfg = config(n_sources=3, total_select=6)
         run = engine.run_ddpp(cfg, ds)
         picks = run.selected_global_indices[:3]  # interval 1, arrival order
+        frame = linalg.right_singular_vectors(ds.rows(picks))
         for source in range(3):
             ids = [g for g in picks
                    if g not in ds.partition.assignments[source]]
             kept = ds.memo(("basis", *ids), lambda: None)
-            assert np.array_equal(kept.basis, csi.compute_projector(
-                ds.rows(ids), cfg.dims).basis)
+            assert np.array_equal(kept.basis, csi.projector_in_frame(
+                ds.rows(ids), frame).basis)
 
 
 class TestCompressionVariants:
