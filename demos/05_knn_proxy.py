@@ -24,8 +24,8 @@ for seed in range(8):
     train_Z, train_y, test_Z, test_y = Z[:600], y[:600], Z[600:], y[600:]
 
     part = data.partition(600, 5, policy="uniform_random", seed=seed)
-    ds = data.apply_positivity_scale(
-        data.Dataset(features=train_Z, partition=part, labels=train_y), 10)
+    ds = data.Dataset(features=train_Z, partition=part, labels=train_y,
+                      positivity_k=10)
     gt = engine.run_ground_truth(ds, 10)
     for strategy in accs:
         cfg = engine.ExperimentConfig(n_sources=5, dims=32, total_select=10,

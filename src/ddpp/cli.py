@@ -16,8 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, data, dpp, engine, metrics
-from .errors import (BudgetViolationError, DdppError, IngestError,
-                     InvalidConfigError, NotPositiveDefiniteError, NotPsdError,
+from .errors import (BudgetViolationError, DdppError, DegenerateInputError,
+                     IngestError, InvalidConfigError, InvalidInputError,
+                     NotPositiveDefiniteError, NotPsdError,
                      ScalingViolationError)
 
 EXIT_CONFIG = 2
@@ -104,8 +105,8 @@ def _load_dataset(args, n_sources, loaded=None):
                               policy=_partition_policy(args, labels),
                               seed=args.partition_seed, cluster_labels=labels,
                               skew=args.skew)
-    ds = data.Dataset(features=Z, partition=part, labels=labels)
-    return data.apply_positivity_scale(ds, args.kT)
+    return data.Dataset(features=Z, partition=part, labels=labels,
+                        positivity_k=args.kT)
 
 
 def _worker_count():
@@ -117,8 +118,11 @@ def _worker_count():
 
 
 def cmd_gen(args):
-    os.makedirs(args.out, exist_ok=True)
     n = args.sources * args.ni if args.n is None else args.n
+    if min(args.sources, args.m, n) < 1:
+        raise InvalidConfigError(f"--sources ({args.sources}), --m ({args.m}) "
+                                 f"and the sample count ({n}) must be positive")
+    os.makedirs(args.out, exist_ok=True)
     if n % args.sources:
         raise InvalidConfigError(
             f"{n} samples do not split evenly over {args.sources} sources")
@@ -220,8 +224,15 @@ def _write_manifest(out_dir, args, extra=None):
         json.dump(payload, fh, indent=1, default=str)
 
 
-def _load_results(path):
-    """The lines of a results file: objects with the fields report reads."""
+# The JSON types of the fields report and ttest read; only "m" may be absent.
+_RESULT_TYPES = {"strategy": (str,), "seed": (int,), "N": (int,),
+                 "R": (int, float), "rde": (int, float, type(None)),
+                 "m": (int, type(None))}
+
+
+def _load_results(path, metric="rde"):
+    """The lines of a results file; ``metric`` is a number or null, as rde."""
+    types = {**_RESULT_TYPES, metric: _RESULT_TYPES["rde"]}
     lines = []
     with _open(path, InvalidConfigError) as fh:
         for lineno, text in enumerate(fh, 1):
@@ -233,10 +244,13 @@ def _load_results(path):
                 line = None
             if not isinstance(line, dict):
                 raise InvalidConfigError(f"{path}:{lineno}: not a JSON object")
-            missing = [k for k in ("strategy", "seed", "N", "R", "rde")
-                       if k not in line]
+            missing = [k for k in _RESULT_TYPES if k != "m" and k not in line]
             if missing:
                 raise InvalidConfigError(f"{path}:{lineno}: no {', '.join(missing)}")
+            wrong = [k for k, t in types.items() if type(line.get(k)) not in t]
+            if wrong:
+                raise InvalidConfigError(f"{path}:{lineno}: wrong type: " + ", ".join(
+                    f"{k} = {line[k]!r}" for k in wrong))
             lines.append(line)
     if not lines:
         raise InvalidConfigError(f"no result lines in {path}")
@@ -274,11 +288,12 @@ def cmd_report(args):
                     groups.setdefault((line["N"], line["R"]), {}).setdefault(
                         line["strategy"], []).append(line["rde"])
             for (N, R), by_strategy in sorted(groups.items()):
-                if a in by_strategy and b in by_strategy and \
-                        len(by_strategy[a]) > 1 and len(by_strategy[b]) > 1:
-                    t, p = metrics.welch_ttest(by_strategy[a], by_strategy[b])
+                try:
+                    t, p = metrics.welch_ttest(by_strategy.get(a, []),
+                                               by_strategy.get(b, []))
                     writer.writerow([a, b, N, R, f"{t:.6f}", f"{p:.3e}"])
-                else:
+                except (InvalidInputError, DegenerateInputError):
+                    # fewer than two runs of one, or neither varies
                     writer.writerow([a, b, N, R, "NA", "NA"])
     if args.pca_seed is not None:
         _write_pca_csv(args, lines)
@@ -309,6 +324,10 @@ def _write_pca_csv(args, lines):
         raise InvalidConfigError(
             f"no result for seed {args.pca_seed} strategy {args.pca_strategy!r}")
     line = match[0]
+    chosen = line.get("selected_indices")
+    if type(chosen) is not list or any(type(i) is not int for i in chosen):
+        raise InvalidConfigError(f"{args.results}: no integer selected_indices "
+                                 f"for seed {args.pca_seed} {args.pca_strategy}")
     ns = argparse.Namespace(**resolved)
     try:
         dataset = (_load_dataset(ns, line["N"]) if ns.data
@@ -318,7 +337,7 @@ def _write_pca_csv(args, lines):
             raise
         raise InvalidConfigError(f"{manifest_path}: no {exc.name!r} setting") from None
     coords = metrics.pca2d(dataset.rows(range(dataset.n)))
-    chosen = set(line["selected_indices"])
+    chosen = set(chosen)
     out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")
     with open(out_path, "w", newline="") as fh:
         writer = csvmod.writer(fh)
@@ -344,7 +363,7 @@ def cmd_oracle(args):
 
 
 def cmd_ttest(args):
-    lines = _load_results(args.results)
+    lines = _load_results(args.results, args.metric)
     xs = [ln[args.metric] for ln in lines
           if ln["strategy"] == args.a and ln.get(args.metric) is not None]
     ys = [ln[args.metric] for ln in lines

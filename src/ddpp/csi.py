@@ -130,7 +130,7 @@ def compute_projector(Z_Y, m):
     all m dimensions get the basis I, so H is the exact zero, not rounding
     noise.
     """
-    if Z_Y is None or np.size(Z_Y) == 0:
+    if np.size(Z_Y) == 0:
         return Projector(basis=np.zeros((0, m)))
     if Z_Y.shape[1] != m:
         raise InvalidInputError(f"expected {m} columns, got {Z_Y.shape[1]}")

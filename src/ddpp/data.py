@@ -72,27 +72,33 @@ class Dataset:
 
     ``features`` come in global order.  Construction checks them once
     (``as_matrix``, trusted from then on), refuses a partition that does not
-    cover rows 0..n-1 exactly once, and permutes them into the store.
-    ``memo`` keeps what a unit's runs share; a rescaled copy starts empty.
+    cover rows 0..n-1 exactly once, and permutes them into the store, its
+    own array.  With ``positivity_k`` it multiplies the store in place by
+    ``scale``, the ``positivity_scale`` of that many picks.  ``memo`` keeps
+    what a unit's runs share.
     """
 
-    def __init__(self, features, partition, labels=None, scale=1.0):
+    def __init__(self, features, partition, labels=None, positivity_k=None):
         features = as_matrix(features, "features")
         order = _store_order(partition.validate(features.shape[0]))
-        self._hold(features[order], order, partition, labels, scale)
+        self._hold(features[order], order, partition, labels, positivity_k)
 
     @classmethod
-    def _of_store(cls, store, order, partition, labels, scale):
-        """A dataset over ``store``, already source-major in ``order``."""
+    def _of_store(cls, store, order, partition, labels, positivity_k):
+        """A dataset over ``store``, its own array, source-major in ``order``."""
         dataset = cls.__new__(cls)
-        dataset._hold(store, order, partition, labels, scale)
+        dataset._hold(store, order, partition, labels, positivity_k)
         return dataset
 
-    def _hold(self, store, order, partition, labels, scale):
-        store.flags.writeable = order.flags.writeable = False  # views too
+    def _hold(self, store, order, partition, labels, positivity_k):
         self.store, self.order = store, order
-        self.partition, self.labels, self.scale = partition, labels, scale
+        self.partition, self.labels, self.scale = partition, labels, 1.0
         self._position = _inverse(order)
+        if positivity_k is not None:  # probes read the unscaled store
+            self.scale = positivity_scale(self, positivity_k)
+            if self.scale != 1.0:
+                store *= self.scale
+        store.flags.writeable = order.flags.writeable = False  # views too
         ends = itertools.accumulate(len(a) for a in partition.assignments)
         self._sources = tuple(store[end - len(a):end]
                               for end, a in zip(ends, partition.assignments))
@@ -300,11 +306,9 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
 
     The labels fix the partition before any row is drawn, so the rows are
     drawn straight into the dataset's source-major store; they equal the
-    global-order generator's rows, permuted, bit for bit.  With
-    ``positivity_k`` the store is then positivity-scaled for that many
-    picks in place, before the dataset holds it: the values of
-    ``apply_positivity_scale``, without its copy.  ``mixture`` holds the
-    generator's other settings.
+    global-order generator's rows, permuted, bit for bit.  ``positivity_k``
+    goes to the dataset, which scales that store in place.  ``mixture``
+    holds the generator's other settings.
     """
     labels = _mixture_labels(n, n_clusters, mean_sparsity)
     part = partition(n, n_sources, policy=policy, seed=seed,
@@ -313,13 +317,7 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
                                   mean_sparsity=mean_sparsity, order=order,
                                   **mixture)
-    c = 1.0
-    if positivity_k is not None:  # probes read a view; Z stays writable
-        c = positivity_scale(Dataset._of_store(Z.view(), order, part, labels,
-                                               1.0), positivity_k)
-        if c != 1.0:
-            Z *= c
-    return Dataset._of_store(Z, order, part, labels, c)
+    return Dataset._of_store(Z, order, part, labels, positivity_k)
 
 
 def _fill(part, pools, clusters, need):
@@ -425,6 +423,7 @@ def positivity_scale(dataset, k):
     Probes random k-subsets of global ids under a few seeds; c maps the
     worst probe to ``POSITIVITY_TARGET`` (diversity ratios then stay well
     away from the 0 crossing).  Already-positive data keeps c = 1.
+    ``Dataset(positivity_k=k)`` probes its own store before it scales it.
     """
     n = dataset.n
     if not 1 <= k <= n:
@@ -441,14 +440,3 @@ def positivity_scale(dataset, k):
     # log det scales by 2k log c under Z -> cZ.
     return math.exp((POSITIVITY_TARGET - worst) / (2.0 * k))
 
-
-def apply_positivity_scale(dataset, k):
-    """Rescaled copy of the dataset; the factor is recorded on the result.
-
-    ``synth_dataset`` scales a store it owns in place instead.
-    """
-    c = positivity_scale(dataset, k)
-    if c == 1.0:
-        return dataset
-    return Dataset._of_store(dataset.store * c, dataset.order, dataset.partition,
-                             dataset.labels, dataset.scale * c)

@@ -216,8 +216,8 @@ def _source_loop(worker, channel):
 class _Center:
     """The single receiver: checks, counts and files every frame.
 
-    It holds what each source has sent and what each link has carried, and
-    from that builds each source's feedback frame.
+    It holds which source sent each global id and what each link has
+    carried, and builds each source's feedback frame from the dataset's rows.
     Uplink counts carry only sample payload (k_T * m elements over a full
     run, the same for every strategy); maxdiv's scalar diversity probes,
     one per source, are tallied apart.  The center sends at most one
@@ -232,7 +232,7 @@ class _Center:
             raise InvalidConfigError("dataset dimensionality does not match the config")
         self.config = config
         self.dataset = dataset
-        self.received = {}  # global index -> (source id, row), arrival order
+        self.received = {}  # global id -> source id, in arrival order
         self.uplink = [0] * config.n_sources
         self.downlink = [0] * config.n_sources
         self.uplink_bytes = self.downlink_bytes = 0
@@ -243,7 +243,8 @@ class _Center:
 
         The frame must name the channel it arrived on and the current
         ``interval``, index only that source's rows, none of them sent
-        before, and carry m-wide vectors.  It is counted at its size.
+        before, and carry the dataset's rows of those ids, m wide and bit for
+        bit.  It is counted at its size, and the center files only the ids.
         """
         batch = decode_batch(frame)
         if (batch.source_id, batch.interval) != (source_id, interval):
@@ -262,24 +263,27 @@ class _Center:
         repeats = sorted(g for g in global_ids if g in self.received)
         if repeats:
             raise BudgetViolationError(f"source {source_id} re-sent indices {repeats}")
+        if batch.vectors.tobytes() != self.dataset.rows(global_ids).tobytes():
+            raise ProtocolError(f"source {source_id} sent vectors that are not "
+                                f"its rows of ids {global_ids}")
         self.uplink[source_id] += len(global_ids) * m
         self.uplink_bytes += len(frame)
-        for g, row in zip(global_ids, batch.vectors):
-            self.received[g] = (source_id, row)
+        self.received.update(dict.fromkeys(global_ids, source_id))
 
     def feedback(self, source_id, interval):
         """Build, check against R*m, encode and count one feedback frame.
 
-        Its packet compresses the projector onto what the other sources'
-        rows have not covered; before any arrive, that is the identity.
-        The dataset keeps interval 2's: interval-1 picks are alike across
-        runs.  Each source's foreign rows are a subset of all received, so
-        every one is built in one frame of them, factored once per unit.
+        Its packet compresses the projector onto what the dataset's rows of
+        the ids the other sources sent have not covered; before any arrive,
+        that is the identity.  The dataset keeps interval 2's: interval-1
+        picks are alike across runs.  Each source's foreign rows are a
+        subset of all received, so every one is built in one frame of them,
+        factored once per unit.
         """
         config, dataset, m = self.config, self.dataset, self.dataset.dims
+        ids = [g for g, s in self.received.items() if s != source_id]
         if interval == 2:
             received = list(self.received)
-            ids = [g for g in received if self.received[g][0] != source_id]
 
             def basis():
                 frame = dataset.memo(("frame", *received), lambda:
@@ -287,8 +291,7 @@ class _Center:
                 return csi.projector_in_frame(dataset.rows(ids), frame)
             H = dataset.memo(("basis", *ids), basis)
         else:
-            rows = [row for s, row in self.received.values() if s != source_id]
-            H = csi.compute_projector(np.vstack(rows) if rows else None, m)
+            H = csi.compute_projector(dataset.rows(ids), m)
         if config.compression == "proposed":
             packet = csi.compress(H, config.sparsity, config.block_fraction)
         elif config.compression == "svd":

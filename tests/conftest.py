@@ -102,8 +102,8 @@ def small_dataset(seed, n_sources, dims=8, per_source=20, total_select=8):
         seed=seed, n=n, m=dims, n_clusters=max(2, dims // 4), spread=0.15,
         scale=8.0, radius_jitter=0.2, norm_tail=0.3)
     part = data.partition(n, n_sources, policy="uniform_random", seed=seed)
-    ds = data.Dataset(features=Z, partition=part, labels=labels)
-    return data.apply_positivity_scale(ds, total_select)
+    return data.Dataset(features=Z, partition=part, labels=labels,
+                        positivity_k=total_select)
 
 
 class Outcome:

@@ -215,8 +215,7 @@ def test_criterion_5_exact_csi_equivalence():
         Z = rng.normal(size=(2 * per, m)) * 2.0
         part = data.SourcePartition((tuple(range(per)),
                                      tuple(range(per, 2 * per))))
-        ds = data.apply_positivity_scale(
-            data.Dataset(features=Z, partition=part), 4)
+        ds = data.Dataset(features=Z, partition=part, positivity_k=4)
         cfg = engine.ExperimentConfig(
             n_sources=2, dims=m, total_select=4, intervals=2, sparsity=float(m),
             compression="none", momentum=False, seed=trial)
@@ -290,7 +289,7 @@ def test_criterion_7_saturation_note():
     Z, _ = data.synth_gaussian_mixture(seed=0, n=24, m=8, n_clusters=4,
                                        spread=0.1, scale=8.0)
     part = data.partition(24, 2, policy="uniform_random", seed=0)
-    ds = data.apply_positivity_scale(data.Dataset(features=Z, partition=part), 8)
+    ds = data.Dataset(features=Z, partition=part, positivity_k=8)
     scaled = ds.rows(range(ds.n))  # global order
     assert dpp.subset_logdet(scaled, list(range(10))) == -np.inf
     gt = engine.run_ground_truth(ds, 8).indices
@@ -404,8 +403,8 @@ def knn_campaign():
         train_Z, train_y, test_Z, test_y = _two_class_submode_data(seed)
         part = data.partition(len(train_y), 5, policy="uniform_random",
                               seed=seed)
-        ds = data.apply_positivity_scale(
-            data.Dataset(features=train_Z, partition=part, labels=train_y), 10)
+        ds = data.Dataset(features=train_Z, partition=part, labels=train_y,
+                          positivity_k=10)
         gt = engine.run_ground_truth(ds, 10)
         for strategy in accs:
             cfg = engine.ExperimentConfig(n_sources=5, dims=32, total_select=10,

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -571,3 +573,90 @@ class TestRefusedInput:
                        "--pairs", f"ddpp:random,{entry}") == 2
         assert f"--pairs entry {entry!r} is not a:b" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Each is an invocation the CLI refuses as a configuration error, the
+# changes it makes to line 2 of RESULTS, and what its error names.  RESULTS
+# is a results file of two GOOD_RESULT lines.
+POSITIVE = "must be positive"
+BAD_INVOCATIONS = {
+    "gen --sources 0": (["gen", "--out", "OUT", "--sources", "0"], {},
+                        POSITIVE),
+    "gen --m 0": (["gen", "--out", "OUT", "--m", "0"], {}, POSITIVE),
+    "gen --ni 0": (["gen", "--out", "OUT", "--ni", "0"], {}, POSITIVE),
+    "gen --n 0": (["gen", "--out", "OUT", "--n", "0"], {}, POSITIVE),
+    "report rde": (["report", "--results", "RESULTS", "--out", "OUT"],
+                   {"rde": "x"}, "wrong type: rde = 'x'"),
+    "report seed": (["report", "--results", "RESULTS", "--out", "OUT"],
+                    {"seed": "0"}, "wrong type: seed = '0'"),
+    "report R": (["report", "--results", "RESULTS", "--out", "OUT"],
+                 {"R": [4]}, "wrong type: R = [4]"),
+    "report m": (["report", "--results", "RESULTS", "--out", "OUT"],
+                 {"m": 6.5}, "wrong type: m = 6.5"),
+    "report --pca-seed": (["report", "--results", "RESULTS", "--out", "OUT",
+                           "--pca-seed", "0"], {"selected_indices": "0,1"},
+                          "no integer selected_indices"),
+    "ttest rde": (["ttest", "--results", "RESULTS", "--a", "ddpp",
+                   "--b", "ddpp"], {"rde": "x"}, "wrong type: rde = 'x'"),
+    "ttest --metric strategy": (["ttest", "--results", "RESULTS", "--a", "ddpp",
+                                 "--b", "ddpp", "--metric", "strategy"], {},
+                                "wrong type: strategy = 'ddpp'"),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
+    def test_a_bad_invocation_is_one_error_line_and_exit_2(self, tmp_path,
+                                                           capsys, name):
+        argv, change, message = BAD_INVOCATIONS[name]
+        results = tmp_path / "run" / "results.jsonl"
+        results.parent.mkdir()
+        (results.parent / "manifest.json").write_text('{"resolved": {}}')
+        results.write_text(json.dumps(GOOD_RESULT) + "\n"
+                           + json.dumps({**GOOD_RESULT, **change}) + "\n")
+        paths = {"OUT": str(tmp_path / "out"), "RESULTS": str(results)}
+        assert run_cli(*[paths.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert message in err[0]
+
+    def test_report_writes_na_for_runs_without_spread(self, tmp_path):
+        # on fixed data each strategy gives one RDE on every seed: no spread
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(9).normal(size=(24, 6)),
+                   delimiter=",")
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--partition-policy", "uniform_random",
+                       "--strategies", "ddpp,greedi", "--seeds", "3",
+                       "--N", "2", "--kT", "4", "--tT", "2", "--R", "4") == 0
+        rdes = {(ln["strategy"], ln["rde"])
+                for ln in read_jsonl(out / "results.jsonl")}
+        assert len(rdes) == 2
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--results", str(out / "results.jsonl"),
+                       "--out", str(rep), "--pca-seed", "0") == 0
+        ttest = (rep / "ttest.csv").read_text().strip().splitlines()
+        assert ttest[1:] == ["ddpp,greedi,2,4.0,NA,NA"]
+        assert (rep / "pca_seed0.csv").exists()
+
+
+class TestLoadDataset:
+    def test_a_rescaled_data_file_is_held_once_more(self):
+        # small values make every probe negative: the store is rescaled
+        n, m, k = 4000, 256, 60
+        Z = 0.01 * np.random.default_rng(10).normal(size=(n, m))
+        args = argparse.Namespace(partition_file=None, partition_seed=0,
+                                  partition_policy="uniform_random", skew=0.1,
+                                  kT=k)
+        warm = argparse.Namespace(**{**vars(args), "kT": 4})
+        cli._load_dataset(warm, 2, (Z[:40, :8], None))  # lazy imports first
+        tracemalloc.start()
+        try:
+            ds = cli._load_dataset(args, 4, (Z, None))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.scale > 1.0
+        assert np.array_equal(ds.rows(range(n)), Z * ds.scale)
+        assert peak < 1.5 * Z.nbytes  # the store alone, no rescaled copy

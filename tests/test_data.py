@@ -261,7 +261,7 @@ class TestDataset:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ds.scale == 1.0  # a rescale would copy the store
+        assert ds.scale == 1.0  # the benchmark data needs no rescale
         assert sum(v.shape[0] for v in views) == ds.n
         assert held < 1.25 * size  # one n x m array, not two
         assert peak < 1.5 * size
@@ -283,9 +283,10 @@ class TestDataset:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * m * 8  # no rescaled copy beside the store
-        copied = data.apply_positivity_scale(data.synth_dataset(**settings), k)
-        assert ds.scale == copied.scale > 1.0
-        assert ds.store.tobytes() == copied.store.tobytes()
+        plain = data.synth_dataset(**settings)
+        c = data.positivity_scale(plain, k)
+        assert ds.scale == c > 1.0 and plain.scale == 1.0
+        assert ds.store.tobytes() == (plain.store * c).tobytes()
         assert not ds.store.flags.writeable
 
 
@@ -363,10 +364,11 @@ class TestPositivityScale:
         rng = np.random.default_rng(412)
         Z = 0.01 * rng.normal(size=(30, 6))
         part = data.partition(30, 3, policy="uniform_random", seed=0)
-        ds = data.apply_positivity_scale(
-            data.Dataset(features=Z, partition=part), 3)
-        assert ds.scale > 1.0
+        ds = data.Dataset(features=Z, partition=part, positivity_k=3)
+        assert ds.scale == data.positivity_scale(
+            data.Dataset(features=Z, partition=part), 3) > 1.0
         assert np.array_equal(ds.rows(range(30)), Z * ds.scale)
+        assert not ds.store.flags.writeable
 
     def test_source_rows_are_gathered_once_read_only_per_copy(self):
         rng = np.random.default_rng(413)
@@ -377,11 +379,6 @@ class TestPositivityScale:
         assert ds.source_rows(1) is rows
         assert not rows.flags.writeable
         assert np.array_equal(rows, Z[list(part.assignments[1])])
-        scaled = data.apply_positivity_scale(ds, 3)
-        assert scaled.scale > 1.0
-        assert scaled.source_rows(1) is not rows
-        assert np.array_equal(scaled.source_rows(1), rows * scaled.scale)
-        assert ds.source_rows(1) is rows  # the copy left the original's alone
 
     def test_memo_builds_once_per_key_and_per_copy(self):
         rng = np.random.default_rng(414)
@@ -400,14 +397,7 @@ class TestPositivityScale:
         greedy = ds.source_greedy(1, 4)
         assert ds.source_greedy(1, 4) is greedy
         assert greedy == dpp.greedy_map_rows(ds.source_rows(1), 4)
-        scaled = data.apply_positivity_scale(ds, 3)
-        assert scaled.scale > 1.0
-        assert scaled.memo(("x", 1), build) is not value
-        assert scaled.source_greedy(1, 4) == dpp.greedy_map_rows(
-            scaled.source_rows(1), 4)
-        assert ds.memo(("x", 1), build) is value  # the copy left these alone
-        assert ds.source_greedy(1, 4) is greedy
-        assert built == [0, 1, 2]
+        assert built == [0, 1]
 
     def test_memo_under_concurrent_callers(self):
         # tcp source threads share one dataset; a race may build a value

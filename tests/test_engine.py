@@ -392,7 +392,10 @@ class TestUplinkChecks:
             b, local_indices=(20,) + b.local_indices[1:]), "past its 20 rows"),
         (lambda b: dataclasses.replace(
             b, vectors=np.hstack([b.vectors, b.vectors[:, :1]])), "width 9"),
-    ], ids=["source_id >= N", "other source_id", "interval", "index", "width"])
+        (lambda b: dataclasses.replace(b, vectors=b.vectors + 1.0),
+         "source 1 sent vectors that are not its rows of ids"),
+    ], ids=["source_id >= N", "other source_id", "interval", "index", "width",
+            "values"])
     @pytest.mark.parametrize("transport, strategy", [
         ("loopback", "ddpp"), ("tcp", "ddpp"),
         ("loopback", "stratified"), ("tcp", "stratified"),
@@ -426,7 +429,8 @@ class TestDownlinkChecks:
         (lambda f: dataclasses.replace(f, interval=3),
          "names source 1, interval 3"),
         (lambda f: dataclasses.replace(
-            f, packet=csi.exact_packet(csi.compute_projector(None, 9))),
+            f, packet=csi.exact_packet(csi.compute_projector(np.zeros((0, 9)),
+                                                             9))),
          "width 9, expected 8"),
     ], ids=["target_source", "interval", "width"])
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
@@ -680,11 +684,8 @@ class TestSharedLocalGreedy:
             assert (len(factored), len(framed)) == (0, 0)
             assert len(built) == 3 * (intervals - 2)  # later rounds still build
 
-    def test_the_kept_first_round_projector_comes_from_the_dataset_rows(
-            self, monkeypatch):
-        # the key fixes the value: a frame's vectors never reach the memo
-        tamper_uplink(monkeypatch, 0, lambda b: dataclasses.replace(
-            b, vectors=b.vectors + 1.0))
+    def test_the_kept_first_round_projector_comes_from_the_dataset_rows(self):
+        # the key fixes the value: the memo is built from the dataset's rows
         ds = small_dataset(seed=36, n_sources=3, total_select=6)
         cfg = config(n_sources=3, total_select=6)
         run = engine.run_ddpp(cfg, ds)
@@ -696,6 +697,22 @@ class TestSharedLocalGreedy:
             kept = ds.memo(("basis", *ids), lambda: None)
             assert np.array_equal(kept.basis, csi.projector_in_frame(
                 ds.rows(ids), frame).basis)
+
+    def test_a_later_projector_comes_from_the_dataset_rows(self, monkeypatch):
+        # interval 3 builds each source's projector from the rows of the
+        # ids the others sent in intervals 1 and 2, read from the dataset
+        ds = small_dataset(seed=37, n_sources=3, dims=12, total_select=9)
+        cfg = config(n_sources=3, dims=12, total_select=9, intervals=3)
+        real, built = csi.compute_projector, []
+        monkeypatch.setattr(csi, "compute_projector",
+                            lambda *args: built.append(real(*args)) or built[-1])
+        run = engine.run_ddpp(cfg, ds)
+        received = run.selected_global_indices[:6]  # intervals 1 and 2
+        assert len(built) == 3
+        for source, H in enumerate(built):
+            ids = [g for g in received
+                   if g not in ds.partition.assignments[source]]
+            assert np.array_equal(H.basis, real(ds.rows(ids), 12).basis)
 
 
 class TestCompressionVariants:
