@@ -42,6 +42,13 @@ CAMPAIGNS = {
     "no-momentum-svd": ["--strategies", "ddpp", "--no-momentum",
                         "--compression", "svd", "--tT", "3", *SMALL],
     "all-R-sweep": ["--strategies", ALL, "--R", "3,6", *SMALL],
+    # a budget past H's rank: the projector greedy stops short and the
+    # residual terms take the eigensolver's extra path
+    "high-R": ["--strategies", "ddpp", "--R", "12", "--tT", "3", *SMALL],
+    "high-R-svd": ["--strategies", "ddpp", "--compression", "svd", "--R", "12",
+                   "--tT", "3", *SMALL],
+    "high-R-no-momentum": ["--strategies", "ddpp", "--no-momentum", "--R",
+                           "12", "--tT", "3", *SMALL],
     # benchmark scale: perfbench's paper-512 flags, where every greedy runs
     # on thousands of rows 512 wide
     "paper-512": ["--strategies", ALL, "--seed-list", "1", "--N", "10",
