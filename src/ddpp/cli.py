@@ -187,6 +187,8 @@ def cmd_run(args):
              else list(range(args.seeds)))
     if not (seeds and args.strategies and args.N and args.R):
         raise InvalidConfigError("need at least one seed, strategy, N and R")
+    if min(seeds) < 0:
+        raise InvalidConfigError(f"seeds must be non-negative, got {min(seeds)}")
     if args.partition_file and not args.data:
         raise InvalidConfigError("--partition-file needs --data")
     loaded = _read_data(args) if args.data else None
@@ -478,6 +480,8 @@ def main(argv=None):
                 at = argv.index("run") + 1
                 args = parser.parse_args(
                     argv[:at] + _config_flags(args.config, settings) + argv[at:])
+            if args.tT < 1:  # before it divides the default R
+                raise InvalidConfigError(f"--tT must be at least 1, got {args.tT}")
             if args.R is None:
                 args.R = [0.75 * args.kT / args.tT]
         args.argv = argv  # the manifest's "command"

@@ -97,9 +97,9 @@ class CsiPacket:
         for name in ("principal_block", "residual_values", "residual_vectors"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InvalidInputError(f"{name} contains non-finite entries")
-        dims = list(self.selected_dims)
-        if any(b <= a for a, b in zip(dims, dims[1:])) or \
-                any(not 0 <= d < self.dims for d in dims):
+        dims = self.selected_dims  # in range first: np.diff then sees int64s
+        if dims and (min(dims) < 0 or max(dims) >= self.dims
+                     or (np.diff(dims) <= 0).any()):
             raise InvalidInputError("selected dims must be strictly increasing and < dims")
         return self
 
@@ -161,6 +161,8 @@ def split_budget(R, m, block_fraction=0.5):
     With a nonzero block fraction a packet is never empty: a single diagonal
     element always fits in any valid budget.
     """
+    if not math.isfinite(R * m):
+        raise InvalidInputError(f"budget R*m = {R * m} must be finite")
     if R * m < 1:
         raise InvalidInputError("budget R*m must be at least one element")
     if not 0 <= block_fraction <= 1:
@@ -181,13 +183,12 @@ def _residual_terms(H, selected, frame, r1):
     E = {x : x_S = 0, Qx = 0}.  ``frame`` holds the block greedy's
     Cholesky rows after S: past S the greedy runs on the conditional
     kernel, which is the projector onto E, so they are a greedy frame of E,
-    zero on S up to rounding (set exactly), all with value 1.  They come
-    first: canonical, where an eigensolver returns an arbitrary basis of
-    E.  Only when r1 exceeds dim E, where the greedy stops short, is R
-    eigendecomposed, on E's complement (at most |S| + q dims).
-    Non-positive values are dropped.
+    exactly zero on S (``greedy_map_projector`` writes the zeros), all with
+    value 1.  They come first: canonical, where an eigensolver returns an
+    arbitrary basis of E.  Only when r1 exceeds dim E, where the greedy
+    stops short, is R eigendecomposed, on E's complement (at most |S| + q
+    dims).  Non-positive values are dropped.
     """
-    frame[:, selected] = 0.0
     values, vectors = np.ones(len(frame)), frame
     extra = r1 - len(frame)
     if extra > 0:
@@ -222,17 +223,18 @@ def _packet(H, selected, values=None, vectors=None):
 def compress(H, R, block_fraction=0.5):
     """Budgeted packet: greedy principal block plus spectral residual terms.
 
-    One greedy MAP on H makes up to r0 + r1 picks.  The first r0, sorted,
-    are the block dimensions S (fewer once H's rank is spent); the greedy
-    is prefix-stable, so they are what an r0-pick greedy would choose.  Its
-    Cholesky rows after them are the residual's frame of E
+    One greedy MAP on H, run in Q's q coordinates, makes up to r0 + r1
+    picks.  The first r0, sorted, are the block dimensions S (fewer once
+    H's rank is spent); the greedy is prefix-stable, so they are what an
+    r0-pick greedy would choose.  Its Cholesky rows after them, the only
+    frame rows it builds, are the residual's frame of E
     (``_residual_terms``).
     """
     r0, r1 = split_budget(R, H.dims, block_fraction)
-    greedy = dpp.greedy_map_projector(H.basis, r0 + r1)
+    greedy = dpp.greedy_map_projector(H.basis, r0 + r1, frame_from=r0)
     selected = sorted(greedy.indices[:r0])
     return _packet(H, selected,
-                   *_residual_terms(H, selected, greedy.frame[r0:], r1))
+                   *_residual_terms(H, selected, greedy.frame, r1))
 
 
 def compress_svd(H, R):
@@ -271,18 +273,33 @@ def reconstruct(packet):
     return symmetrize(out)
 
 
+def _root_factor(M, momentum):
+    """F with F F^T = 2 M^{1/2} + M (momentum) or M, for PSD M = U w U^T."""
+    w, U = psd_eigh(symmetrize(M))
+    root = np.sqrt(w)
+    return U * (np.sqrt(2.0 * root + w) if momentum else root)
+
+
 def precode(Z, packet, momentum=True):
     """Features whose Gram matrix is W W^T, the pre-coded kernel.
 
     W = Z (I + H^{1/2}) with momentum, Z H^{1/2} without.  H is the matrix
     ``reconstruct(packet)`` would build, but no m x m array is formed.
-    With P the orthonormal m x k basis of the selected coordinates plus the
-    residual vectors' span off them (k <= r0 + r1), H = P M P^T for a k x k
-    matrix M = U diag(w) U^T, and H^{1/2} = P U diag(w^{1/2}) U^T P^T.
-    Then (I + H^{1/2})^2 = I + P F F^T P^T with F = U diag((2 w^{1/2} +
+    With P = [coordinate vectors of S, Q^T], Q's rows (from a Householder
+    QR, no rank decision) an orthonormal basis holding the residual
+    vectors' span off S, H = P M P^T for a k x k matrix M = U diag(w) U^T
+    (k <= r0 + r1), and H^{1/2} = P U diag(w^{1/2}) U^T P^T.  Then
+    (I + H^{1/2})^2 = I + P F F^T P^T with F = U diag((2 w^{1/2} +
     w)^{1/2}), so [Z, Z P F] has Gram W W^T; without momentum F =
     U diag(w^{1/2}) and Z P F alone does.  The greedy reads only kernel
     rows, so W itself is never needed.  H's negative eigenvalues are M's.
+
+    The packets the program builds have residual vectors exactly 0 on S
+    (all but those of ``_residual_terms``' eigensolver path), so M's
+    off-diagonal block is exactly 0: M is block-diagonal, its square root
+    too, and the r0 x r0 and r1 x r1 blocks are factored apart, each
+    product (Z_S F0, Z Q^T F1) written into the output.  Any other packet
+    factors all of M.
 
     The momentum form is conservative: imperfect feedback then shrinks
     already-covered directions instead of deleting them outright.
@@ -293,23 +310,27 @@ def precode(Z, packet, momentum=True):
     selected = list(packet.selected_dims)
     r0 = len(selected)
     V = packet.residual_vectors
-    off_block = V.copy()
-    off_block[:, selected] = 0.0
-    Q = orthonormal_row_basis(off_block)
+    off = np.ones(m, dtype=bool)
+    off[selected] = False
+    Qt = np.zeros((m, min(len(V), m - r0)))  # Q^T: zero on S, so P is orthonormal
+    Qt[off] = np.linalg.qr(V[:, off].T)[0]
     # X P = [X_S, X Q^T]: P's first r0 columns are coordinate vectors.
-    VP = np.hstack([V[:, selected], V @ Q.T])
+    VP = np.hstack([V[:, selected], V @ Qt])
     M = (VP.T * packet.residual_values) @ VP
     M[:r0, :r0] += unpack_lower_triangle(packet.principal_block, r0)
-    w, U = psd_eigh(symmetrize(M))
-    root = np.sqrt(w)
-    F = U * (np.sqrt(2.0 * root + w) if momentum else root)
-    # Z P, gathered and multiplied into one buffer: no stacked copies
-    ZP = np.empty((Z.shape[0], r0 + Q.shape[0]))
+    k = M.shape[0]
+    if M[:r0, r0:].any():  # coupled blocks: one factor of all of M
+        blocks = [(0, k, _root_factor(M, momentum))]
+    else:  # block-diagonal M: a factor of each block
+        blocks = [(0, r0, _root_factor(M[:r0, :r0], momentum)),
+                  (r0, k, _root_factor(M[r0:, r0:], momentum))]
+    ZP = np.empty((Z.shape[0], k))  # Z P, gathered and multiplied in place
     np.take(Z, selected, axis=1, out=ZP[:, :r0])
-    np.matmul(Z, Q.T, out=ZP[:, r0:])
-    if not momentum:
-        return ZP @ F
-    out = np.empty((Z.shape[0], m + F.shape[1]))
-    out[:, :m] = Z
-    np.matmul(ZP, F, out=out[:, m:])
+    np.matmul(Z, Qt, out=ZP[:, r0:])
+    lead = m if momentum else 0
+    out = np.empty((Z.shape[0], lead + k))
+    if momentum:
+        out[:, :m] = Z
+    for a, b, F in blocks:
+        np.matmul(ZP[:, a:b], F, out=out[:, lead + a:lead + b])
     return out

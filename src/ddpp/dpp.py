@@ -8,6 +8,8 @@ update over all n candidates, so k picks run in O(k^2 n) plus k row reads,
 with k factor rows of n.  The rows of items held from earlier calls are
 fetched in one batch.  ``greedy_map_rows`` on features Z forms the kernel
 for few rows and many picks, else streams Z or reads only rows that can win.
+``greedy_map_projector`` runs on a projector I - B^T B in B's q
+coordinates and reads no kernel row at all.
 
 Contract: finite float64 input and symmetric kernels, checked where data
 enters the package, not here.
@@ -46,17 +48,16 @@ class MapResult:
     frame: np.ndarray = None  # set by greedy_map_projector only
 
 
-def _start(gain, k, preselected, scale=None):
+def _start(gain, k, preselected):
     """Checks k; returns the held list and the floor."""
     if k < 0:
         raise InvalidInputError("k must be non-negative")
-    if scale is None:
-        scale = max(float(np.max(gain)), 0.0) if gain.size else 0.0
+    scale = max(float(np.max(gain)), 0.0) if gain.size else 0.0
     return [int(p) for p in preselected], EARLY_STOP_REL * scale
 
 
-def _greedy(diag, kernel_rows, k, preselected, scale=None, rank=math.inf):
-    """Run the greedy; returns (MapResult, its Cholesky rows in order).
+def _greedy(diag, kernel_rows, k, preselected, rank=math.inf):
+    """Run the greedy on a kernel read by rows; returns a MapResult.
 
     ``kernel_rows(idx)`` returns rows of the kernel whose diagonal ``diag``
     is updated in place: one row for an integer, a stack for a list.  The
@@ -64,12 +65,12 @@ def _greedy(diag, kernel_rows, k, preselected, scale=None, rank=math.inf):
     call, then up to k picks fetch one row each.  A consumed item adds one
     Cholesky row and has its gain pinned to -inf; one whose gain already
     sits at the rank floor spans no new direction and adds no row.  The
-    floor is EARLY_STOP_REL times ``scale``, by default the largest initial
-    diagonal.  A kernel of known ``rank`` gets no more Cholesky rows than
-    that, so no pick is made once it is spanned, however large the
-    rounding noise left in ``diag``.
+    floor is EARLY_STOP_REL times the largest initial diagonal.  A kernel
+    of known ``rank`` gets no more Cholesky rows than that, so no pick is
+    made once it is spanned, however large the rounding noise left in
+    ``diag``.
     """
-    preselected, floor = _start(diag, k, preselected, scale)
+    preselected, floor = _start(diag, k, preselected)
     held, n = len(preselected), diag.shape[0]
     rows = np.empty((min(held + k, rank), n))
     square = np.empty(n)
@@ -98,7 +99,7 @@ def _greedy(diag, kernel_rows, k, preselected, scale=None, rank=math.inf):
             chosen.append(j)
             total += math.log(d2)
             logdets.append(total)
-    return MapResult(indices=chosen, stepwise_logdets=logdets), rows[:t]
+    return MapResult(indices=chosen, stepwise_logdets=logdets)
 
 
 def _lazy_greedy(Z, k, preselected=()):
@@ -166,7 +167,7 @@ def greedy_map(L, k, preselected=()):
     decides.  A rank-floor hit before k picks gives a shorter result.
     """
     diag = np.diag(L).copy()
-    return _greedy(diag, lambda idx: L[idx], k, preselected)[0]
+    return _greedy(diag, lambda idx: L[idx], k, preselected)
 
 
 def greedy_map_rows(Z, k, preselected=()):
@@ -187,30 +188,57 @@ def greedy_map_rows(Z, k, preselected=()):
     if n * m >= LAZY_MIN_ENTRIES:
         return _lazy_greedy(Z, k, preselected)
     diag = np.einsum("ij,ij->i", Z, Z)
-    return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected, rank=m)[0]
+    return _greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected, rank=m)
 
 
-def greedy_map_projector(B, k):
-    """greedy_map on the projector I - B^T B, where B has orthonormal rows.
+def greedy_map_projector(B, k, frame_from=0):
+    """greedy_map on the projector H = I - B^T B, B with q orthonormal rows.
 
-    Kernel rows e_j - B^T B[:, j] are formed on demand, so no n x n array
-    is built.  On a projector kernel the incremental Cholesky rows are
-    themselves the Gram-Schmidt frame of the picked columns: orthonormal,
-    in pick order, spanning the same space.  They are returned as
-    ``frame`` (one per row), so the greedy doubles as a rank-revealing,
-    eigensolver-free basis of the projector's range.  Gains are measured
-    against the projector's norm 1, so a kernel that is zero up to
-    rounding yields no picks.
+    The greedy runs in B's q coordinates, never reading a row of H.  After
+    t picks S it holds W (t x q) with I + W^T W = (I - B_S B_S^T)^{-1}, so
+    column j's gain is 1 - ||b_j||^2 - ||W b_j||^2, b_j = B[:, j].  A pick
+    j reads c = W b_j off the kept rows of W B, appends
+    w = (b_j + W^T c) / sqrt(gain_j) and lowers every gain by (w B)^2:
+    O(qm + tq) flops, where a kernel row costs O(qm + tm).  Gains are
+    measured against the projector's norm 1, so a kernel that is zero up
+    to rounding yields no picks.
+
+    On a projector kernel the incremental Cholesky rows are the
+    Gram-Schmidt frame of the picked columns: orthonormal, in pick order,
+    spanning the same space.  Row t is -w_t B, except that it is exactly 0
+    on the columns picked before it and sqrt(gain) on its own.  Rows
+    ``frame_from`` on are returned as ``frame``, so the greedy doubles as
+    an eigensolver-free basis of H's range.
     """
-    def row(j):  # no preselected items, so only single rows are asked for
-        out = -(B[:, j] @ B)
-        out[j] += 1.0
-        return out
-
-    diag = 1.0 - np.einsum("ij,ij->j", B, B)
-    result, frame = _greedy(diag, row, k, (), scale=1.0)
-    result.frame = frame
-    return result
+    if k < 0:
+        raise InvalidInputError("k must be non-negative")
+    q, m = B.shape
+    gain = 1.0 - np.einsum("ij,ij->j", B, B)
+    W = np.empty((min(k, m), q))
+    WB = np.empty((len(W), m))  # w_t B, kept: c = W b_j is its column j
+    drop = np.empty(m)
+    chosen, gains = [], []
+    for t in range(len(W)):
+        j = int(gain.argmax())
+        d2 = float(gain[j])
+        if d2 <= EARLY_STOP_REL:
+            break
+        w = W[t]
+        np.dot(WB[:t, j], W[:t], out=w)
+        w += B[:, j]
+        w /= math.sqrt(d2)
+        gain -= np.square(np.dot(w, B, out=WB[t]), out=drop)
+        gain[j] = -np.inf
+        chosen.append(j)
+        gains.append(d2)
+    t = len(chosen)
+    frame = np.negative(WB[frame_from:t])
+    on_picks = np.triu(frame[:, chosen], frame_from + 1)
+    on_picks[np.arange(len(frame)), np.arange(frame_from, t)] = \
+        np.sqrt(gains[frame_from:])
+    frame[:, chosen] = on_picks
+    logdets = list(itertools.accumulate(map(math.log, gains)))
+    return MapResult(indices=chosen, stepwise_logdets=logdets, frame=frame)
 
 
 def brute_force_map(L, k):

@@ -10,6 +10,7 @@ greedy selection (sent items condition the geometry but are never re-sent).
 A baseline is one interval with no feedback.
 """
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -59,16 +60,18 @@ class ExperimentConfig:
         if self.total_select > self.dims:
             raise InvalidConfigError(f"total_select {self.total_select} exceeds "
                                      f"dims {self.dims}; such selections are singular")
-        if self.sparsity < 0:
-            raise InvalidConfigError("sparsity budget must be non-negative")
+        if not (math.isfinite(self.sparsity * self.dims) and self.sparsity >= 0):
+            raise InvalidConfigError("sparsity budget R*m must be finite and "
+                                     f"non-negative, got R = {self.sparsity}")
         if not 0 <= self.block_fraction <= 1:
             raise InvalidConfigError("block_fraction must lie in [0, 1]")
         if self.feedback_at(self.rounds) and self.sparsity * self.dims < 1:
             raise InvalidConfigError(
                 f"feedback budget R*m = {self.sparsity * self.dims:g} "
                 "is below one element")
-        if not 0 < self.epsilon:
-            raise InvalidConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidConfigError(
+                f"epsilon must be finite and positive, got {self.epsilon}")
         if self.strategy not in STRATEGIES:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
         if self.compression not in COMPRESSIONS:

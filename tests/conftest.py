@@ -78,6 +78,29 @@ def svd_residual_terms(H, selected, r1):
     return values[keep], vectors[keep]
 
 
+def kernel_row_projector_greedy(B, k):
+    """The projector greedy on H = I - B^T B, one m-wide kernel row a pick.
+
+    The reference for ``dpp.greedy_map_projector``, which runs in B's q
+    coordinates instead: incremental Cholesky with kernel rows
+    e_j - B^T B[:, j], its Cholesky rows the frame.  Returns (picks, frame).
+    """
+    m = B.shape[1]
+    diag = 1.0 - np.einsum("ij,ij->j", B, B)
+    rows, picks = np.empty((min(k, m), m)), []
+    for t in range(len(rows)):
+        j = int(diag.argmax())
+        if diag[j] <= dpp.EARLY_STOP_REL:
+            break
+        row = -(B[:, j] @ B)
+        row[j] += 1.0
+        rows[t] = (row - rows[:t, j] @ rows[:t]) / math.sqrt(diag[j])
+        diag -= np.square(rows[t])
+        diag[j] = -np.inf
+        picks.append(j)
+    return picks, rows[:len(picks)]
+
+
 def comparable(result):
     """An ExperimentResult's results.jsonl record plus its full ledger."""
     return {**result.to_json_dict(), "ledger": result.ledger}

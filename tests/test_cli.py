@@ -620,6 +620,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert message in err[0]
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--R", "nan"], "must be finite"),
+        (["--R", "inf"], "must be finite"),
+        (["--R", "1e308"], "must be finite"),  # R*m overflows at m = 8
+        (["--epsilon", "inf"], "must be finite"),
+        (["--tT", "0"], "--tT must be at least 1"),
+        (["--seed-list", "-1"], "seeds must be non-negative"),
+    ], ids=["R-nan", "R-inf", "Rm-overflow", "epsilon-inf", "tT-0", "seed-list-negative"])
+    def test_a_bad_run_setting_exits_2_before_out_is_made(self, tmp_path, capsys,
+                                                          setting, message):
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--m", "8", "--kT", "4",
+                       "--N", "2", "--ni", "12", "--clusters", "3",
+                       "--seed-list", "0", "--strategies", "ddpp,greedi",
+                       *setting) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert message in err[0]
+        assert not out.exists()
+
     def test_report_writes_na_for_runs_without_spread(self, tmp_path):
         # on fixed data each strategy gives one RDE on every seed: no spread
         path = tmp_path / "d.csv"

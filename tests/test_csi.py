@@ -130,6 +130,12 @@ class TestSplitBudget:
     def test_minimal_budget(self):
         assert csi.split_budget(1 / 8, 8, 0.5) == (1, 0)
 
+    @pytest.mark.parametrize("R, m", [(math.nan, 8), (math.inf, 8),
+                                      (1e308, 512)])  # R*m overflows
+    def test_a_budget_that_is_not_finite_is_refused(self, R, m):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            csi.split_budget(R, m)
+
     def test_zero_block_fraction_spends_all_on_spectral_terms(self):
         assert csi.split_budget(3.0, 16, 0.0) == (0, 3)
 
@@ -284,6 +290,18 @@ class TestCompressReconstruct:
                                residual_vectors=np.zeros((0, 4)))
         with pytest.raises(InvalidInputError):
             csi.reconstruct(packet)
+
+    @pytest.mark.parametrize("dims, ok", [
+        ((), True), ((0,), True), ((0, 3), True), ((1, 1), False),
+        ((2, 1), False), ((-1, 2), False), ((0, 4), False),
+        ((2**64 - 1,), False), ((3, 2**63), False)])  # a decoded u64
+    def test_validate_checks_selected_dims_order_and_range(self, dims, ok):
+        packet = make_packet(4, dims, np.eye(len(dims)), [], [])
+        if ok:
+            assert packet.validate() is packet
+        else:
+            with pytest.raises(InvalidInputError, match="strictly increasing"):
+                packet.validate()
 
     @pytest.mark.parametrize("field", ["principal_block", "residual_values",
                                        "residual_vectors"])
@@ -572,6 +590,19 @@ class TestSubspacePrecode:
         momentum = data.draw(st.booleans(), label="momentum")
         assert kernel(csi.precode(Z, packet, momentum)) == pytest.approx(
             kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
+
+    @PACKETS
+    def test_a_built_packet_is_factored_block_by_block(self, monkeypatch,
+                                                       make):
+        # its residual vectors are exactly 0 on S, so M is block-diagonal
+        H, _ = random_projector(np.random.default_rng(254), 33, 20)
+        packet = make(H)
+        Z = np.random.default_rng(255).normal(size=(25, 33))
+        factored = counted(monkeypatch, "psd_eigh", csi)
+        csi.precode(Z, packet)
+        sizes = [args[0].shape[0] for args, _ in factored]
+        assert max(sizes) <= max(packet.block_size, packet.residual_rank)
+        assert sum(sizes) == packet.block_size + packet.residual_rank
 
     def test_negative_eigenvalue_raises_like_dense(self):
         V = np.zeros((1, 6))

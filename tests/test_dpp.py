@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted, stepwise_exhaustive_greedy
+from conftest import (counted, kernel_row_projector_greedy,
+                      stepwise_exhaustive_greedy)
 from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
 
@@ -135,6 +136,24 @@ class TestGreedyMap:
         cols = P[:, b.indices]
         assert np.tril(F @ cols, -1) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_projector_variant_matches_the_kernel_row_greedy(self, data):
+        # k up to and past rank(H) = m - q, the frame from any row on
+        m = data.draw(st.integers(1, 16), label="m")
+        q = data.draw(st.integers(0, m), label="q")
+        k = data.draw(st.integers(0, m + 3), label="k")
+        first = data.draw(st.integers(0, k), label="frame_from")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        B = np.linalg.qr(rng.normal(size=(m, q)))[0].T
+        picks, frame = kernel_row_projector_greedy(B, k)
+        res = dpp.greedy_map_projector(B, k, frame_from=first)
+        assert res.indices == picks and len(picks) == min(k, m - q)
+        assert res.frame.shape == frame[first:].shape
+        np.testing.assert_allclose(res.frame, frame[first:], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.frame @ res.frame.T,
+                                   np.eye(len(res.frame)), rtol=0, atol=1e-12)
+
     def test_projector_variant_picks_nothing_from_rounding_noise(self):
         # I - B^T B is zero up to rounding when B's rows span everything;
         # gains are measured against the projector's norm, not that noise
@@ -185,7 +204,7 @@ def eager_rows(Z, k, preselected=()):
     """The streaming greedy on Z Z^T, whatever Z's shape."""
     diag = np.einsum("ij,ij->i", Z, Z)
     return dpp._greedy(diag, lambda idx: Z[idx] @ Z.T, k, preselected,
-                       rank=Z.shape[1])[0]
+                       rank=Z.shape[1])
 
 
 def assert_same_run(lazy, eager):
