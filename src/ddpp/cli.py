@@ -8,6 +8,7 @@ Campaign points may run in a thread pool capped by DDPP_THREADS.
 
 import argparse
 import csv as csvmod
+import functools
 import json
 import os
 import sys
@@ -117,15 +118,23 @@ def _worker_count():
         raise InvalidConfigError(f"DDPP_THREADS must be an integer, got {raw!r}")
 
 
+def _check_seed(seed):
+    """``gen``'s and ``partition``'s ``--seed``, which numpy needs non-negative."""
+    if seed < 0:
+        raise InvalidConfigError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_gen(args):
     n = args.sources * args.ni if args.n is None else args.n
     if min(args.sources, args.m, n) < 1:
         raise InvalidConfigError(f"--sources ({args.sources}), --m ({args.m}) "
                                  f"and the sample count ({n}) must be positive")
-    os.makedirs(args.out, exist_ok=True)
     if n % args.sources:
         raise InvalidConfigError(
             f"{n} samples do not split evenly over {args.sources} sources")
+    _check_seed(args.seed)
+    data._mixture_labels(n, args.clusters, args.mean_sparsity)
+    os.makedirs(args.out, exist_ok=True)
     Z, labels = data.synth_gaussian_mixture(
         seed=args.seed, n=n, m=args.m, n_clusters=args.clusters,
         spread=args.spread, scale=args.scale, radius_jitter=args.radius_jitter,
@@ -141,6 +150,7 @@ def cmd_gen(args):
 
 
 def cmd_partition(args):
+    _check_seed(args.seed)
     Z, labels = _read_data(args)
     part = data.partition(Z.shape[0], args.sources, policy=args.partition_policy,
                           seed=args.seed, cluster_labels=labels, skew=args.skew)
@@ -193,8 +203,12 @@ def cmd_run(args):
         raise InvalidConfigError("--partition-file needs --data")
     loaded = _read_data(args) if args.data else None
     dims = loaded[0].shape[1] if loaded else args.m
+    if not loaded and args.ni < 1:
+        raise InvalidConfigError(f"--ni must be positive, got {args.ni}")
     for N in args.N:  # a configuration error exits before any data is made
         _unit_configs(args, seeds[0], N, dims)
+        if not loaded:
+            data._mixture_labels(N * args.ni, args.clusters, args.mean_sparsity)
     units = [(seed, N) for N in args.N for seed in seeds]
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")
@@ -265,6 +279,8 @@ def cmd_report(args):
     for pair in pairs:
         if len(pair) != 2 or not all(pair):
             raise InvalidConfigError(f"--pairs entry {':'.join(pair)!r} is not a:b")
+    # the scatter's dataset is rebuilt first: a bad setting then writes nothing
+    scatter = _pca_scatter(args, lines) if args.pca_seed is not None else None
     os.makedirs(args.out, exist_ok=True)
     cells = {}
     for line in lines:
@@ -297,14 +313,18 @@ def cmd_report(args):
                 except (InvalidInputError, DegenerateInputError):
                     # fewer than two runs of one, or neither varies
                     writer.writerow([a, b, N, R, "NA", "NA"])
-    if args.pca_seed is not None:
-        _write_pca_csv(args, lines)
+    if scatter is not None:
+        out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")
+        with open(out_path, "w", newline="") as fh:
+            writer = csvmod.writer(fh)
+            writer.writerow(["x", "y", "label", "selected"])
+            writer.writerows(scatter)
     print(f"wrote report to {args.out}")
     return 0
 
 
-def _write_pca_csv(args, lines):
-    """Scatter coordinates for one seed, with a selected flag per sample.
+def _pca_scatter(args, lines):
+    """Scatter rows for one seed: x, y, label and a selected flag per sample.
 
     The dataset is rebuilt the way the run built it: loaded from the run's
     ``--data`` file when it had one, otherwise regenerated from the seed.
@@ -340,14 +360,9 @@ def _write_pca_csv(args, lines):
         raise InvalidConfigError(f"{manifest_path}: no {exc.name!r} setting") from None
     coords = metrics.pca2d(dataset.rows(range(dataset.n)))
     chosen = set(chosen)
-    out_path = os.path.join(args.out, f"pca_seed{args.pca_seed}.csv")
-    with open(out_path, "w", newline="") as fh:
-        writer = csvmod.writer(fh)
-        writer.writerow(["x", "y", "label", "selected"])
-        labels = dataset.labels if dataset.labels is not None else np.zeros(dataset.n, dtype=int)
-        for i in range(dataset.n):
-            writer.writerow([f"{coords[i, 0]:.6f}", f"{coords[i, 1]:.6f}",
-                             int(labels[i]), int(i in chosen)])
+    labels = dataset.labels if dataset.labels is not None else np.zeros(dataset.n, dtype=int)
+    return [[f"{coords[i, 0]:.6f}", f"{coords[i, 1]:.6f}",
+             int(labels[i]), int(i in chosen)] for i in range(dataset.n)]
 
 
 def cmd_oracle(args):
@@ -468,9 +483,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":

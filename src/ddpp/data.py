@@ -249,11 +249,16 @@ SYNTH_CHUNK_BYTES = 1 << 18
 
 
 def _mixture_labels(n, n_clusters, mean_sparsity):
-    """Sample g's cluster, g mod n_clusters, once the mixture's settings pass."""
+    """Sample g's cluster, g mod n_clusters, once the mixture's settings pass.
+
+    The settings are configuration, so a bad one is ``InvalidConfigError``;
+    ``ddpp run`` and ``gen`` call this to check them before they write
+    anything.
+    """
     if not 1 <= n_clusters <= n:
-        raise InvalidInputError(f"cluster count {n_clusters} must lie in 1..{n}")
+        raise InvalidConfigError(f"cluster count {n_clusters} must lie in 1..{n}")
     if not 0 < mean_sparsity <= 1:
-        raise InvalidInputError("mean_sparsity must lie in (0, 1]")
+        raise InvalidConfigError("mean_sparsity must lie in (0, 1]")
     return np.arange(n, dtype=np.int64) % n_clusters
 
 

@@ -239,7 +239,8 @@ class _Center:
         self.uplink = [0] * config.n_sources
         self.downlink = [0] * config.n_sources
         self.uplink_bytes = self.downlink_bytes = 0
-        self.sketch_rng = np.random.default_rng([config.seed, _SALT_SKETCH])
+        self.sketch_rng = (np.random.default_rng([config.seed, _SALT_SKETCH])
+                           if config.compression == "random_sketch" else None)
 
     def receive(self, frame, source_id, interval):
         """Decode, check, count and file one batch frame from ``source_id``.
@@ -365,9 +366,9 @@ def ground_truth_logdet(dataset, ground_truth):
 def _schedule(center, transport, ground_truth, plans=None):
     """Run every source's rounds over a channel of its own; score the run.
 
-    ``loopback`` serves each source inline on this thread over queues;
-    ``tcp`` runs each in its own thread behind a socket.  Selections are
-    identical in both, as a source sees only its own frames.
+    ``loopback`` serves each source inline on this thread over in-process
+    FIFOs; ``tcp`` runs each in its own thread behind a socket.  Selections
+    are identical in both, as a source sees only its own frames.
     """
     config, dataset = center.config, center.dataset
     workers = [SourceWorker(i, dataset.source_rows(i), config,

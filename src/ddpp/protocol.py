@@ -23,20 +23,27 @@ Three frame types travel between sources and the center:
 
 Everything is little-endian; floats are IEEE f64 with no quantization.
 Encoding is canonical: decode then encode reproduces the bytes.  Decoding
-is where frame data enters the package: a decoded batch or packet has
-consistent shapes and finite values, or decoding raises.
+is where frame data enters the package, and where it is checked, once: a
+decoded batch or packet has consistent shapes and finite values, or
+decoding raises.  A frame's fixed fields are read in one unpack.  The
+encoders trust what the program built (a packet is validated where
+``csi`` builds it) and check only a batch's indices.
+
+A loopback channel is a pair of plain FIFOs for sources run inline on
+the center's thread, so its ``recv`` raises on an empty inbox rather than
+wait; a tcp channel carries length-prefixed frames over a socket.
 """
 
-import queue
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .csi import CsiPacket
-from .errors import DdppError, DecodeError, InvalidInputError
+from .errors import DdppError, DecodeError, InvalidInputError, ProtocolError
 
 MAGIC_BATCH = b"DDPB"
 MAGIC_FEEDBACK = b"DDPF"
@@ -44,6 +51,12 @@ MAGIC_ERROR = b"DDPE"
 WIRE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHII")
+# The fixed fields of a batch and of a feedback frame, each read in one
+# unpack; the names are those of the fields after magic and version.
+_BATCH_HEAD = struct.Struct("<4sHIIQQ")
+_BATCH_FIELDS = ("source_id", "interval", "count", "m")
+_FEEDBACK_HEAD = struct.Struct("<4sHIIQQQQ")
+_FEEDBACK_FIELDS = ("target_source", "interval", "m", "r0", "r1", "element_count")
 # A tcp frame's length travels as a u32, so no frame can hold even one f64
 # vector wider than this; a larger declared m is refused at decode.
 MAX_DIMS = (2**32 - 1) // 8
@@ -59,12 +72,11 @@ class SampleBatch:
     vectors: np.ndarray
 
     def validate(self):
+        """One unique index per vector row; the values are checked at decode."""
         if len(self.local_indices) != self.vectors.shape[0]:
             raise InvalidInputError("index count does not match vector rows")
         if len(set(self.local_indices)) != len(self.local_indices):
             raise InvalidInputError("batch indices must be unique")
-        if not np.isfinite(self.vectors).all():
-            raise InvalidInputError("batch vectors contain non-finite entries")
         return self
 
 
@@ -97,24 +109,6 @@ class _Reader:
     def u32(self, what):
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def f64s(self, count, what):
-        raw = self.take(8 * count, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def dims(self):
-        """The frame's vector width m, bounded before anything is shaped by it."""
-        m = self.u64("m")
-        if not 1 <= m <= MAX_DIMS:
-            raise DecodeError(self.pos - 8, f"m = {m} outside 1..{MAX_DIMS}")
-        return m
-
-    def u64s(self, count, what):
-        raw = self.take(8 * count, what)
-        return struct.unpack(f"<{count}Q", raw) if count else ()
-
     def done(self):
         if self.pos != len(self.buf):
             raise DecodeError(self.pos, "trailing bytes after frame")
@@ -129,63 +123,114 @@ def _check_header(r, magic, kind):
         raise DecodeError(4, f"unsupported {kind} version {version}")
 
 
+def _check_dims(m, offset):
+    """The frame's vector width m, bounded before anything is shaped by it."""
+    if not 1 <= m <= MAX_DIMS:
+        raise DecodeError(offset, f"m = {m} outside 1..{MAX_DIMS}")
+
+
+def _head(data, head, fields, magic, kind):
+    """The fixed fields after magic and version, from one unpack.
+
+    A frame too short to hold them is read field by field instead, so it
+    fails at the first field that is bad or cut short, as any frame does:
+    bad magic, bad version, an m outside 1..MAX_DIMS, then truncation.
+    """
+    if len(data) < head.size:
+        r = _Reader(data)
+        _check_header(r, magic, kind)
+        for code, what in zip(head.format[4:], fields):
+            raw = r.take(struct.calcsize(code), what)
+            if what == "m":
+                _check_dims(struct.unpack("<" + code, raw)[0], r.pos - len(raw))
+    got, version, *values = head.unpack_from(data)
+    if got != magic:
+        raise DecodeError(0, f"bad magic {got!r} for {kind} frame")
+    if version != WIRE_VERSION:
+        raise DecodeError(4, f"unsupported {kind} version {version}")
+    return values
+
+
+def _parts(data, pos, sizes):
+    """Where each (name, byte count) part of a frame body starts.
+
+    The parts follow each other from ``pos``, and the frame must end with
+    the last one.
+    """
+    starts = []
+    for what, n in sizes:
+        if pos + n > len(data):
+            raise DecodeError(pos, f"truncated while reading {what}")
+        starts.append(pos)
+        pos += n
+    if pos != len(data):
+        raise DecodeError(pos, "trailing bytes after frame")
+    return starts
+
+
+def _f64s(data, count, pos):
+    return np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+
+
 def encode_batch(batch):
+    """A batch's frame; its vectors are the source's own rows, so only the
+    indices are checked here, and the receiver's decode checks the values."""
     batch.validate()
     vectors = np.ascontiguousarray(batch.vectors, dtype="<f8")
     count, m = vectors.shape
-    head = _HEADER.pack(MAGIC_BATCH, WIRE_VERSION, batch.source_id, batch.interval)
-    body = struct.pack("<QQ", count, m)
-    body += struct.pack(f"<{count}Q", *batch.local_indices) if count else b""
-    return head + body + vectors.tobytes()
+    head = _BATCH_HEAD.pack(MAGIC_BATCH, WIRE_VERSION, batch.source_id,
+                            batch.interval, count, m)
+    return b"".join((head, struct.pack(f"<{count}Q", *batch.local_indices),
+                     vectors.tobytes()))
 
 
 def decode_batch(data):
-    r = _Reader(data)
-    _check_header(r, MAGIC_BATCH, "batch")
-    source_id = r.u32("source_id")
-    interval = r.u32("interval")
-    count = r.u64("count")
-    m = r.dims()
-    indices = r.u64s(count, "indices")
-    vectors = r.f64s(count * m, "vectors").reshape(count, m)
-    r.done()
-    return SampleBatch(source_id=source_id, interval=interval,
-                       local_indices=tuple(indices), vectors=vectors).validate()
+    source_id, interval, count, m = _head(data, _BATCH_HEAD, _BATCH_FIELDS,
+                                          MAGIC_BATCH, "batch")
+    _check_dims(m, _HEADER.size + 8)  # m follows the u64 count
+    at_indices, at_vectors = _parts(data, _BATCH_HEAD.size, (
+        ("indices", 8 * count), ("vectors", 8 * count * m)))
+    batch = SampleBatch(
+        source_id=source_id, interval=interval,
+        local_indices=struct.unpack_from(f"<{count}Q", data, at_indices),
+        vectors=_f64s(data, count * m, at_vectors).reshape(count, m)).validate()
+    if not np.isfinite(batch.vectors).all():
+        raise InvalidInputError("batch vectors contain non-finite entries")
+    return batch
 
 
 def encode_feedback(msg):
-    p = msg.packet.validate()
-    r0, r1, m = p.block_size, p.residual_rank, p.dims
-    head = _HEADER.pack(MAGIC_FEEDBACK, WIRE_VERSION, msg.target_source, msg.interval)
-    body = struct.pack("<QQQQ", m, r0, r1, p.element_count)
-    body += struct.pack(f"<{r0}Q", *p.selected_dims) if r0 else b""
-    body += np.ascontiguousarray(p.principal_block, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(p.residual_values, dtype="<f8").tobytes()
-    body += np.ascontiguousarray(p.residual_vectors, dtype="<f8").tobytes()
-    return head + body
+    """A feedback frame; its packet was validated where ``csi`` built it,
+    and the receiver's decode validates it again."""
+    p = msg.packet
+    r0 = p.block_size
+    head = _FEEDBACK_HEAD.pack(MAGIC_FEEDBACK, WIRE_VERSION, msg.target_source,
+                               msg.interval, p.dims, r0, p.residual_rank,
+                               p.element_count)
+    return b"".join((head, struct.pack(f"<{r0}Q", *p.selected_dims),
+                     *(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                       for a in (p.principal_block, p.residual_values,
+                                 p.residual_vectors))))
 
 
 def decode_feedback(data):
-    r = _Reader(data)
-    _check_header(r, MAGIC_FEEDBACK, "feedback")
-    target = r.u32("target_source")
-    interval = r.u32("interval")
-    m = r.dims()
-    r0 = r.u64("r0")
-    r1 = r.u64("r1")
-    declared = r.u64("element_count")
-    expected = (r0 * r0 + r0) // 2 + r1 * m
+    target, interval, m, r0, r1, declared = _head(
+        data, _FEEDBACK_HEAD, _FEEDBACK_FIELDS, MAGIC_FEEDBACK, "feedback")
+    _check_dims(m, _HEADER.size)
+    triangle = (r0 * r0 + r0) // 2
+    expected = triangle + r1 * m
     if declared != expected:
-        raise DecodeError(r.pos - 8,
+        raise DecodeError(_FEEDBACK_HEAD.size - 8,  # the last u64
                           f"element_count {declared} != {expected} from r0={r0} r1={r1} m={m}")
-    selected = r.u64s(r0, "selected dims")
-    block = r.f64s((r0 * r0 + r0) // 2, "principal block")
-    values = r.f64s(r1, "residual values")
-    vectors = r.f64s(r1 * m, "residual vectors").reshape(r1, m)
-    r.done()
-    packet = CsiPacket(dims=m, selected_dims=tuple(selected),
-                       principal_block=block, residual_values=values,
-                       residual_vectors=vectors).validate()
+    at_dims, at_block, at_values, at_vectors = _parts(data, _FEEDBACK_HEAD.size, (
+        ("selected dims", 8 * r0), ("principal block", 8 * triangle),
+        ("residual values", 8 * r1), ("residual vectors", 8 * r1 * m)))
+    packet = CsiPacket(dims=m,
+                       selected_dims=struct.unpack_from(f"<{r0}Q", data, at_dims),
+                       principal_block=_f64s(data, triangle, at_block),
+                       residual_values=_f64s(data, r1, at_values),
+                       residual_vectors=_f64s(data, r1 * m, at_vectors).reshape(r1, m)
+                       ).validate()
     return FeedbackMsg(target_source=target, interval=interval, packet=packet)
 
 
@@ -223,8 +268,11 @@ def decode_error(data):
 class LoopbackChannel:
     """One end of an in-process FIFO duplex pair; deterministic.
 
-    The engine runs loopback sources inline on the center's thread, so no
-    reader ever waits on an empty queue and there is nothing to close.
+    Each direction is a plain FIFO (a ``deque``) with no locks.  The engine
+    runs loopback sources inline on the center's thread, so a frame is
+    always sent before it is received: ``recv`` on an empty inbox raises
+    ``ProtocolError`` at once instead of waiting for a frame that cannot
+    come.  There is nothing to close.
     """
 
     def __init__(self, inbox, outbox):
@@ -232,18 +280,22 @@ class LoopbackChannel:
         self._outbox = outbox
 
     def send(self, frame):
-        self._outbox.put(bytes(frame))
+        self._outbox.append(bytes(frame))
 
     def recv(self):
-        return self._inbox.get()
+        try:
+            return self._inbox.popleft()
+        except IndexError:
+            raise ProtocolError("recv on an empty loopback inbox: "
+                                "no frame was sent to this end") from None
 
     def close(self):
         pass
 
 
 def loopback_pair():
-    """(center_end, source_end) duplex pair backed by two FIFO queues."""
-    to_center, to_source = queue.Queue(), queue.Queue()
+    """(center_end, source_end) duplex pair backed by two FIFOs."""
+    to_center, to_source = deque(), deque()
     return (LoopbackChannel(to_center, to_source),
             LoopbackChannel(to_source, to_center))
 

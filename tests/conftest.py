@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import struct
 import threading
 import time
 
@@ -12,7 +13,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ddpp import csi, data, dpp, linalg  # noqa: E402
+from ddpp import csi, data, dpp, linalg, protocol  # noqa: E402
+from ddpp.errors import DecodeError, InvalidInputError  # noqa: E402
 
 
 def stepwise_exhaustive_greedy(L, k, preselected=()):
@@ -181,3 +183,84 @@ def poison_feedback(monkeypatch, n_sources, target):
                              residual_vectors=vectors)
 
     monkeypatch.setattr(csi, "compress", compress)
+
+
+class _FieldReader:
+    """Cursor over a frame, one field at a time, as the reference decoders read."""
+
+    def __init__(self, buf):
+        self.buf, self.pos = buf, 0
+
+    def take(self, n, what):
+        if self.pos + n > len(self.buf):
+            raise DecodeError(self.pos, f"truncated while reading {what}")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def uint(self, code, what):
+        return struct.unpack("<" + code, self.take(struct.calcsize(code), what))[0]
+
+    def head(self, magic, kind):
+        got = self.take(4, "magic")
+        if got != magic:
+            raise DecodeError(0, f"bad magic {got!r} for {kind} frame")
+        version = self.uint("H", "version")
+        if version != protocol.WIRE_VERSION:
+            raise DecodeError(4, f"unsupported {kind} version {version}")
+
+    def dims(self):
+        m = self.uint("Q", "m")
+        if not 1 <= m <= protocol.MAX_DIMS:
+            raise DecodeError(self.pos - 8, f"m = {m} outside 1..{protocol.MAX_DIMS}")
+        return m
+
+    def u64s(self, count, what):
+        raw = self.take(8 * count, what)
+        return struct.unpack(f"<{count}Q", raw) if count else ()
+
+    def f64s(self, count, what):
+        return np.frombuffer(self.take(8 * count, what), dtype="<f8").astype(np.float64)
+
+    def done(self):
+        if self.pos != len(self.buf):
+            raise DecodeError(self.pos, "trailing bytes after frame")
+
+
+def field_by_field_decode_batch(data):
+    """Reference ``decode_batch``: every field read and checked in turn."""
+    r = _FieldReader(data)
+    r.head(protocol.MAGIC_BATCH, "batch")
+    source_id, interval = r.uint("I", "source_id"), r.uint("I", "interval")
+    count = r.uint("Q", "count")
+    m = r.dims()
+    indices = r.u64s(count, "indices")
+    vectors = r.f64s(count * m, "vectors").reshape(count, m)
+    r.done()
+    if len(set(indices)) != len(indices):
+        raise InvalidInputError("batch indices must be unique")
+    if not np.isfinite(vectors).all():
+        raise InvalidInputError("batch vectors contain non-finite entries")
+    return protocol.SampleBatch(source_id=source_id, interval=interval,
+                                local_indices=indices, vectors=vectors)
+
+
+def field_by_field_decode_feedback(data):
+    """Reference ``decode_feedback``: every field read and checked in turn."""
+    r = _FieldReader(data)
+    r.head(protocol.MAGIC_FEEDBACK, "feedback")
+    target, interval = r.uint("I", "target_source"), r.uint("I", "interval")
+    m = r.dims()
+    r0, r1 = r.uint("Q", "r0"), r.uint("Q", "r1")
+    declared = r.uint("Q", "element_count")
+    expected = (r0 * r0 + r0) // 2 + r1 * m
+    if declared != expected:
+        raise DecodeError(r.pos - 8, f"element_count {declared} != {expected} "
+                                     f"from r0={r0} r1={r1} m={m}")
+    packet = csi.CsiPacket(
+        dims=m, selected_dims=r.u64s(r0, "selected dims"),
+        principal_block=r.f64s((r0 * r0 + r0) // 2, "principal block"),
+        residual_values=r.f64s(r1, "residual values"),
+        residual_vectors=r.f64s(r1 * m, "residual vectors").reshape(r1, m))
+    r.done()
+    return protocol.FeedbackMsg(target_source=target, interval=interval,
+                                packet=packet.validate())

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import poison_feedback, run_within
+from conftest import counted, poison_feedback, run_within
 import ddpp
 from ddpp import cli, data
 
@@ -63,8 +63,16 @@ class TestGen:
     def test_zero_clusters_exit_code(self, tmp_path, capsys):
         code = run_cli("gen", "--out", str(tmp_path / "x"), *GEN_ARGS,
                        "--clusters", "0")
-        assert code == 1
+        assert code == 2
         assert "cluster count 0" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    calls = counted(monkeypatch, "build_parser", cli)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert run_cli("gen", "--out", str(tmp_path / "x"), "--sources", "0") == 2
+    assert len(calls) == 1
 
 
 class TestRun:
@@ -627,7 +635,15 @@ class TestExitCodes:
         (["--epsilon", "inf"], "must be finite"),
         (["--tT", "0"], "--tT must be at least 1"),
         (["--seed-list", "-1"], "seeds must be non-negative"),
-    ], ids=["R-nan", "R-inf", "Rm-overflow", "epsilon-inf", "tT-0", "seed-list-negative"])
+        (["--ni", "0"], "--ni must be positive, got 0"),
+        (["--clusters", "0"], "cluster count 0 must lie in 1..24"),
+        (["--clusters", "25"], "cluster count 25 must lie in 1..24"),
+        (["--mean-sparsity", "0"], "mean_sparsity must lie in (0, 1]"),
+        (["--mean-sparsity", "1.5"], "mean_sparsity must lie in (0, 1]"),
+        (["--mean-sparsity", "nan"], "mean_sparsity must lie in (0, 1]"),
+    ], ids=["R-nan", "R-inf", "Rm-overflow", "epsilon-inf", "tT-0", "seed-list-negative",
+            "ni-0", "clusters-0", "clusters-past-n", "mean-sparsity-0",
+            "mean-sparsity-past-1", "mean-sparsity-nan"])
     def test_a_bad_run_setting_exits_2_before_out_is_made(self, tmp_path, capsys,
                                                           setting, message):
         out = tmp_path / "out"
@@ -638,6 +654,42 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert message in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "partition"])
+    def test_a_negative_seed_exits_2_before_out_is_made(self, tmp_path, capsys,
+                                                        command):
+        out = tmp_path / "out"
+        if command == "gen":
+            argv = ["gen", "--out", str(out), "--sources", "2", "--ni", "10",
+                    "--m", "4", "--clusters", "2"]
+        else:
+            path = tmp_path / "d.csv"
+            np.savetxt(path, np.ones((4, 3)), delimiter=",")
+            argv = ["partition", "--data", str(path), "--sources", "2",
+                    "--out", str(out)]
+        assert run_cli(*argv, "--seed", "-1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --seed must be non-negative, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("selected, manifest, message", [
+        ("0,1", {"resolved": {}}, "no integer selected_indices"),
+        ([0, 1], {"resolved": {}}, "no 'data' setting"),
+        ([0, 1], [], "not a JSON object with a 'resolved' object"),
+    ], ids=["selected_indices", "setting", "manifest"])
+    def test_report_pca_seed_writes_nothing_on_a_config_error(
+            self, tmp_path, capsys, selected, manifest, message):
+        results = tmp_path / "run" / "results.jsonl"
+        results.parent.mkdir()
+        (results.parent / "manifest.json").write_text(json.dumps(manifest))
+        results.write_text(json.dumps(
+            {**GOOD_RESULT, "selected_indices": selected}) + "\n")
+        out = tmp_path / "rep"
+        assert run_cli("report", "--results", str(results), "--out", str(out),
+                       "--pca-seed", "0") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
         assert not out.exists()
 
     def test_report_writes_na_for_runs_without_spread(self, tmp_path):

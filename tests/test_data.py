@@ -193,11 +193,11 @@ class TestSynth:
         assert peak < 1.5 * n * m * 8  # no means[labels] beside the noise
 
     def test_too_many_clusters(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidConfigError):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=5)
 
     def test_zero_clusters(self):
-        with pytest.raises(InvalidInputError, match="cluster count 0"):
+        with pytest.raises(InvalidConfigError, match="cluster count 0"):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=0)
 
 

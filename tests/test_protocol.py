@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_within
+from conftest import (field_by_field_decode_batch,
+                      field_by_field_decode_feedback, run_within)
 from ddpp import csi, protocol
 from ddpp.errors import (DdppError, DecodeError, InvalidInputError,
-                         NotPositiveDefiniteError, NotPsdError)
+                         NotPositiveDefiniteError, NotPsdError, ProtocolError)
 
 
 def random_batch(rng, count=4, m=3):
@@ -222,6 +223,97 @@ class TestMalformedFrames:
             pass
 
 
+_U32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def batch_frames(draw):
+    """A valid ``DDPB`` frame of up to 4 rows, each 1 to 5 wide."""
+    count, m = draw(st.integers(0, 4), label="count"), draw(st.integers(1, 5), label="m")
+    rng = np.random.default_rng(draw(_U32, label="seed"))
+    batch = protocol.SampleBatch(
+        source_id=draw(_U32, label="source_id"), interval=draw(_U32, label="interval"),
+        local_indices=tuple(rng.choice(2**40, size=count, replace=False).tolist()),
+        vectors=rng.normal(size=(count, m)))
+    return protocol.encode_batch(batch)
+
+
+@st.composite
+def feedback_frames(draw):
+    """A valid ``DDPF`` frame: m in 1..5, any r0 <= m, r1 in 0..3."""
+    m = draw(st.integers(1, 5), label="m")
+    r0, r1 = draw(st.integers(0, m), label="r0"), draw(st.integers(0, 3), label="r1")
+    rng = np.random.default_rng(draw(_U32, label="seed"))
+    packet = csi.CsiPacket(
+        dims=m, selected_dims=tuple(sorted(rng.choice(m, size=r0, replace=False).tolist())),
+        principal_block=rng.normal(size=(r0 * r0 + r0) // 2),
+        residual_values=rng.normal(size=r1),
+        residual_vectors=rng.normal(size=(r1, m))).validate()
+    return protocol.encode_feedback(protocol.FeedbackMsg(
+        target_source=draw(_U32, label="target"), interval=draw(_U32, label="interval"),
+        packet=packet))
+
+
+class TestFrameFuzz:
+    """Decoding a damaged batch or feedback frame ends as a field-by-field
+    read of it does (``conftest``'s reference decoders): the same message
+    back, or the same error at the same offset.  A frame that decodes is
+    valid, so it encodes back to its own bytes."""
+
+    CODECS = {
+        "DDPB": (batch_frames(), protocol.decode_batch, protocol.encode_batch,
+                 field_by_field_decode_batch),
+        "DDPF": (feedback_frames(), protocol.decode_feedback,
+                 protocol.encode_feedback, field_by_field_decode_feedback),
+    }
+
+    @settings(max_examples=600, deadline=None)
+    @given(kind=st.sampled_from(sorted(CODECS)), data=st.data())
+    def test_a_damaged_frame_fails_where_a_field_by_field_read_fails(self, kind, data):
+        frames, decode, encode, reference = self.CODECS[kind]
+        frame = data.draw(frames, label="frame")
+        assert encode(decode(frame)) == frame
+        bad = bytearray(frame)
+        for _ in range(data.draw(st.integers(0, 4), label="flips")):
+            pos = data.draw(st.integers(0, len(frame) - 1), label="pos")
+            bad[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        if data.draw(st.booleans(), label="special"):  # an f64 counted from the end
+            pos = len(frame) - 8 * data.draw(st.integers(1, len(frame) // 8), label="at")
+            bad[pos:pos + 8] = struct.pack("<d", data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]), label="value"))
+        if data.draw(st.booleans(), label="truncate"):
+            del bad[data.draw(st.integers(0, len(frame) - 1), label="cut"):]
+        bad += data.draw(st.binary(max_size=9), label="tail")
+        same_outcome(decode, encode, reference, bytes(bad))
+
+    @pytest.mark.parametrize("kind", sorted(CODECS))
+    def test_every_cut_of_a_frame_with_one_bad_head_byte_fails_alike(self, kind):
+        # each fixed field in turn goes bad (magic, version, ids, counts, m,
+        # element count), and the frame is cut short anywhere around it
+        _, decode, encode, reference = self.CODECS[kind]
+        frame = _valid_frames()[kind][0]
+        head = {"DDPB": 30, "DDPF": 46}[kind]
+        for pos in range(head):
+            bad = bytearray(frame)
+            bad[pos] ^= 0xFF
+            for cut in range(len(frame) + 1):
+                same_outcome(decode, encode, reference, bytes(bad[:cut]))
+
+
+def same_outcome(decode, encode, reference, frame):
+    """``decode`` ends as the reference decoder does on ``frame``."""
+    try:
+        got = decode(frame)
+    except (DecodeError, InvalidInputError) as exc:
+        with pytest.raises(type(exc)) as want:
+            reference(frame)
+        assert str(want.value) == str(exc)  # a DecodeError names its offset
+        assert getattr(want.value, "offset", None) == getattr(exc, "offset", None)
+    else:
+        assert encode(got) == frame
+        assert encode(reference(frame)) == frame
+
+
 class TestOversizedFrames:
     """A declared m or count that no frame could hold fails at decode with
     DecodeError, before any array is shaped by it."""
@@ -263,6 +355,15 @@ class TestOversizedFrames:
 
 
 class TestChannels:
+    def test_loopback_recv_on_an_empty_inbox_raises_at_once(self):
+        center, source = protocol.loopback_pair()
+        for end in (center, source):
+            out = run_within(5, end.recv)
+            assert isinstance(out.error, ProtocolError), out.error
+        center.send(b"frame")
+        assert source.recv() == b"frame"
+        assert isinstance(run_within(5, source.recv).error, ProtocolError)
+
     def test_loopback_roundtrip(self):
         center, source = protocol.loopback_pair()
         center.send(b"hello")
