@@ -57,6 +57,20 @@ CAMPAIGNS = {
                   "--scale", "10.0", "--radius-jitter", "0.2",
                   "--norm-tail", "0.4", "--mean-sparsity", "0.3",
                   "--partition-policy", "cluster_skewed", "--skew", "0.1"],
+    # many feedback rounds: every interval past the second builds its
+    # projectors from what the earlier ones received
+    "deep-small": ["--strategies", "ddpp", "--N", "4", "--tT", "4", "--m",
+                   "16", "--ni", "30", "--kT", "16", "--clusters", "6",
+                   "--seed-list", "0,1,2"],
+    # perfbench's deep-feedback-tcp flags: five feedback rounds at m = 512
+    "deep-feedback-tcp": ["--strategies", "ddpp,greedi", "--seed-list", "1",
+                          "--N", "2", "--m", "512", "--kT", "120", "--tT",
+                          "6", "--R", "15.0", "--transport", "tcp", "--ni",
+                          "500", "--clusters", "80", "--spread", "0.03",
+                          "--scale", "10.0", "--radius-jitter", "0.2",
+                          "--norm-tail", "0.4", "--mean-sparsity", "0.3",
+                          "--partition-policy", "cluster_skewed", "--skew",
+                          "0.1"],
 }
 
 HEADER = ("Regenerate only in a change that declares the re-baseline in "
