@@ -19,7 +19,7 @@ import numpy as np
 from . import csi, dpp, metrics
 from .errors import (BudgetViolationError, InvalidConfigError,
                      InvalidInputError, ProtocolError)
-from .linalg import logdet_psd, right_singular_vectors
+from .linalg import extend_frame, logdet_psd
 from .protocol import (MAGIC_ERROR, FeedbackMsg, SampleBatch, decode_batch,
                        decode_error, decode_feedback, encode_batch,
                        encode_error, encode_feedback, loopback_pair, tcp_pair)
@@ -241,6 +241,8 @@ class _Center:
         self.uplink_bytes = self.downlink_bytes = 0
         self.sketch_rng = (np.random.default_rng([config.seed, _SALT_SKETCH])
                            if config.compression == "random_sketch" else None)
+        self.span = np.zeros((0, config.dims))  # the frame of the rows of the
+        self.framed, self.shared = 0, False  # first ``framed`` received ids
 
     def receive(self, frame, source_id, interval):
         """Decode, check, count and file one batch frame from ``source_id``.
@@ -279,23 +281,19 @@ class _Center:
 
         Its packet compresses the projector onto what the dataset's rows of
         the ids the other sources sent have not covered; before any arrive,
-        that is the identity.  The dataset keeps interval 2's: interval-1
-        picks are alike across runs.  Each source's foreign rows are a
-        subset of all received, so every one is built in one frame of them,
-        factored once per unit.
+        that is the identity.  Each source's foreign rows are a subset of all
+        received, so all are built in one frame of them, extended once per
+        interval; the dataset keeps the first frame and what is built in it
+        (``shared``), as interval-1 picks are alike across runs.
         """
         config, dataset, m = self.config, self.dataset, self.dataset.dims
+        if new := list(self.received)[self.framed:]:  # an interval's first packet
+            grow = lambda: extend_frame(self.span, dataset.rows(new))
+            self.shared, self.framed = not self.framed, self.framed + len(new)
+            self.span = dataset.memo(("frame", *new), grow) if self.shared else grow()
         ids = [g for g, s in self.received.items() if s != source_id]
-        if interval == 2:
-            received = list(self.received)
-
-            def basis():
-                frame = dataset.memo(("frame", *received), lambda:
-                                     right_singular_vectors(dataset.rows(received)))
-                return csi.projector_in_frame(dataset.rows(ids), frame)
-            H = dataset.memo(("basis", *ids), basis)
-        else:
-            H = csi.compute_projector(dataset.rows(ids), m)
+        build = lambda: csi.projector_in_frame(dataset.rows(ids), self.span)
+        H = dataset.memo(("basis", *ids), build) if self.shared else build()
         if config.compression == "proposed":
             packet = csi.compress(H, config.sparsity, config.block_fraction)
         elif config.compression == "svd":

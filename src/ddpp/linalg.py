@@ -91,13 +91,15 @@ def orthonormal_row_basis(Z):
     return Vh[:r].copy()
 
 
-def right_singular_vectors(Z):
-    """Every right singular vector of Z's thin SVD, none dropped by rank.
+def extend_frame(F, Z):
+    """F's orthonormal rows, then ones spanning what of rowspace(Z) they miss.
 
-    The min(n, m) orthonormal rows span a space holding rowspace(Z), so
-    any subset of Z's rows has its coordinates in them (see
-    ``csi.projector_in_frame``).  An input with no rows yields 0 rows.
+    Z's rows, scaled to unit norm (a zero row stays zero) and projected off
+    F twice (CGS2), add their right singular vectors of value > ``RANK_TOL``.
     """
-    if Z.shape[0] == 0:
-        return np.zeros((0, Z.shape[1]))
-    return np.linalg.svd(Z, full_matrices=False)[2]
+    norms = np.linalg.norm(Z, axis=1, keepdims=True)
+    Z = Z / np.where(norms > 0, norms, 1.0)
+    for _ in range(2):
+        Z -= (Z @ F.T) @ F
+    _, s, Vh = np.linalg.svd(Z, full_matrices=False)
+    return np.vstack([F, Vh[s > RANK_TOL]])

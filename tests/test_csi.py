@@ -84,6 +84,11 @@ class TestComputeProjector:
         assert res.ledger["downlink_bytes"] == 2 * 46
 
 
+def first_frame(rows):
+    """The center's first frame: ``rows`` extending an empty one."""
+    return linalg.extend_frame(np.zeros((0, rows.shape[1])), rows)
+
+
 class TestProjectorInFrame:
     """One frame of every received row serves each subset's projector."""
 
@@ -96,7 +101,7 @@ class TestProjectorInFrame:
         # or combine two, so subsets may be rank-deficient
         received = held_rows(np.random.default_rng(seed), m, rows, duplicates)
         ids = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
-        frame = linalg.right_singular_vectors(received)
+        frame = first_frame(received)
         H = csi.projector_in_frame(received[ids], frame)
         reference = csi.compute_projector(received[ids], m)
         assert H.basis.shape == reference.basis.shape
@@ -106,19 +111,19 @@ class TestProjectorInFrame:
 
     def test_rows_spanning_every_dimension_give_basis_i(self):
         received = np.random.default_rng(204).normal(size=(7, 5))
-        frame = linalg.right_singular_vectors(received)
+        frame = first_frame(received)
         H = csi.projector_in_frame(received[[6, 0, 3, 1, 4]], frame)
         assert np.array_equal(H.basis, np.eye(5))
 
     def test_the_svd_reads_coordinates_in_the_frame(self, monkeypatch):
         received = np.random.default_rng(205).normal(size=(4, 30))
-        frame = linalg.right_singular_vectors(received)
+        frame = first_frame(received)
         calls = counted(monkeypatch, "orthonormal_row_basis", csi)
         csi.projector_in_frame(received[[2, 0]], frame)
         assert [args[0].shape for args, _ in calls] == [(2, 4)]  # not (2, 30)
 
     def test_nothing_received_gives_identity(self):
-        frame = linalg.right_singular_vectors(np.zeros((0, 4)))
+        frame = first_frame(np.zeros((0, 4)))
         H = csi.projector_in_frame(np.zeros((0, 4)), frame)
         assert H.basis.shape == (0, 4) and np.array_equal(H.matrix, np.eye(4))
 

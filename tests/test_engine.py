@@ -667,22 +667,25 @@ class TestSharedLocalGreedy:
     @pytest.mark.parametrize("intervals", [2, 3])
     def test_a_second_compression_builds_no_first_round_projector(
             self, monkeypatch, intervals):
-        # interval 2 factors everything received once (m wide) and builds
-        # each source's basis in that frame; later intervals build N each
+        # each feedback interval extends the center's frame once and builds
+        # each source's basis in it; a second compression reads the first
+        # frame and its bases from the dataset, and extends only later
         ds = small_dataset(seed=35, n_sources=3, total_select=6)
         cfg = config(n_sources=3, total_select=6, intervals=intervals)
-        factored = counted(monkeypatch, "right_singular_vectors", engine)
+        extended = counted(monkeypatch, "extend_frame", engine)
         framed = counted(monkeypatch, "projector_in_frame", csi)
         built = counted(monkeypatch, "compute_projector", csi)
         engine.run_ddpp(cfg, ds)
-        assert (len(factored), len(framed)) == (1, 3)
-        assert len(built) == 3 * (intervals - 2)
+        rounds = intervals - 1
+        assert (len(extended), len(framed)) == (rounds, 3 * rounds)
+        assert extended[0][0][0].shape == (0, 8)  # the first frame
         for compression in ("svd", "random_sketch"):
-            del factored[:], framed[:], built[:]
+            del extended[:], framed[:]
             engine.run_ddpp(dataclasses.replace(cfg, compression=compression),
                             ds)
-            assert (len(factored), len(framed)) == (0, 0)
-            assert len(built) == 3 * (intervals - 2)  # later rounds still build
+            assert (len(extended), len(framed)) == (rounds - 1, 3 * (rounds - 1))
+            assert all(len(args[0]) for args, _ in extended)
+        assert built == []
 
     def test_the_kept_first_round_projector_comes_from_the_dataset_rows(self):
         # the key fixes the value: the memo is built from the dataset's rows
@@ -690,7 +693,8 @@ class TestSharedLocalGreedy:
         cfg = config(n_sources=3, total_select=6)
         run = engine.run_ddpp(cfg, ds)
         picks = run.selected_global_indices[:3]  # interval 1, arrival order
-        frame = linalg.right_singular_vectors(ds.rows(picks))
+        frame = linalg.extend_frame(np.zeros((0, 8)), ds.rows(picks))
+        assert np.array_equal(ds.memo(("frame", *picks), lambda: None), frame)
         for source in range(3):
             ids = [g for g in picks
                    if g not in ds.partition.assignments[source]]
@@ -700,19 +704,53 @@ class TestSharedLocalGreedy:
 
     def test_a_later_projector_comes_from_the_dataset_rows(self, monkeypatch):
         # interval 3 builds each source's projector from the rows of the
-        # ids the others sent in intervals 1 and 2, read from the dataset
+        # ids the others sent in intervals 1 and 2, read from the dataset,
+        # in the first frame extended by interval 2's rows
         ds = small_dataset(seed=37, n_sources=3, dims=12, total_select=9)
         cfg = config(n_sources=3, dims=12, total_select=9, intervals=3)
-        real, built = csi.compute_projector, []
-        monkeypatch.setattr(csi, "compute_projector",
+        real, built = csi.projector_in_frame, []
+        monkeypatch.setattr(csi, "projector_in_frame",
                             lambda *args: built.append(real(*args)) or built[-1])
         run = engine.run_ddpp(cfg, ds)
         received = run.selected_global_indices[:6]  # intervals 1 and 2
-        assert len(built) == 3
-        for source, H in enumerate(built):
+        frame = linalg.extend_frame(np.zeros((0, 12)), ds.rows(received[:3]))
+        frame = linalg.extend_frame(frame, ds.rows(received[3:]))
+        assert len(built) == 6
+        for source, H in enumerate(built[3:]):
             ids = [g for g in received
                    if g not in ds.partition.assignments[source]]
-            assert np.array_equal(H.basis, real(ds.rows(ids), 12).basis)
+            assert np.array_equal(H.basis, real(ds.rows(ids), frame).basis)
+
+    @pytest.mark.parametrize("n_sources", [2, 3, 4])
+    @pytest.mark.parametrize("intervals", [3, 4])
+    @pytest.mark.parametrize("rank", [None, 5])
+    def test_every_projector_matches_compute_projector(
+            self, monkeypatch, n_sources, intervals, rank):
+        # at every interval each source's H is the projector off the rows
+        # the others sent; with rank 5 the received rows, copies among
+        # them, span 5 of the 16 dimensions
+        k_T = n_sources * intervals
+        if rank is None:
+            ds = small_dataset(seed=38, n_sources=n_sources, dims=16,
+                               total_select=k_T)
+        else:
+            rng = np.random.default_rng(38)
+            Z = rng.normal(size=(20 * n_sources, rank)) @ rng.normal(
+                size=(rank, 16))
+            Z[1::20] = Z[0]  # every source holds a copy of row 0
+            ds = data.Dataset(Z, data.partition(len(Z), n_sources, seed=38))
+        cfg = config(n_sources=n_sources, dims=16, total_select=k_T,
+                     intervals=intervals)
+        calls, feedback = [], engine._Center.feedback
+        monkeypatch.setattr(engine._Center, "feedback", lambda self, i, t: (
+            calls.append([g for g, s in self.received.items() if s != i])
+            or feedback(self, i, t)))
+        projectors = counted(monkeypatch, "compress", csi)
+        engine.run_ddpp(cfg, ds)
+        assert len(calls) == len(projectors) == n_sources * (intervals - 1)
+        for ids, (args, _) in zip(calls, projectors):
+            reference = csi.compute_projector(ds.rows(ids), 16)
+            assert np.linalg.norm(args[0].matrix - reference.matrix) <= 1e-10
 
 
 class TestCompressionVariants:

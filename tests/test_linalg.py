@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import psd_sqrt
 from ddpp import linalg
@@ -156,3 +158,57 @@ class TestOrthonormalRowBasis:
 
     def test_empty_input(self):
         assert linalg.orthonormal_row_basis(np.zeros((0, 5))).shape == (0, 5)
+
+
+class TestExtendFrame:
+    """The center's frame: orthonormal rows spanning every row received."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 9),
+           sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_spans_every_batch_with_orthonormal_rows(self, m, sizes, data,
+                                                     seed):
+        # a row is new, a copy of one seen before, a combination of two
+        # (so a batch may be rank-deficient) or zero; one batch is scaled
+        # by 1e-12, far below the others
+        rng = np.random.default_rng(seed)
+        tiny = data.draw(st.integers(0, len(sizes) - 1), label="tiny batch")
+        kinds = st.sampled_from(["new", "copy", "combination", "zero"])
+        F, seen = np.zeros((0, m)), []
+        for b, size in enumerate(sizes):
+            batch = rng.normal(size=(size, m))
+            for i in range(size):
+                kind = data.draw(kinds) if seen or i else "new"
+                earlier = seen + list(batch[:i])
+                if kind == "copy":
+                    batch[i] = earlier[rng.integers(len(earlier))]
+                elif kind == "combination":
+                    a, c = rng.integers(len(earlier), size=2)
+                    batch[i] = earlier[a] + rng.normal() * earlier[c]
+                elif kind == "zero":
+                    batch[i] = 0.0
+            if b == tiny:
+                batch *= 1e-12
+            F = linalg.extend_frame(F, batch)
+            seen.extend(batch)
+            assert np.linalg.norm(F @ F.T - np.eye(len(F))) <= 1e-12
+            for row in seen:
+                assert (np.linalg.norm(row - (F @ row) @ F)
+                        <= 1e-10 * np.linalg.norm(row))
+
+    def test_an_empty_frame_extends_by_one_svd(self, monkeypatch):
+        Z = np.random.default_rng(42).normal(size=(3, 7))
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(
+            a[0].shape) or real(*a, **k))
+        F = linalg.extend_frame(np.zeros((0, 7)), Z)
+        assert F.shape == (3, 7) and calls == [(3, 7)]
+
+    def test_rows_the_frame_spans_add_nothing(self):
+        Z = np.random.default_rng(43).normal(size=(4, 6))
+        F = linalg.extend_frame(np.zeros((0, 6)), Z)
+        again = linalg.extend_frame(F, np.vstack([Z[1] - 2 * Z[3], Z[0],
+                                                  np.zeros(6)]))
+        assert np.array_equal(again, F)
