@@ -20,6 +20,7 @@ packets validated where they are built or decoded, not on every use.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,9 +98,9 @@ class CsiPacket:
         for name in ("principal_block", "residual_values", "residual_vectors"):
             if not np.isfinite(getattr(self, name)).all():
                 raise InvalidInputError(f"{name} contains non-finite entries")
-        dims = self.selected_dims  # in range first: np.diff then sees int64s
+        dims = self.selected_dims
         if dims and (min(dims) < 0 or max(dims) >= self.dims
-                     or (np.diff(dims) <= 0).any()):
+                     or not all(map(operator.lt, dims, dims[1:]))):
             raise InvalidInputError("selected dims must be strictly increasing and < dims")
         return self
 
