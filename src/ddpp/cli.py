@@ -72,14 +72,25 @@ def _float_list(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
+def _mixture(args):
+    """The generator settings ``run`` and ``gen`` pass on as they are."""
+    return dict(spread=args.spread, scale=args.scale,
+                radius_jitter=args.radius_jitter, norm_tail=args.norm_tail)
+
+
+def _check_mixture(args, n):
+    """Every generator setting, checked before anything is written."""
+    data._mixture_labels(n, args.clusters, args.mean_sparsity, skew=args.skew,
+                         **_mixture(args))
+
+
 def _gen_dataset(seed, n_sources, args):
     """Synthetic dataset + partition for one campaign point, rescaled."""
     return data.synth_dataset(
         seed, n_sources, n_sources * args.ni, args.m, args.clusters,
         policy=args.partition_policy or "cluster_skewed", skew=args.skew,
         mean_sparsity=args.mean_sparsity, positivity_k=args.kT,
-        spread=args.spread, scale=args.scale,
-        radius_jitter=args.radius_jitter, norm_tail=args.norm_tail)
+        **_mixture(args))
 
 
 def _partition_policy(args, labels):
@@ -133,12 +144,11 @@ def cmd_gen(args):
         raise InvalidConfigError(
             f"{n} samples do not split evenly over {args.sources} sources")
     _check_seed(args.seed)
-    data._mixture_labels(n, args.clusters, args.mean_sparsity)
+    _check_mixture(args, n)
     os.makedirs(args.out, exist_ok=True)
     Z, labels = data.synth_gaussian_mixture(
         seed=args.seed, n=n, m=args.m, n_clusters=args.clusters,
-        spread=args.spread, scale=args.scale, radius_jitter=args.radius_jitter,
-        norm_tail=args.norm_tail, mean_sparsity=args.mean_sparsity)
+        mean_sparsity=args.mean_sparsity, **_mixture(args))
     part = data.partition(n, args.sources, policy=args.partition_policy,
                           seed=args.seed, cluster_labels=labels, skew=args.skew)
     data.save_ddpm(os.path.join(args.out, "features.ddpm"), Z, labels)
@@ -208,7 +218,7 @@ def cmd_run(args):
     for N in args.N:  # a configuration error exits before any data is made
         _unit_configs(args, seeds[0], N, dims)
         if not loaded:
-            data._mixture_labels(N * args.ni, args.clusters, args.mean_sparsity)
+            _check_mixture(args, N * args.ni)
     units = [(seed, N) for N in args.N for seed in seeds]
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")

@@ -248,17 +248,33 @@ def load_features(path, fmt="csv", label_column=False):
 SYNTH_CHUNK_BYTES = 1 << 18
 
 
-def _mixture_labels(n, n_clusters, mean_sparsity):
+# The domain of each generator setting past the cluster count and mean
+# sparsity: a test of a finite value, and its description.
+_DOMAINS = {
+    "spread": (lambda v: v >= 0, "non-negative"),
+    "scale": (lambda v: v > 0, "positive"),
+    "radius_jitter": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "norm_tail": (lambda v: v >= 0, "non-negative"),
+    "skew": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def _mixture_labels(n, n_clusters, mean_sparsity, **settings):
     """Sample g's cluster, g mod n_clusters, once the mixture's settings pass.
 
     The settings are configuration, so a bad one is ``InvalidConfigError``;
     ``ddpp run`` and ``gen`` call this to check them before they write
-    anything.
+    anything.  ``settings`` names any of ``_DOMAINS``' settings.
     """
     if not 1 <= n_clusters <= n:
         raise InvalidConfigError(f"cluster count {n_clusters} must lie in 1..{n}")
     if not 0 < mean_sparsity <= 1:
         raise InvalidConfigError("mean_sparsity must lie in (0, 1]")
+    for name, value in settings.items():
+        test, domain = _DOMAINS[name]
+        if not (math.isfinite(value) and test(value)):
+            raise InvalidConfigError(
+                f"{name} must be finite and {domain}, got {value}")
     return np.arange(n, dtype=np.int64) % n_clusters
 
 
@@ -279,7 +295,9 @@ def synth_gaussian_mixture(seed, n, m, n_clusters, spread=0.1, scale=10.0,
     given a store ``order`` (see ``Dataset``), sample order[r]; the values
     are the same bit for bit.  Returns (features, labels).
     """
-    labels = _mixture_labels(n, n_clusters, mean_sparsity)
+    labels = _mixture_labels(n, n_clusters, mean_sparsity, spread=spread,
+                             scale=scale, radius_jitter=radius_jitter,
+                             norm_tail=norm_tail)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5D]))
     means = rng.normal(size=(n_clusters, m))
     if mean_sparsity < 1:
@@ -315,7 +333,8 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     goes to the dataset, which scales that store in place.  ``mixture``
     holds the generator's other settings.
     """
-    labels = _mixture_labels(n, n_clusters, mean_sparsity)
+    labels = _mixture_labels(n, n_clusters, mean_sparsity, skew=skew,
+                             **mixture)
     part = partition(n, n_sources, policy=policy, seed=seed,
                      cluster_labels=labels, skew=skew)
     order = _store_order(part)

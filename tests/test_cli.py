@@ -656,6 +656,32 @@ class TestExitCodes:
         assert message in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--spread", "nan", "spread must be finite and non-negative, got nan"),
+        ("--spread", "-1", "spread must be finite and non-negative, got -1.0"),
+        ("--scale", "0", "scale must be finite and positive, got 0.0"),
+        ("--scale", "inf", "scale must be finite and positive, got inf"),
+        ("--radius-jitter", "nan", "radius_jitter must be finite and in [0, 1]"),
+        ("--radius-jitter", "2", "radius_jitter must be finite and in [0, 1]"),
+        ("--norm-tail", "nan", "norm_tail must be finite and non-negative"),
+        ("--norm-tail", "-0.5", "norm_tail must be finite and non-negative"),
+        ("--skew", "nan", "skew must be finite and in [0, 1], got nan"),
+    ])
+    def test_a_bad_generator_setting_exits_2_before_out_is_made(
+            self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "--m", "8", "--ni", "12", "--clusters", "3",
+                flag, value]
+        if command == "run":
+            argv += ["--kT", "4", "--N", "2", "--seed-list", "0"]
+        else:
+            argv += ["--sources", "2"]
+        assert run_cli(command, *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["gen", "partition"])
     def test_a_negative_seed_exits_2_before_out_is_made(self, tmp_path, capsys,
                                                         command):
