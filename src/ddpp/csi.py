@@ -144,7 +144,7 @@ def projector_in_frame(Z_Y, frame):
     ``frame`` has orthonormal rows, m wide.  The rank-revealing SVD runs
     on Z_Y's coordinates in it, q x r rather than q x m; they have Z_Y's
     singular values, so the rank rule reads the same values.  Many row
-    sets inside one span share a frame: factor their union once.
+    sets inside one span share a frame, which ``linalg.extend_frame`` grows.
     """
     return _spanned(orthonormal_row_basis(Z_Y @ frame.T) @ frame)
 

@@ -241,8 +241,8 @@ class _Center:
         self.uplink_bytes = self.downlink_bytes = 0
         self.sketch_rng = (np.random.default_rng([config.seed, _SALT_SKETCH])
                            if config.compression == "random_sketch" else None)
-        self.span = np.zeros((0, config.dims))  # the frame of the rows of the
-        self.framed, self.shared = 0, False  # first ``framed`` received ids
+        # the frame: orthonormal rows spanning the first ``framed`` ids' rows
+        self.span, self.framed, self.shared = np.zeros((0, config.dims)), 0, False
 
     def receive(self, frame, source_id, interval):
         """Decode, check, count and file one batch frame from ``source_id``.

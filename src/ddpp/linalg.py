@@ -101,5 +101,5 @@ def extend_frame(F, Z):
     Z = Z / np.where(norms > 0, norms, 1.0)
     for _ in range(2):
         Z -= (Z @ F.T) @ F
-    _, s, Vh = np.linalg.svd(Z, full_matrices=False)
-    return np.vstack([F, Vh[s > RANK_TOL]])
+    U, s, _ = np.linalg.svd(Z.T, full_matrices=False)  # tall: factors faster
+    return np.vstack([F, U.T[s > RANK_TOL]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import psd_sqrt
+from conftest import counted, psd_sqrt
 from ddpp import linalg
 from ddpp.errors import NotPositiveDefiniteError, NotPsdError
 
@@ -199,12 +199,10 @@ class TestExtendFrame:
 
     def test_an_empty_frame_extends_by_one_svd(self, monkeypatch):
         Z = np.random.default_rng(42).normal(size=(3, 7))
-        calls = []
-        real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(
-            a[0].shape) or real(*a, **k))
+        calls = counted(monkeypatch, "svd", np.linalg)
         F = linalg.extend_frame(np.zeros((0, 7)), Z)
-        assert F.shape == (3, 7) and calls == [(3, 7)]
+        assert F.shape == (3, 7) and len(calls) == 1
+        assert np.allclose(F @ F.T, np.eye(3), rtol=0, atol=1e-12)
 
     def test_rows_the_frame_spans_add_nothing(self):
         Z = np.random.default_rng(43).normal(size=(4, 6))
