@@ -94,12 +94,13 @@ def orthonormal_row_basis(Z):
 def extend_frame(F, Z):
     """F's orthonormal rows, then ones spanning what of rowspace(Z) they miss.
 
-    Z's rows, scaled to unit norm (a zero row stays zero) and projected off
-    F twice (CGS2), add their right singular vectors of value > ``RANK_TOL``.
+    Z's unit-scaled rows (zero stays zero) are projected off F and their
+    right singular vectors of value > ``RANK_TOL`` kept, twice (block CGS2).
     """
     norms = np.linalg.norm(Z, axis=1, keepdims=True)
     Z = Z / np.where(norms > 0, norms, 1.0)
-    for _ in range(2):
-        Z -= (Z @ F.T) @ F
-    U, s, _ = np.linalg.svd(Z.T, full_matrices=False)  # tall: factors faster
-    return np.vstack([F, U.T[s > RANK_TOL]])
+    for _ in range(2 if len(F) else 1):  # a small s magnifies what F left
+        Z = Z - (Z @ F.T) @ F
+        U, s, _ = np.linalg.svd(Z.T, full_matrices=False)  # tall: faster
+        Z = U.T[s > RANK_TOL]
+    return np.vstack([F, Z])

@@ -170,11 +170,13 @@ class TestExtendFrame:
     def test_spans_every_batch_with_orthonormal_rows(self, m, sizes, data,
                                                      seed):
         # a row is new, a copy of one seen before, a combination of two
-        # (so a batch may be rank-deficient) or zero; one batch is scaled
-        # by 1e-12, far below the others
+        # (so a batch may be rank-deficient), one seen before moved by
+        # 1e-8 (one projection pass would leave it far from orthogonal to
+        # the frame) or zero; one batch is scaled by 1e-12, far below the
+        # others
         rng = np.random.default_rng(seed)
         tiny = data.draw(st.integers(0, len(sizes) - 1), label="tiny batch")
-        kinds = st.sampled_from(["new", "copy", "combination", "zero"])
+        kinds = st.sampled_from(["new", "copy", "combination", "near", "zero"])
         F, seen = np.zeros((0, m)), []
         for b, size in enumerate(sizes):
             batch = rng.normal(size=(size, m))
@@ -186,6 +188,9 @@ class TestExtendFrame:
                 elif kind == "combination":
                     a, c = rng.integers(len(earlier), size=2)
                     batch[i] = earlier[a] + rng.normal() * earlier[c]
+                elif kind == "near":
+                    batch[i] = earlier[rng.integers(len(earlier))] + 1e-8 * (
+                        rng.normal(size=m))
                 elif kind == "zero":
                     batch[i] = 0.0
             if b == tiny:
