@@ -171,9 +171,9 @@ class TestExtendFrame:
                                                      seed):
         # a row is new, a copy of one seen before, a combination of two
         # (so a batch may be rank-deficient), one seen before moved by
-        # 1e-8 (one projection pass would leave it far from orthogonal to
-        # the frame) or zero; one batch is scaled by 1e-12, far below the
-        # others
+        # 1e-8 (one round of projection and SVD leaves such a direction
+        # far from orthogonal to the frame) or zero; one batch is scaled
+        # by 1e-12, far below the others
         rng = np.random.default_rng(seed)
         tiny = data.draw(st.integers(0, len(sizes) - 1), label="tiny batch")
         kinds = st.sampled_from(["new", "copy", "combination", "near", "zero"])
