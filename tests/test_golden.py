@@ -5,6 +5,10 @@ fields of every result line: the selected indices, the five ledger counts
 and ``rank_exhausted``.  Floats are left out, so a different LAPACK build
 can only fail this test by moving a selection.
 
+The ``data-file`` campaign runs on a labelled DDPM file that ``ddpp gen``
+writes at test time with ``DATA_GEN``'s flags; its argv names the file
+``DATA``.
+
 The file may be regenerated only by a change that declares the re-baseline
 in CHANGES.md:
 
@@ -22,6 +26,9 @@ from ddpp import cli
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "selections.json")
 
 ALL = "ddpp,greedi,greedymax,maxdiv,random,stratified"
+DATA = "<features.ddpm>"
+DATA_GEN = ["--sources", "3", "--ni", "20", "--m", "12", "--clusters", "4",
+            "--seed", "5"]
 SMALL = ["--m", "16", "--N", "2,3", "--ni", "30", "--kT", "12",
          "--clusters", "6", "--seed-list", "0,1,2"]
 
@@ -71,6 +78,9 @@ CAMPAIGNS = {
                           "--norm-tail", "0.4", "--mean-sparsity", "0.3",
                           "--partition-policy", "cluster_skewed", "--skew",
                           "0.1"],
+    # a labelled data file: every seed of an N runs on the same dataset
+    "data-file": ["--strategies", ALL, "--data", DATA, "--N", "2,3",
+                  "--seed-list", "0,1,2", "--kT", "6", "--tT", "2"],
 }
 
 HEADER = ("Regenerate only in a change that declares the re-baseline in "
@@ -83,6 +93,11 @@ FIELDS = ("strategy", "seed", "uplink_elements", "downlink_elements",
 
 def campaign_lines(argv, out):
     """The integer fields of each result line of ``ddpp run`` on ``argv``."""
+    if DATA in argv:
+        gen = os.path.join(out, "gen")
+        assert cli.main(["gen", "--out", gen, *DATA_GEN]) == 0
+        data = os.path.join(gen, "features.ddpm")
+        argv = [data if a == DATA else a for a in argv]
     assert cli.main(["run", "--out", out, *argv]) == 0
     with open(os.path.join(out, "results.jsonl")) as fh:
         return [{f: json.loads(ln)[f] for f in FIELDS} for ln in fh]
