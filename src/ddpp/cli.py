@@ -84,41 +84,40 @@ def _check_mixture(args, n):
                          **_mixture(args))
 
 
-def _gen_dataset(seed, n_sources, args):
-    """Synthetic dataset + partition for one campaign point, rescaled."""
-    return data.synth_dataset(
-        seed, n_sources, n_sources * args.ni, args.m, args.clusters,
-        policy=args.partition_policy or "cluster_skewed", skew=args.skew,
-        mean_sparsity=args.mean_sparsity, positivity_k=args.kT,
-        **_mixture(args))
-
-
-def _partition_policy(args, labels):
-    """``run``'s --partition-policy, else cluster_skewed if labels exist."""
-    if args.partition_policy:
-        return args.partition_policy
-    return "cluster_skewed" if labels is not None else "uniform_random"
-
-
 def _read_data(args):
     """(features, labels) of the ``--data`` file; the format follows its name."""
     fmt = "ddpm" if args.data.endswith(".ddpm") else "csv"
     return data.load_features(args.data, fmt=fmt, label_column=args.label_column)
 
 
-def _load_dataset(args, n_sources, loaded=None):
-    """The ``--data`` file partitioned and rescaled; ``loaded`` skips the read."""
-    Z, labels = loaded or _read_data(args)
+def _partition(args, n_sources, Z, labels):
+    """``--data``'s split: the partition file, else the policy (by default
+    cluster_skewed if labels exist); it takes no unit seed."""
     if args.partition_file:
         with _open(args.partition_file, IngestError) as fh:
             part = data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
-    else:
-        part = data.partition(Z.shape[0], n_sources,
-                              policy=_partition_policy(args, labels),
-                              seed=args.partition_seed, cluster_labels=labels,
-                              skew=args.skew)
-    return data.Dataset(features=Z, partition=part, labels=labels,
-                        positivity_k=args.kT)
+        if part.n_sources != n_sources:
+            raise InvalidConfigError("partition does not match the configured source count")
+        return part
+    policy = args.partition_policy or (
+        "cluster_skewed" if labels is not None else "uniform_random")
+    return data.partition(Z.shape[0], n_sources, policy=policy,
+                          seed=args.partition_seed, cluster_labels=labels,
+                          skew=args.skew)
+
+
+def _dataset(args, seed, n_sources, loaded=None):
+    """A campaign point's dataset, rescaled: the ``--data`` file (``loaded``
+    if read) split by ``_partition`` for every seed, else drawn from ``seed``."""
+    if not args.data:
+        return data.synth_dataset(
+            seed, n_sources, n_sources * args.ni, args.m, args.clusters,
+            policy=args.partition_policy or "cluster_skewed", skew=args.skew,
+            mean_sparsity=args.mean_sparsity, positivity_k=args.kT,
+            **_mixture(args))
+    Z, labels = loaded or _read_data(args)
+    return data.Dataset(features=Z, partition=_partition(args, n_sources, Z, labels),
+                        labels=labels, positivity_k=args.kT)
 
 
 def _worker_count():
@@ -129,10 +128,10 @@ def _worker_count():
         raise InvalidConfigError(f"DDPP_THREADS must be an integer, got {raw!r}")
 
 
-def _check_seed(seed):
-    """``gen``'s and ``partition``'s ``--seed``, which numpy needs non-negative."""
+def _check_seed(seed, flag="--seed"):
+    """A seed flag's value, which numpy needs non-negative."""
     if seed < 0:
-        raise InvalidConfigError(f"--seed must be non-negative, got {seed}")
+        raise InvalidConfigError(f"{flag} must be non-negative, got {seed}")
 
 
 def cmd_gen(args):
@@ -181,16 +180,14 @@ def _unit_configs(args, seed, n_sources, dims):
         for R in args.R for strategy in args.strategies]
 
 
-def _campaign_unit(args, seed, n_sources, loaded):
+def _campaign_unit(args, seed, n_sources, dataset=None):
     """All runs sharing one dataset: every (R, strategy) pair for this seed.
 
-    ``loaded`` is the ``--data`` file's contents, None for synthetic data.
-    Returns the result lines, the ground-truth cache key and its entry.
+    ``dataset`` is a ``--data`` point's, which every seed shares; else the
+    unit builds its own.  Returns the lines, the gt cache key and entry.
     """
-    if loaded:
-        dataset = _load_dataset(args, n_sources, loaded)
-    else:
-        dataset = _gen_dataset(seed, n_sources, args)
+    if dataset is None:
+        dataset = _dataset(args, seed, n_sources)
     gt = engine.run_ground_truth(dataset, args.kT)
     lines = [engine.run_experiment(cfg, dataset, transport=args.transport,
                                    ground_truth=gt).to_json_dict()
@@ -211,23 +208,29 @@ def cmd_run(args):
         raise InvalidConfigError(f"seeds must be non-negative, got {min(seeds)}")
     if args.partition_file and not args.data:
         raise InvalidConfigError("--partition-file needs --data")
+    _check_seed(args.partition_seed, "--partition-seed")
     loaded = _read_data(args) if args.data else None
     dims = loaded[0].shape[1] if loaded else args.m
     if not loaded and args.ni < 1:
         raise InvalidConfigError(f"--ni must be positive, got {args.ni}")
     for N in args.N:  # a configuration error exits before any data is made
         _unit_configs(args, seeds[0], N, dims)
-        if not loaded:
+        if loaded:
+            _partition(args, N, *loaded)
+        else:
             _check_mixture(args, N * args.ni)
-    units = [(seed, N) for N in args.N for seed in seeds]
+    workers = _worker_count()
     os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")
     gt_cache = {}
-    workers = _worker_count()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_campaign_unit, args, seed, N, loaded)
-                   for seed, N in units]
-        with open(results_path, "w") as fh:  # single writer, submission order
+    with ThreadPoolExecutor(max_workers=workers) as pool, \
+            open(results_path, "w") as fh:  # single writer, submission order
+        for N in args.N:
+            # one --data store alive at a time, shared by every seed
+            shared = _dataset(args, None, N, loaded) if loaded else None
+            futures = [pool.submit(_campaign_unit, args, seed, N, shared)
+                       for seed in seeds]
+            shared = None
             for fut in futures:
                 lines, gt_key, gt_entry = fut.result()
                 for line in lines:
@@ -236,7 +239,7 @@ def cmd_run(args):
     with open(os.path.join(args.out, "gt_cache.json"), "w") as fh:
         json.dump(gt_cache, fh, indent=1)
     _write_manifest(args.out, args, extra={"seeds": seeds})
-    total = len(units) * len(args.R) * len(args.strategies)
+    total = len(seeds) * len(args.N) * len(args.R) * len(args.strategies)
     print(f"wrote {total} result lines to {results_path}")
     return 0
 
@@ -362,8 +365,7 @@ def _pca_scatter(args, lines):
                                  f"for seed {args.pca_seed} {args.pca_strategy}")
     ns = argparse.Namespace(**resolved)
     try:
-        dataset = (_load_dataset(ns, line["N"]) if ns.data
-                   else _gen_dataset(args.pca_seed, line["N"], ns))
+        dataset = _dataset(ns, args.pca_seed, line["N"])
     except AttributeError as exc:  # a setting the run resolved is missing
         if exc.obj is not ns:
             raise

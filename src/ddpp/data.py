@@ -331,17 +331,26 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     drawn straight into the dataset's source-major store; they equal the
     global-order generator's rows, permuted, bit for bit.  ``positivity_k``
     goes to the dataset, which scales that store in place.  ``mixture``
-    holds the generator's other settings.
+    holds the generator's other settings.  The store is checked finite
+    once, as a loaded file is; a non-finite draw or positivity probe is an
+    ``InvalidConfigError`` naming those settings.
     """
     labels = _mixture_labels(n, n_clusters, mean_sparsity, skew=skew,
                              **mixture)
     part = partition(n, n_sources, policy=policy, seed=seed,
                      cluster_labels=labels, skew=skew)
     order = _store_order(part)
-    Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
-                                  mean_sparsity=mean_sparsity, order=order,
-                                  **mixture)
-    return Dataset._of_store(Z, order, part, labels, positivity_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
+                                      mean_sparsity=mean_sparsity,
+                                      order=order, **mixture)
+        try:
+            return Dataset._of_store(as_matrix(Z, "features"), order, part,
+                                     labels, positivity_k)
+        except InvalidInputError as exc:
+            named = ", ".join(f"{k}={v:g}" for k, v in mixture.items())
+            raise InvalidConfigError(f"the generator settings ({named}) give "
+                                     f"unusable features: {exc}") from None
 
 
 def _fill(part, pools, clusters, need):

@@ -343,14 +343,15 @@ class _Center:
 def run_ground_truth(dataset, k_T):
     """Centralized greedy over all samples; the reference selection.
 
-    It runs on the dataset's source-major store and names its picks by
-    global id.  Bitwise-equal gains break toward the earlier store row, so
-    with a row duplicated in two sources it may name either copy; the
-    log-volume, and so every RDE, is the same.
+    It runs on the dataset's source-major store, once per dataset and k_T
+    (its memo), and names its picks by global id.  Bitwise-equal gains break
+    toward the earlier store row, so with a row duplicated in two sources
+    it may name either copy; the log-volume, and so every RDE, is the same.
     """
     if k_T < 1:
         raise InvalidInputError("k_T must be positive")
-    result = dpp.greedy_map_rows(dataset.store, k_T)
+    result = dataset.memo(("gt", k_T),
+                          lambda: dpp.greedy_map_rows(dataset.store, k_T))
     return dpp.MapResult(indices=dataset.order[result.indices].tolist(),
                          stepwise_logdets=result.stepwise_logdets)
 

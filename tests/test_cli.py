@@ -699,6 +699,62 @@ class TestExitCodes:
         assert err == ["error: --seed must be non-negative, got -1"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--partition-policy", "uniform_random", "--partition-seed", "-1"],
+         "--partition-seed must be non-negative, got -1"),
+        (["--label-column", "--partition-policy", "cluster_skewed",
+          "--skew", "nan"], "skew must lie in [0, 1]"),
+        (["--partition-policy", "cluster_skewed"],
+         "cluster_skewed partitioning needs cluster labels"),
+        (["--label-column", "--partition-file", "PART", "--N", "3", "--kT",
+          "6"],
+         "partition does not match the configured source count"),
+    ], ids=["partition-seed-negative", "skew-nan", "unlabelled-cluster-skewed",
+            "partition-file-source-count"])
+    def test_a_bad_data_partition_exits_2_before_out_is_made(
+            self, tmp_path, capsys, setting, message):
+        path, part = tmp_path / "d.csv", tmp_path / "p.json"
+        Z = np.random.default_rng(8).normal(size=(24, 6))
+        np.savetxt(path, np.column_stack([Z, np.arange(24) % 3]), delimiter=",")
+        part.write_text(data.partition(24, 2).to_json())
+        out = tmp_path / "out"
+        argv = [str(part) if a == "PART" else a for a in setting]
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--kT", "4", "--R", "4", "--seeds", "1", "--N", "2",
+                       *argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_a_partition_file_that_misses_rows_keeps_exit_1(self, tmp_path,
+                                                            capsys):
+        path, part = tmp_path / "d.csv", tmp_path / "p.json"
+        np.savetxt(path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        part.write_text(data.partition(20, 2).to_json())
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--partition-file", str(part), "--kT", "4", "--R", "4",
+                       "--seeds", "1", "--N", "2") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: partition does not cover the dataset exactly"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--scale", "1e200", "scale=1e+200"),  # the probe's Gram overflows
+        ("--norm-tail", "1000", "norm_tail=1000"),  # the draw overflows
+    ])
+    def test_a_generator_overflow_is_a_configuration_error(
+            self, tmp_path, capsys, flag, value, named):
+        # the data must be drawn to know, so this comes after --out
+        assert run_cli("run", "--out", str(tmp_path / "out"), "--m", "8",
+                       "--kT", "4", "--N", "2", "--ni", "12", "--clusters",
+                       "3", "--seed-list", "0", flag, value) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: the generator settings (")
+        assert named in err[0]
+
     @pytest.mark.parametrize("selected, manifest, message", [
         ("0,1", {"resolved": {}}, "no integer selected_indices"),
         ([0, 1], {"resolved": {}}, "no 'data' setting"),
@@ -744,17 +800,95 @@ class TestLoadDataset:
         # small values make every probe negative: the store is rescaled
         n, m, k = 4000, 256, 60
         Z = 0.01 * np.random.default_rng(10).normal(size=(n, m))
-        args = argparse.Namespace(partition_file=None, partition_seed=0,
+        args = argparse.Namespace(data="d.csv", partition_file=None,
+                                  partition_seed=0,
                                   partition_policy="uniform_random", skew=0.1,
                                   kT=k)
         warm = argparse.Namespace(**{**vars(args), "kT": 4})
-        cli._load_dataset(warm, 2, (Z[:40, :8], None))  # lazy imports first
+        cli._dataset(warm, None, 2, (Z[:40, :8], None))  # lazy imports first
         tracemalloc.start()
         try:
-            ds = cli._load_dataset(args, 4, (Z, None))
+            ds = cli._dataset(args, None, 4, (Z, None))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ds.scale > 1.0
         assert np.array_equal(ds.rows(range(n)), Z * ds.scale)
         assert peak < 1.5 * Z.nbytes  # the store alone, no rescaled copy
+
+
+class TestSharedDataset:
+    """A --data campaign builds each N's dataset and ground truth once."""
+
+    @pytest.fixture
+    def data_file(self, tmp_path):
+        gen = tmp_path / "gen"
+        assert run_cli("gen", "--out", str(gen), "--sources", "3", "--ni",
+                       "20", "--m", "12", "--clusters", "4", "--seed", "5") == 0
+        return str(gen / "features.ddpm")
+
+    def test_each_n_builds_one_dataset_and_one_ground_truth(
+            self, tmp_path, monkeypatch, data_file):
+        loads = counted(monkeypatch, "load_features", data)
+        builds = counted(monkeypatch, "__init__", data.Dataset)
+        probes = counted(monkeypatch, "positivity_scale", data)
+        greedies = counted(monkeypatch, "greedy_map_rows", ddpp.dpp)
+        assert run_cli("run", "--out", str(tmp_path / "run"), "--data",
+                       data_file, "--N", "2,3", "--seed-list", "0,1,2,3",
+                       "--kT", "6", "--strategies", "ddpp,greedi,random") == 0
+        assert len(loads) == 1
+        assert [args[0].partition.n_sources for args, _ in builds] == [2, 3]
+        assert len(probes) == 2
+        on_store = [args[0].shape for args, _ in greedies
+                    if args[0].shape[0] == 60]
+        assert on_store == [(60, 12), (60, 12)]
+
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    def test_a_shared_dataset_gives_each_seed_its_own_lines(self, data_file,
+                                                            transport):
+        args = cli.build_parser().parse_args(
+            ["run", "--out", "unused", "--data", data_file, "--kT", "6",
+             "--R", "3", "--strategies", ",".join(ddpp.engine.STRATEGIES),
+             "--transport", transport])
+        for N in (2, 3):
+            shared = cli._dataset(args, None, N, cli._read_data(args))
+            units = [cli._campaign_unit(args, s, N, shared) for s in range(4)]
+            assert units == [cli._campaign_unit(args, s, N) for s in range(4)]
+
+    def test_seeds_sharing_a_dataset_in_a_pool_match_a_serial_run(
+            self, tmp_path, monkeypatch, data_file):
+        argv = ["--data", data_file, "--N", "2,3", "--seed-list",
+                "0,1,2,3,4,5", "--kT", "6", "--strategies",
+                ",".join(ddpp.engine.STRATEGIES)]
+        assert run_cli("run", "--out", str(tmp_path / "serial"), *argv) == 0
+        monkeypatch.setenv("DDPP_THREADS", "4")  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside the memo
+        try:
+            out = run_within(60, run_cli, "run", "--out",
+                             str(tmp_path / "pooled"), *argv)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.result == 0, out.error
+        for name in ("results.jsonl", "gt_cache.json"):
+            assert ((tmp_path / "pooled" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    def test_an_n_sweep_holds_one_store_at_a_time(self, tmp_path):
+        n, m = 2400, 64
+        Z = 0.01 * np.random.default_rng(11).normal(size=(n, m))
+        path = tmp_path / "d.ddpm"
+        data.save_ddpm(path, Z)
+        argv = ["--data", str(path), "--kT", "8", "--strategies", "greedi",
+                "--seed-list", "0,1"]
+        assert run_cli("run", "--out", str(tmp_path / "warm"), *argv,
+                       "--N", "2") == 0  # lazy imports first
+        tracemalloc.start()
+        try:
+            assert run_cli("run", "--out", str(tmp_path / "run"), *argv,
+                           "--N", "2,4,8") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the loaded file and one store (2.24 Z); a second store makes 3
+        assert peak < 2.75 * Z.nbytes

@@ -192,6 +192,21 @@ class TestSynth:
             tracemalloc.stop()
         assert peak < 1.5 * n * m * 8  # no means[labels] beside the noise
 
+    @pytest.mark.parametrize("setting, cause", [
+        ({"scale": 1e200}, "probe subsets are singular"),  # the Gram overflows
+        ({"norm_tail": 1000.0}, "non-finite entries"),  # the draw overflows
+    ])
+    def test_an_overflowing_setting_is_a_configuration_error(self, setting,
+                                                             cause):
+        mixture = {"spread": 0.06, "scale": 10.0, "radius_jitter": 0.2,
+                   "norm_tail": 0.4, **setting}
+        with pytest.raises(InvalidConfigError, match=cause) as info:
+            data.synth_dataset(0, 2, 24, 8, 3, policy="cluster_skewed",
+                               skew=0.1, mean_sparsity=0.3, positivity_k=4,
+                               **mixture)
+        named = ", ".join(f"{k}={v:g}" for k, v in mixture.items())
+        assert f"generator settings ({named})" in str(info.value)
+
     def test_too_many_clusters(self):
         with pytest.raises(InvalidConfigError):
             data.synth_gaussian_mixture(seed=0, n=3, m=2, n_clusters=5)

@@ -323,7 +323,7 @@ class TestDdppPipeline:
         args = cli.build_parser().parse_args(
             ["run", "--out", "unused", "--m", "512", "--kT", "120",
              "--ni", "500", "--clusters", "80", "--spread", "0.03"])
-        ds = cli._gen_dataset(313, 2, args)
+        ds = cli._dataset(args, 313, 2)
         res = engine.run_ddpp(config(n_sources=2, dims=512, total_select=120,
                                      intervals=6, sparsity=15.0, seed=313,
                                      compression="svd", momentum=False), ds)
