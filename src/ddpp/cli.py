@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, data, dpp, engine, metrics
+from . import __version__, data, dpp, engine, linalg, metrics
 from .errors import (BudgetViolationError, DdppError, DegenerateInputError,
                      IngestError, InvalidConfigError, InvalidInputError,
                      NotPositiveDefiniteError, NotPsdError,
@@ -144,12 +144,14 @@ def cmd_gen(args):
             f"{n} samples do not split evenly over {args.sources} sources")
     _check_seed(args.seed)
     _check_mixture(args, n)
-    os.makedirs(args.out, exist_ok=True)
-    Z, labels = data.synth_gaussian_mixture(
-        seed=args.seed, n=n, m=args.m, n_clusters=args.clusters,
-        mean_sparsity=args.mean_sparsity, **_mixture(args))
+    with data.generator_checks(_mixture(args)):  # as run's draw, before --out
+        Z, labels = data.synth_gaussian_mixture(
+            seed=args.seed, n=n, m=args.m, n_clusters=args.clusters,
+            mean_sparsity=args.mean_sparsity, **_mixture(args))
+        linalg.as_matrix(Z, "features")
     part = data.partition(n, args.sources, policy=args.partition_policy,
                           seed=args.seed, cluster_labels=labels, skew=args.skew)
+    os.makedirs(args.out, exist_ok=True)
     data.save_ddpm(os.path.join(args.out, "features.ddpm"), Z, labels)
     with open(os.path.join(args.out, "partition.json"), "w") as fh:
         fh.write(part.to_json())

@@ -27,8 +27,17 @@ import numpy as np
 
 from . import dpp
 from .errors import InvalidInputError
-from .linalg import (RANK_TOL, orthonormal_row_basis, psd_eigh,
+from .linalg import (RANK_TOL, clamp_psd, orthonormal_row_basis, psd_eigh,
                      spectral_decomp, symmetrize)
+
+# A principal block of at least COMPLEMENT_MIN_DIMS dims whose complement
+# I - B has rank at most dims // COMPLEMENT_RANK_DIVISOR is rooted through
+# it; otherwise one eigh is faster (measured crossover, one BLAS thread).
+# Alone, the complement wins from 64 dims up; with two source threads
+# (tcp) its greedy's Python loop holds the GIL that eigh releases, and it
+# breaks even only at about 128.
+COMPLEMENT_MIN_DIMS = 128
+COMPLEMENT_RANK_DIVISOR = 2
 
 
 @dataclass(frozen=True)
@@ -281,6 +290,54 @@ def _root_factor(M, momentum):
     return U * (np.sqrt(2.0 * root + w) if momentum else root)
 
 
+def _block_root(B, momentum):
+    """``_root_factor`` of a principal block B, through its complement.
+
+    A projector's block differs from I by C = I - B of rank t <= q.  From
+    COMPLEMENT_MIN_DIMS dims up, the greedy's pivoted Cholesky C = L^T L
+    and the t x t eigh L L^T = U diag(s) U^T give B's eigenvalues w = 1 - s
+    (1 elsewhere), and F = f(1) I + L^T U diag(g) U^T L is symmetric with
+    F F = f(B)^2, for f(w) = (2 w^{1/2} + w)^{1/2} with momentum, w^{1/2}
+    without, and g = (f(w) - f(1)) / s, written free of cancellation.  B's
+    eigh runs instead below that size, past r0 // COMPLEMENT_RANK_DIVISOR
+    pivots, or when C - L^T L leaves the greedy's floor (C is not PSD: B
+    has an eigenvalue above 1).
+    """
+    r0 = len(B)
+    L = (_complement_factor(B, r0 // COMPLEMENT_RANK_DIVISOR)
+         if r0 >= COMPLEMENT_MIN_DIMS else None)
+    if L is None:
+        return _root_factor(B, momentum)
+    s, U = np.linalg.eigh(L @ L.T)
+    w = clamp_psd(1.0 - s)
+    root = np.sqrt(w)
+    # f(w)^2 - f(1)^2 = (w - 1) slope, and 1 - w = min(s, 1) after the clamp
+    if momentum:
+        one, value = math.sqrt(3.0), np.sqrt(2.0 * root + w)
+        slope = 1.0 + 2.0 / (1.0 + root)
+    else:
+        one, value, slope = 1.0, root, 1.0
+    g = -slope / ((value + one) * np.maximum(s, 1.0))
+    UL = U.T @ L
+    F = (UL.T * g) @ UL
+    F.flat[::r0 + 1] += one
+    return F
+
+
+def _complement_factor(B, k):
+    """L with I - B = L^T L, from at most k pivots; None if none fits.
+
+    The greedy's pivoted Cholesky of C = I - B, kept when the residual
+    C - L^T L lies within the greedy's floor; C is freed on return, before
+    the caller's factor is built.
+    """
+    C = np.negative(B)
+    C.flat[::len(B) + 1] += 1.0
+    L, floor = dpp.pivoted_cholesky(C, k)
+    C -= L.T @ L  # the residual, in C's buffer
+    return L if -floor <= C.min() and C.max() <= floor else None
+
+
 def precode(Z, packet, momentum=True):
     """Features whose Gram matrix is W W^T, the pre-coded kernel.
 
@@ -300,7 +357,11 @@ def precode(Z, packet, momentum=True):
     off-diagonal block is exactly 0: M is block-diagonal, its square root
     too, and the r0 x r0 and r1 x r1 blocks are factored apart, each
     product (Z_S F0, Z Q^T F1) written into the output.  Any other packet
-    factors all of M.
+    factors all of M.  The r0 x r0 block differs from I by rank at most
+    q, the received rows' count, so a large one is rooted through that
+    complement with a q x q eigh (``_block_root``): at m = 512, q = 54, a
+    54 x 54 one in place of 151 x 151 (proposed) or 214 x 214
+    (random_sketch).
 
     The momentum form is conservative: imperfect feedback then shrinks
     already-covered directions instead of deleting them outright.
@@ -323,7 +384,7 @@ def precode(Z, packet, momentum=True):
     if M[:r0, r0:].any():  # coupled blocks: one factor of all of M
         blocks = [(0, k, _root_factor(M, momentum))]
     else:  # block-diagonal M: a factor of each block
-        blocks = [(0, r0, _root_factor(M[:r0, :r0], momentum)),
+        blocks = [(0, r0, _block_root(M[:r0, :r0], momentum)),
                   (r0, k, _root_factor(M[r0:, r0:], momentum))]
     ZP = np.empty((Z.shape[0], k))  # Z P, gathered and multiplied in place
     np.take(Z, selected, axis=1, out=ZP[:, :r0])

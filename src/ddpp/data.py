@@ -9,6 +9,7 @@ CSV files hold one sample per row, optional header, and optionally a
 trailing integer label column (the caller flags it).
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -340,13 +341,25 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     part = partition(n, n_sources, policy=policy, seed=seed,
                      cluster_labels=labels, skew=skew)
     order = _store_order(part)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+    with generator_checks(mixture):
         Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
                                       mean_sparsity=mean_sparsity,
                                       order=order, **mixture)
+        return Dataset._of_store(as_matrix(Z, "features"), order, part,
+                                 labels, positivity_k)
+
+
+@contextlib.contextmanager
+def generator_checks(mixture):
+    """Checks on a drawn store, reported against the generator settings.
+
+    numpy's overflow warnings are silenced, since the checks report them:
+    an ``InvalidInputError`` raised inside (a non-finite draw, a failed
+    positivity probe) becomes an ``InvalidConfigError`` naming ``mixture``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            return Dataset._of_store(as_matrix(Z, "features"), order, part,
-                                     labels, positivity_k)
+            yield
         except InvalidInputError as exc:
             named = ", ".join(f"{k}={v:g}" for k, v in mixture.items())
             raise InvalidConfigError(f"the generator settings ({named}) give "
@@ -462,12 +475,19 @@ def positivity_scale(dataset, k):
     if not 1 <= k <= n:
         raise InvalidInputError(f"probe size k={k} out of range")
     worst = math.inf
-    for s in POSITIVITY_PROBE_SEEDS:
-        rng = np.random.default_rng(np.random.SeedSequence([int(s), 0xC1]))
-        idx = rng.choice(n, size=k, replace=False)
-        worst = min(worst, dataset.logdet(idx))
-    if not math.isfinite(worst):
-        raise InvalidInputError("probe subsets are singular; cannot rescale")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named
+        for s in POSITIVITY_PROBE_SEEDS:
+            rng = np.random.default_rng(np.random.SeedSequence([int(s), 0xC1]))
+            idx = rng.choice(n, size=k, replace=False)
+            worst = min(worst, dataset.logdet(idx))
+            if not math.isfinite(worst):
+                rows = dataset.rows(idx)  # a Gram is finite iff its diagonal is
+                if np.isfinite(np.einsum("ij,ij->i", rows, rows)).all():
+                    raise InvalidInputError("probe subsets are singular; "
+                                            "cannot rescale")
+                raise InvalidInputError(
+                    "the Gram of a probe subset overflows float64 (features "
+                    f"up to {np.abs(rows).max():.3g}); cannot rescale")
     if worst >= POSITIVITY_TARGET:
         return 1.0
     # log det scales by 2k log c under Z -> cZ.

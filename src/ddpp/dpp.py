@@ -45,7 +45,7 @@ class MapResult:
 
     indices: list
     stepwise_logdets: list
-    frame: np.ndarray = None  # set by greedy_map_projector only
+    frame: np.ndarray = None  # Cholesky rows, kept only when asked
 
 
 def _start(gain, k, preselected):
@@ -56,7 +56,7 @@ def _start(gain, k, preselected):
     return [int(p) for p in preselected], EARLY_STOP_REL * scale
 
 
-def _greedy(diag, kernel_rows, k, preselected, rank=math.inf):
+def _greedy(diag, kernel_rows, k, preselected, rank=math.inf, frame=False):
     """Run the greedy on a kernel read by rows; returns a MapResult.
 
     ``kernel_rows(idx)`` returns rows of the kernel whose diagonal ``diag``
@@ -68,7 +68,8 @@ def _greedy(diag, kernel_rows, k, preselected, rank=math.inf):
     floor is EARLY_STOP_REL times the largest initial diagonal.  A kernel
     of known ``rank`` gets no more Cholesky rows than that, so no pick is
     made once it is spanned, however large the rounding noise left in
-    ``diag``.
+    ``diag``.  With ``frame`` the result keeps the t Cholesky rows, read off
+    the buffer allocated at their cap.
     """
     preselected, floor = _start(diag, k, preselected)
     held, n = len(preselected), diag.shape[0]
@@ -99,7 +100,8 @@ def _greedy(diag, kernel_rows, k, preselected, rank=math.inf):
             chosen.append(j)
             total += math.log(d2)
             logdets.append(total)
-    return MapResult(indices=chosen, stepwise_logdets=logdets)
+    return MapResult(indices=chosen, stepwise_logdets=logdets,
+                     frame=rows[:t] if frame else None)
 
 
 def _lazy_greedy(Z, k, preselected=()):
@@ -168,6 +170,20 @@ def greedy_map(L, k, preselected=()):
     """
     diag = np.diag(L).copy()
     return _greedy(diag, lambda idx: L[idx], k, preselected)
+
+
+def pivoted_cholesky(L, k):
+    """greedy_map's Cholesky rows on L: (F, floor), F t x n with t <= k.
+
+    The greedy is a pivoted Cholesky: it stops at k pivots or once every
+    remaining pivot is at most ``floor``, EARLY_STOP_REL times L's largest
+    diagonal, and then L - F^T F has its diagonal within the floor.  Its
+    off-diagonal is too for a PSD L, as for any PSD residual, but an
+    indefinite L can leave more there.
+    """
+    diag = np.diag(L).copy()
+    floor = _start(diag, k, ())[1]
+    return _greedy(diag, lambda idx: L[idx], k, (), frame=True).frame, floor
 
 
 def greedy_map_rows(Z, k, preselected=()):

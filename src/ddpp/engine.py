@@ -452,7 +452,10 @@ def run_experiment(config, dataset, transport="loopback", ground_truth=None):
                                 for r, p in zip(rows, picks)]))
         plans[winner] = picks[winner]
     elif config.strategy == "maxdiv":  # the most diverse source, by probe
-        winner = int(np.argmax([rd_diversity(r, config.epsilon) for r in rows]))
+        eps = config.epsilon  # the probe does not depend on R
+        winner = int(np.argmax([
+            dataset.memo(("probe", i, eps), lambda: rd_diversity(r, eps))
+            for i, r in enumerate(rows)]))
         plans[winner] = dataset.source_greedy(winner, k_T).indices
     elif config.strategy == "random":  # a global draw, sent in draw order
         rng = np.random.default_rng([config.seed, _SALT_RANDOM])

@@ -67,15 +67,21 @@ def spectral_decomp(M):
 
 
 def psd_eigh(M):
-    """Eigenpairs (w, V) of a PSD matrix, w descending and clamped at zero.
+    """Eigenpairs (w, V) of a PSD matrix, w descending and ``clamp_psd``-ed."""
+    w, V = spectral_decomp(M)
+    return clamp_psd(w), V
+
+
+def clamp_psd(w):
+    """Eigenvalues ``w`` of a PSD matrix, clamped at zero.
 
     Eigenvalues in [-1e-6, 0) are treated as rounding noise and clamped;
     anything below -1e-6 raises.
     """
-    w, V = spectral_decomp(M)
-    if w.size and w[-1] < -1e-6:
-        raise NotPsdError(f"eigenvalue {w[-1]:.3e} below -1e-06")
-    return np.clip(w, 0.0, None), V
+    low = float(w.min()) if w.size else 0.0
+    if low < -1e-6:
+        raise NotPsdError(f"eigenvalue {low:.3e} below -1e-06")
+    return np.clip(w, 0.0, None)
 
 
 def orthonormal_row_basis(Z):

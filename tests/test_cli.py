@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,40 @@ class TestGen:
                        "--clusters", "0")
         assert code == 2
         assert "cluster count 0" in capsys.readouterr().err
+
+    def test_an_overflowing_draw_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("gen", "--out", str(out), "--sources", "2",
+                           "--ni", "12", "--m", "8", "--clusters", "3",
+                           "--norm-tail", "1000")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: the generator settings (")
+        assert "norm_tail=1000" in err[0] and "non-finite" in err[0]
+        assert caught == []
+        assert not out.exists()  # drawn and checked before --out is made
+
+    def test_a_data_file_whose_probe_gram_overflows_names_it(self, tmp_path,
+                                                             capsys):
+        gen = tmp_path / "g"
+        assert run_cli("gen", "--out", str(gen), "--sources", "2", "--ni",
+                       "12", "--m", "8", "--clusters", "3", "--scale",
+                       "1e200") == 0  # finite features, about 1e200
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--out", str(tmp_path / "o"), "--data",
+                           str(gen / "features.ddpm"), "--kT", "4", "--N",
+                           "2", "--seed-list", "0")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert "Gram of a probe subset overflows" in err[0]
+        assert "singular" not in err[0]
+        assert caught == []
 
 
 def test_main_builds_its_parser_once(monkeypatch, tmp_path):
@@ -277,6 +312,19 @@ class TestRun:
         out = tmp_path / "pooled"
         assert run_cli("run", "--out", str(out), *RUN_ARGS) == 0
         assert len(read_jsonl(out / "results.jsonl")) == 4
+
+
+class TestProbeMemo:
+    def test_an_r_sweep_probes_each_source_once_per_unit(self, tmp_path,
+                                                         monkeypatch):
+        # maxdiv's probe does not depend on R: N probes a unit, not 3N
+        probes = counted(monkeypatch, "rd_diversity", ddpp.engine)
+        assert run_cli("run", "--out", str(tmp_path / "o"), "--R", "10,20,30",
+                       "--strategies", "maxdiv", "--seed-list", "0,1",
+                       "--N", "2,3", "--kT", "6", "--tT", "2", "--m", "8",
+                       "--ni", "12", "--clusters", "4") == 0
+        assert len(probes) == 2 * (2 + 3)
+        assert len(read_jsonl(tmp_path / "o" / "results.jsonl")) == 2 * 2 * 3
 
 
 class TestReproducibility:

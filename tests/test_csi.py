@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -631,6 +632,103 @@ class TestSubspacePrecode:
         packet = make_packet(4, [0], [[1.0]], [], [])
         with pytest.raises(InvalidInputError):
             csi.precode(np.ones((2, 5)), packet)
+
+
+class TestComplementRoot:
+    """From COMPLEMENT_MIN_DIMS dims up, a block's root comes from a pivoted
+    Cholesky of I - B; the dense m x m reconstruction stays the reference."""
+
+    MAKERS = {
+        "compress": lambda H, R, rng: csi.compress(H, R),
+        "random_sketch": lambda H, R, rng: csi.compress_random_sketch(H, R, rng),
+        "exact": lambda H, R, rng: csi.exact_packet(H),
+    }
+
+    @staticmethod
+    def features(rng, m):
+        return rng.normal(size=(12, m)) / math.sqrt(m)  # a kernel of O(1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(256, 384), held=st.integers(0, 60),
+           make=st.sampled_from(sorted(MAKERS)), momentum=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_dense_reference(self, m, held, make, momentum, seed,
+                                     data):
+        rng = np.random.default_rng(seed)
+        # From the smallest budget whose random-sketch block reaches the
+        # floor, to m / 2: a proper subset S, so I - B has eigenvalues
+        # inside (0, 1), and a compress residual E's frame still holds, so
+        # M stays block-diagonal.
+        lo = csi.COMPLEMENT_MIN_DIMS
+        R = data.draw(st.integers(-(-lo * (lo + 1) // (2 * m)), m // 2),
+                      label="R")
+        H, _ = random_projector(rng, m, held)
+        packet = self.MAKERS[make](H, float(R), rng)
+        assume(packet.block_size >= csi.COMPLEMENT_MIN_DIMS)
+        # a block-diagonal M (the residual off S) roots its block apart
+        assume(not packet.residual_vectors[:, packet.selected_dims].any())
+        Z = self.features(rng, m)
+        with mock.patch.object(csi, "_root_factor",
+                               wraps=csi._root_factor) as solved:
+            out = csi.precode(Z, packet, momentum)
+        assert [len(args[0]) for args, _ in solved.call_args_list] == \
+            [packet.residual_rank]  # the block took the complement route
+        assert kernel(out) == pytest.approx(
+            kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    @pytest.mark.parametrize("case", ["eigenvalue above 1", "rank above r0/2",
+                                      "zero-diagonal complement, B_01 < 0",
+                                      "zero-diagonal complement, B_01 > 0"])
+    def test_other_blocks_take_the_eigensolver(self, monkeypatch, momentum,
+                                               case):
+        rng = np.random.default_rng(256)
+        r0 = 140
+        if case.startswith("zero-diagonal"):  # eigenvalues 1.5, 0.5, 1
+            B = np.eye(r0)  # no pivot: the residual is all of I - B
+            B[0, 1] = B[1, 0] = 0.5 if case.endswith("> 0") else -0.5
+        else:
+            held = 10 if case == "eigenvalue above 1" else 80  # > 140 // 2
+            B = csi.Projector(basis=csi.orthonormal_row_basis(
+                rng.normal(size=(held, r0)))).matrix
+        if case == "eigenvalue above 1":  # I - B is indefinite
+            v = rng.normal(size=r0)
+            B += 0.5 * np.outer(v, v) / (v @ v)
+        packet = make_packet(r0, range(r0), B, [], [])
+        solved = counted(monkeypatch, "psd_eigh", csi)
+        Z = self.features(rng, r0)
+        out = csi.precode(Z, packet, momentum)
+        assert [len(args[0]) for args, _ in solved] == [r0, 0]
+        assert kernel(out) == pytest.approx(
+            kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    def test_an_eigenvalue_below_the_rounding_floor_raises(self, monkeypatch,
+                                                          momentum):
+        r0 = 140
+        v = np.random.default_rng(257).normal(size=r0)
+        B = np.eye(r0) - 2.0 * np.outer(v, v) / (v @ v)  # eigenvalue -1
+        packet = make_packet(r0, range(r0), B, [], [])
+        Z = np.ones((2, r0))
+        with pytest.raises(NotPsdError):
+            dense_precode(Z, packet, momentum)
+        solved = counted(monkeypatch, "psd_eigh", csi)
+        with pytest.raises(NotPsdError, match="below -1e-06"):
+            csi.precode(Z, packet, momentum)
+        assert solved == []  # raised on the complement route
+
+    def test_a_paper_512_packet_runs_no_block_sized_eigh(self, monkeypatch):
+        rng = np.random.default_rng(258)
+        H, _ = random_projector(rng, 512, 54)
+        packet = csi.compress(H, R=45.0)
+        assert (packet.block_size, packet.residual_rank) == (151, 22)
+        solved = counted(monkeypatch, "eigh", np.linalg)
+        Z = self.features(rng, 512)
+        out = csi.precode(Z, packet)
+        sizes = sorted(args[0].shape[0] for args, _ in solved)
+        assert sizes == [22, 54]  # the residual block; L L^T, t = q
+        assert kernel(out) == pytest.approx(
+            kernel(dense_precode(Z, packet, True)), abs=1e-6)
 
 
 class TestBoundChain:

@@ -193,7 +193,7 @@ class TestSynth:
         assert peak < 1.5 * n * m * 8  # no means[labels] beside the noise
 
     @pytest.mark.parametrize("setting, cause", [
-        ({"scale": 1e200}, "probe subsets are singular"),  # the Gram overflows
+        ({"scale": 1e200}, "Gram of a probe subset overflows"),
         ({"norm_tail": 1000.0}, "non-finite entries"),  # the draw overflows
     ])
     def test_an_overflowing_setting_is_a_configuration_error(self, setting,

@@ -167,6 +167,19 @@ class TestGreedyMap:
         res = dpp.greedy_map(np.zeros((4, 4)), 2)
         assert res.indices == []
 
+    @pytest.mark.parametrize("rank, k, rows", [(5, 12, 5), (5, 3, 3),
+                                               (0, 4, 0)])
+    def test_pivoted_cholesky_is_the_greedy_factor(self, rank, k, rows):
+        # the greedy's own picks and floor; L - F^T F within the floor once
+        # the rank is spanned, and a k-pivot cap otherwise
+        L = random_psd(np.random.default_rng(111), 12, rank=rank) \
+            if rank else np.zeros((12, 12))
+        F, floor = dpp.pivoted_cholesky(L, k)
+        assert F.shape == (rows, 12)
+        assert floor == dpp.EARLY_STOP_REL * max(np.diag(L).max(), 0.0)
+        assert (np.abs(L - F.T @ F).max() <= floor) == (rows == rank)
+        assert dpp.greedy_map(L, k).frame is None  # kept only when asked
+
     @pytest.mark.parametrize("rank", [None, 4])
     def test_prefix_stable(self, rank):
         # ddpp's first-interval picks are a prefix of greedi's per-source run.
