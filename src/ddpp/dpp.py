@@ -186,6 +186,11 @@ def pivoted_cholesky(L, k):
     return _greedy(diag, lambda idx: L[idx], k, (), frame=True).frame, floor
 
 
+def forms_gram(n, m, picks):
+    """Whether ``greedy_map_rows`` of ``picks`` (held + k) on n x m Z forms Z Z^T."""
+    return n <= m and n <= GRAM_ROWS_PER_PICK * picks
+
+
 def greedy_map_rows(Z, k, preselected=()):
     """greedy_map on the kernel Z Z^T, in one of three forms by Z's shape.
 
@@ -199,7 +204,7 @@ def greedy_map_rows(Z, k, preselected=()):
     round differently, so exact ties may break differently between them.
     """
     n, m = Z.shape
-    if n <= m and n <= GRAM_ROWS_PER_PICK * (len(preselected) + k):
+    if forms_gram(n, m, len(preselected) + k):
         return greedy_map(Z @ Z.T, k, preselected)
     if n * m >= LAZY_MIN_ENTRIES:
         return _lazy_greedy(Z, k, preselected)

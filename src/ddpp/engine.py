@@ -421,13 +421,27 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     return _schedule(_Center(config, dataset), transport, ground_truth)
 
 
-def rd_diversity(rows, epsilon):
-    """Rate-distortion style diversity of a whole source."""
+def rd_diversity(rows, epsilon, gram=None):
+    """Rate-distortion style diversity of a whole source; overwrites ``gram``."""
     n_i, m = rows.shape
-    M = rows @ rows.T if n_i < m else rows.T @ rows  # smaller Gram, same det
+    M = gram if gram is not None else rows @ rows.T if n_i < m else rows.T @ rows
     M *= m / (n_i * epsilon)  # I + c M, built in place; Cholesky reads one triangle
     M.flat[::M.shape[0] + 1] += 1.0
     return logdet_psd(M)
+
+
+def _share_gram(dataset, i, rows, k, epsilon):
+    """Memoize source i's k-greedy and ``epsilon`` probe from one Gram of its rows.
+
+    Only where the greedy forms Z_i Z_i^T (``dpp.forms_gram``) and the probe
+    factors it too (n_i < m); at other shapes sharing only adds work.
+    """
+    if rows.shape[0] < rows.shape[1] and dpp.forms_gram(*rows.shape, k):
+        def both():
+            G = rows @ rows.T
+            dataset.memo(("greedy", i, k), lambda: dpp.greedy_map(G, k))
+            return rd_diversity(rows, epsilon, G)
+        dataset.memo(("probe", i, epsilon), both)
 
 
 def run_experiment(config, dataset, transport="loopback", ground_truth=None):
@@ -446,16 +460,17 @@ def run_experiment(config, dataset, transport="loopback", ground_truth=None):
     plans = [[] for _ in rows]  # the local ids each source sends
     if config.strategy == "greedi":
         plans = None  # each source runs its own greedy
-    elif config.strategy == "greedymax":  # the source whose greedy scores best
-        picks = [dataset.source_greedy(i, k_T).indices for i in range(len(rows))]
-        winner = int(np.argmax([dpp.subset_logdet(r, p)
-                                for r, p in zip(rows, picks)]))
-        plans[winner] = picks[winner]
-    elif config.strategy == "maxdiv":  # the most diverse source, by probe
+    elif config.strategy in ("greedymax", "maxdiv"):
         eps = config.epsilon  # the probe does not depend on R
-        winner = int(np.argmax([
-            dataset.memo(("probe", i, eps), lambda: rd_diversity(r, eps))
-            for i, r in enumerate(rows)]))
+        for i, r in enumerate(rows):  # whichever runs first scores both
+            _share_gram(dataset, i, r, k_T, eps)
+        if config.strategy == "greedymax":  # the best-scoring source greedy
+            scores = [dpp.subset_logdet(r, dataset.source_greedy(i, k_T).indices)
+                      for i, r in enumerate(rows)]
+        else:  # the most diverse source, by probe
+            scores = [dataset.memo(("probe", i, eps), lambda: rd_diversity(r, eps))
+                      for i, r in enumerate(rows)]
+        winner = int(np.argmax(scores))
         plans[winner] = dataset.source_greedy(winner, k_T).indices
     elif config.strategy == "random":  # a global draw, sent in draw order
         rng = np.random.default_rng([config.seed, _SALT_RANDOM])

@@ -60,6 +60,8 @@ _FEEDBACK_FIELDS = ("target_source", "interval", "m", "r0", "r1", "element_count
 # A tcp frame's length travels as a u32, so no frame can hold even one f64
 # vector wider than this; a larger declared m is refused at decode.
 MAX_DIMS = (2**32 - 1) // 8
+# Seconds a tcp end waits on a stalled peer, then ProtocolError; no real step nears it.
+TCP_TIMEOUT_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,10 @@ class TcpChannel:
         chunks = []
         got = 0
         while got < n:
-            chunk = self._sock.recv(n - got)
+            try:
+                chunk = self._sock.recv(n - got)
+            except TimeoutError:
+                raise ProtocolError(f"peer stalled after {got} of {n} bytes") from None
             if not chunk:
                 raise DecodeError(got, "connection closed mid-frame")
             chunks.append(chunk)
@@ -344,4 +349,5 @@ def tcp_pair():
     listener.close()
     for s in (client, server):
         s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        s.settimeout(TCP_TIMEOUT_S)
     return TcpChannel(server), TcpChannel(client)

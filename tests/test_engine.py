@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import struct
+import sys
 import threading
 import tracemalloc
 
@@ -235,6 +238,48 @@ class TestDdppPipeline:
         assert out.seconds < 5
         assert not [th for th in threading.enumerate()
                     if "_source_loop" in th.name]
+
+    @pytest.fixture
+    def stalled_source(self, monkeypatch):
+        # source 0 sends a length prefix and 4 of its 16 bytes, then waits
+        # on its own channel with no timeout of its own: only the center
+        # closing its end can release it
+        monkeypatch.setattr(protocol, "TCP_TIMEOUT_S", 0.5)
+        real = engine._source_loop
+
+        def stalled_source_loop(worker, channel):
+            if worker.source_id:
+                return real(worker, channel)
+            channel._sock.settimeout(None)
+            channel._sock.sendall(struct.pack("<I", 16) + b"abcd")
+            with pytest.raises((DdppError, OSError)):
+                channel.recv()
+
+        monkeypatch.setattr(engine, "_source_loop", stalled_source_loop)
+
+    @staticmethod
+    def source_threads():
+        return [th for th in threading.enumerate() if "source_loop" in th.name]
+
+    def test_a_stalled_tcp_source_is_a_protocol_error(self, stalled_source):
+        ds = small_dataset(seed=4, n_sources=3, total_select=6)
+        cfg = config(n_sources=3, total_select=6)
+        out = run_within(20, engine.run_ddpp, cfg, ds, transport="tcp")
+        assert isinstance(out.error, ProtocolError), out.error
+        assert str(out.error) == "peer stalled after 4 of 16 bytes"
+        assert out.seconds < 5
+        assert not self.source_threads()
+
+    def test_a_stalled_tcp_source_exits_1(self, stalled_source, tmp_path,
+                                          capsys):
+        out = run_within(20, cli.main, [
+            "run", "--out", str(tmp_path / "run"), "--transport", "tcp",
+            "--strategies", "greedi", "--seed-list", "0", "--N", "2",
+            "--kT", "4", "--m", "8", "--ni", "12", "--clusters", "3"])
+        assert out.result == 1, out.error
+        assert capsys.readouterr().err == (
+            "error: peer stalled after 4 of 16 bytes\n")
+        assert not self.source_threads()
 
     def test_source_step_forms_no_m_by_m_array(self):
         m, n_i = 300, 40
@@ -751,6 +796,120 @@ class TestSharedLocalGreedy:
         for ids, (args, _) in zip(calls, projectors):
             reference = csi.compute_projector(ds.rows(ids), 16)
             assert np.linalg.norm(args[0].matrix - reference.matrix) <= 1e-10
+
+
+class TestOneGramPass:
+    """greedymax and maxdiv score a source from one Gram where both form it.
+
+    That is where the k_T-greedy forms Z_i Z_i^T (n_i <= m and
+    n_i <= 8 k_T) and the probe factors the same product (n_i < m).  The
+    rows must equal those of runs that share nothing, at every shape.
+    """
+
+    # (dims, rows per source, k_T): the pass applies only to "shared"
+    SHAPES = {"shared": (24, 20, 4), "square": (20, 20, 4),
+              "tall": (8, 20, 8), "short greedy": (48, 40, 2)}
+
+    @staticmethod
+    def rows(ds, strategies, k_T):
+        """Each strategy's results.jsonl line, in run order, on ``ds``."""
+        cfg = config(dims=ds.dims, total_select=k_T)
+        gt = engine.run_ground_truth(ds, k_T)
+        return {s: json.dumps(engine.run_experiment(
+            dataclasses.replace(cfg, strategy=s), ds,
+            ground_truth=gt).to_json_dict()) for s in strategies}
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_match_runs_that_share_nothing(self, monkeypatch, shape):
+        dims, n_i, k_T = self.SHAPES[shape]
+        assert (n_i < dims and dpp.forms_gram(n_i, dims, k_T)) == (
+            shape == "shared")
+
+        def fresh():
+            return small_dataset(seed=41, n_sources=2, dims=dims,
+                                 per_source=n_i, total_select=k_T)
+
+        both = ("greedymax", "maxdiv")
+        together = self.rows(fresh(), both, k_T)
+        reverse = self.rows(fresh(), both[::-1], k_T)
+        alone = {**self.rows(fresh(), both[:1], k_T),
+                 **self.rows(fresh(), both[1:], k_T)}
+        monkeypatch.setattr(engine, "_share_gram", lambda *args: None)
+        separate = self.rows(fresh(), both, k_T)
+        assert together == reverse == alone == separate
+
+    def test_a_unit_runs_each_source_greedy_and_probe_once(self, monkeypatch):
+        # every strategy of one unit: only greedymax's k_T = 6 greedies form
+        # a Gram (20 <= 8 * 6), one per source, and each probe factors the
+        # very array its source's greedy ran on
+        ds = small_dataset(seed=42, n_sources=3, dims=24, per_source=20,
+                           total_select=6)
+        gt = engine.run_ground_truth(ds, 6)
+        greedies = counted(monkeypatch, "greedy_map", dpp)
+        probes = counted(monkeypatch, "logdet_psd", engine)
+        cfg = config(n_sources=3, dims=24, total_select=6)
+        for strategy in engine.STRATEGIES:
+            engine.run_experiment(dataclasses.replace(cfg, strategy=strategy),
+                                  ds, ground_truth=gt)
+        assert [(args[0].shape, args[1:], kw) for args, kw in greedies] == \
+            [((20, 20), (6,), {})] * 3
+        assert len(probes) == 3
+        assert all(g[0][0] is p[0][0] for g, p in zip(greedies, probes))
+
+    def test_a_pooled_data_campaign_writes_the_serial_bytes(
+            self, tmp_path, monkeypatch):
+        # every seed of a --data point shares one dataset and its memo
+        gen = tmp_path / "gen"
+        assert cli.main(["gen", "--out", str(gen), "--sources", "3", "--ni",
+                         "20", "--m", "24", "--clusters", "4", "--seed",
+                         "6"]) == 0
+        argv = ["--data", str(gen / "features.ddpm"), "--partition-policy",
+                "uniform_random", "--N", "3", "--kT", "6", "--seed-list",
+                "0,1,2,3,4,5", "--strategies", "greedymax,maxdiv"]
+
+        def run(name):
+            out = run_within(60, cli.main, ["run", "--out",
+                                            str(tmp_path / name), *argv])
+            assert out.result == 0, out.error
+            return (tmp_path / name / "results.jsonl").read_bytes()
+
+        monkeypatch.setenv("DDPP_THREADS", "1")
+        serial = run("serial")
+        monkeypatch.setenv("DDPP_THREADS", "4")  # more workers than cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave inside the memo
+        try:
+            pooled = run("pooled")
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(engine, "_share_gram", lambda *args: None)
+        monkeypatch.setenv("DDPP_THREADS", "1")
+        assert len(serial.splitlines()) == 12
+        assert pooled == serial == run("separate")
+
+    def test_one_source_gram_is_alive_at_a_time(self):
+        # holding every source's Gram past its pass would add 4 more here
+        N, n_i, m, k_T = 6, 180, 200, 24
+        cfg = config(n_sources=N, dims=m, total_select=k_T)
+        self.rows(small_dataset(seed=1, n_sources=2, dims=24, per_source=20,
+                                total_select=4),
+                  ("greedymax", "maxdiv"), 4)  # lazy imports first
+        tracemalloc.start()
+        try:
+            ds = small_dataset(seed=43, n_sources=N, dims=m, per_source=n_i,
+                               total_select=k_T)
+            gt = engine.run_ground_truth(ds, k_T)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for strategy in ("greedymax", "maxdiv"):
+                engine.run_experiment(dataclasses.replace(cfg, strategy=strategy),
+                                      ds, ground_truth=gt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gram = n_i * n_i * 8
+        assert ds.store.nbytes <= held < ds.store.nbytes + gram
+        assert peak < held + 2.5 * gram  # one Gram and its Cholesky factor
 
 
 class TestCompressionVariants:

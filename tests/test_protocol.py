@@ -382,3 +382,20 @@ class TestChannels:
         finally:
             center.close()
             source.close()
+
+    def test_a_tcp_peer_stalled_mid_frame_is_a_protocol_error(
+            self, monkeypatch):
+        monkeypatch.setattr(protocol, "TCP_TIMEOUT_S", 0.2)
+        center, source = protocol.tcp_pair()
+        try:
+            for end in (center, source):  # one timeout on both ends
+                assert end._sock.gettimeout() == 0.2
+            source._sock.sendall(struct.pack("<I", 16) + b"abcd")
+            out = run_within(5, center.recv)
+            assert isinstance(out.error, ProtocolError), out.error
+            assert str(out.error) == "peer stalled after 4 of 16 bytes"
+            out = run_within(5, source.recv)  # nothing sent at all
+            assert str(out.error) == "peer stalled after 0 of 4 bytes"
+        finally:
+            center.close()
+            source.close()
