@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, data, dpp, engine, linalg, metrics
+from . import __version__, data, dpp, engine, metrics
 from .errors import (BudgetViolationError, DdppError, DegenerateInputError,
                      IngestError, InvalidConfigError, InvalidInputError,
                      NotPositiveDefiniteError, NotPsdError,
@@ -139,22 +139,16 @@ def cmd_gen(args):
     if min(args.sources, args.m, n) < 1:
         raise InvalidConfigError(f"--sources ({args.sources}), --m ({args.m}) "
                                  f"and the sample count ({n}) must be positive")
-    if n % args.sources:
-        raise InvalidConfigError(
-            f"{n} samples do not split evenly over {args.sources} sources")
     _check_seed(args.seed)
-    _check_mixture(args, n)
-    with data.generator_checks(_mixture(args)):  # as run's draw, before --out
-        Z, labels = data.synth_gaussian_mixture(
-            seed=args.seed, n=n, m=args.m, n_clusters=args.clusters,
-            mean_sparsity=args.mean_sparsity, **_mixture(args))
-        linalg.as_matrix(Z, "features")
-    part = data.partition(n, args.sources, policy=args.partition_policy,
-                          seed=args.seed, cluster_labels=labels, skew=args.skew)
+    dataset = data.synth_dataset(
+        args.seed, args.sources, n, args.m, args.clusters,
+        policy=args.partition_policy, skew=args.skew,
+        mean_sparsity=args.mean_sparsity, **_mixture(args))
     os.makedirs(args.out, exist_ok=True)
-    data.save_ddpm(os.path.join(args.out, "features.ddpm"), Z, labels)
+    data.save_ddpm(os.path.join(args.out, "features.ddpm"),
+                   dataset.rows(range(n)), dataset.labels)
     with open(os.path.join(args.out, "partition.json"), "w") as fh:
-        fh.write(part.to_json())
+        fh.write(dataset.partition.to_json())
     _write_manifest(args.out, args, extra={"n": n})
     print(f"wrote {args.out}/features.ddpm ({n}x{args.m}) and partition.json")
     return 0
@@ -206,8 +200,7 @@ def cmd_run(args):
              else list(range(args.seeds)))
     if not (seeds and args.strategies and args.N and args.R):
         raise InvalidConfigError("need at least one seed, strategy, N and R")
-    if min(seeds) < 0:
-        raise InvalidConfigError(f"seeds must be non-negative, got {min(seeds)}")
+    _check_seed(min(seeds), "seeds")
     if args.partition_file and not args.data:
         raise InvalidConfigError("--partition-file needs --data")
     _check_seed(args.partition_seed, "--partition-seed")

@@ -9,7 +9,6 @@ CSV files hold one sample per row, optional header, and optionally a
 trailing integer label column (the caller flags it).
 """
 
-import contextlib
 import itertools
 import json
 import math
@@ -215,8 +214,6 @@ def _load_csv(path, label_column):
                 raise IngestError("label column must be integral", row=ridx)
             labels.append(int(lab))
             values = values[:-1]
-        if not all(math.isfinite(v) for v in values):
-            raise IngestError("non-finite feature value", row=ridx)
         rows.append(values)
     return np.asarray(rows, dtype=np.float64), (np.asarray(labels) if label_column else None)
 
@@ -341,25 +338,14 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     part = partition(n, n_sources, policy=policy, seed=seed,
                      cluster_labels=labels, skew=skew)
     order = _store_order(part)
-    with generator_checks(mixture):
-        Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
-                                      mean_sparsity=mean_sparsity,
-                                      order=order, **mixture)
-        return Dataset._of_store(as_matrix(Z, "features"), order, part,
-                                 labels, positivity_k)
-
-
-@contextlib.contextmanager
-def generator_checks(mixture):
-    """Checks on a drawn store, reported against the generator settings.
-
-    numpy's overflow warnings are silenced, since the checks report them:
-    an ``InvalidInputError`` raised inside (a non-finite draw, a failed
-    positivity probe) becomes an ``InvalidConfigError`` naming ``mixture``.
-    """
+    # numpy's overflow warnings are silenced, since the checks report them
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            yield
+            Z, _ = synth_gaussian_mixture(seed, n, m, n_clusters,
+                                          mean_sparsity=mean_sparsity,
+                                          order=order, **mixture)
+            return Dataset._of_store(as_matrix(Z, "features"), order, part,
+                                     labels, positivity_k)
         except InvalidInputError as exc:
             named = ", ".join(f"{k}={v:g}" for k, v in mixture.items())
             raise InvalidConfigError(f"the generator settings ({named}) give "

@@ -210,8 +210,8 @@ def _source_loop(worker, channel):
     except BaseException as exc:  # the thread's boundary: report, then end
         try:
             channel.send(encode_error(worker.source_id, t, exc))
-        except OSError:
-            pass  # the center has closed the connection already
+        except (OSError, ProtocolError):
+            pass  # the center has closed the connection, or stopped reading
         if not isinstance(exc, Exception):
             raise
 

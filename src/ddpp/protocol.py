@@ -25,9 +25,11 @@ Everything is little-endian; floats are IEEE f64 with no quantization.
 Encoding is canonical: decode then encode reproduces the bytes.  Decoding
 is where frame data enters the package, and where it is checked, once: a
 decoded batch or packet has consistent shapes and finite values, or
-decoding raises.  A frame's fixed fields are read in one unpack.  The
-encoders trust what the program built (a packet is validated where
-``csi`` builds it) and check only a batch's indices.
+decoding raises.  One cursor reads every frame: each run of fixed fields
+in one unpack, each body part in place, and any failure at the offset
+where a field-by-field read would fail.  The encoders trust what the
+program built (a packet is validated where ``csi`` builds it) and check
+only a batch's indices.
 
 A loopback channel is a pair of plain FIFOs for sources run inline on
 the center's thread, so its ``recv`` raises on an empty inbox rather than
@@ -51,12 +53,8 @@ MAGIC_ERROR = b"DDPE"
 WIRE_VERSION = 1
 
 _HEADER = struct.Struct("<4sHII")
-# The fixed fields of a batch and of a feedback frame, each read in one
-# unpack; the names are those of the fields after magic and version.
 _BATCH_HEAD = struct.Struct("<4sHIIQQ")
-_BATCH_FIELDS = ("source_id", "interval", "count", "m")
 _FEEDBACK_HEAD = struct.Struct("<4sHIIQQQQ")
-_FEEDBACK_FIELDS = ("target_source", "interval", "m", "r0", "r1", "element_count")
 # A tcp frame's length travels as a u32, so no frame can hold even one f64
 # vector wider than this; a larger declared m is refused at decode.
 MAX_DIMS = (2**32 - 1) // 8
@@ -91,83 +89,54 @@ class FeedbackMsg:
     packet: CsiPacket
 
 
-class _Reader:
-    """Cursor over a frame that reports the offset of any failure."""
+class _Cursor:
+    """A frame read front to back that fails where a field-by-field read would.
 
-    def __init__(self, buf):
-        self.buf = buf
-        self.pos = 0
+    It checks the magic on entry.  ``fields`` reads each run of fixed
+    fields in one unpack, ``part`` says where a body part starts without
+    copying it, and ``end`` checks that the frame ends there.  A failure is
+    a ``DecodeError`` at the offset of the first field that is bad or cut
+    short, as if every field were read and checked in turn.
+    """
 
-    def take(self, n, what):
-        if self.pos + n > len(self.buf):
+    def __init__(self, data, magic, kind):
+        self.data, self.kind, self.pos = data, kind, 0
+        got = data[self.part(4, "magic"):4]
+        if got != magic:
+            raise DecodeError(0, f"bad magic {got!r} for {kind} frame")
+
+    def part(self, n, what):
+        """Where the next ``n`` bytes, ``what``, start; the cursor passes them."""
+        if self.pos + n > len(self.data):
             raise DecodeError(self.pos, f"truncated while reading {what}")
-        out = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
 
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
+    def fields(self, codes, *names):
+        """The fixed fields ``names``, one little-endian struct code each.
 
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
+        A version or m among them is checked, in field order; a frame too
+        short for the run fails at the first field it cuts, once the
+        fields before it pass.
+        """
+        fmt = "<" + codes
+        while self.pos + struct.calcsize(fmt) > len(self.data):
+            fmt = fmt[:-1]  # its last field does not fit
+        values = struct.unpack_from(fmt, self.data, self.pos)
+        for j, (what, value) in enumerate(zip(names, values)):
+            if what == "version" and value != WIRE_VERSION:
+                raise DecodeError(4, f"unsupported {self.kind} version {value}")
+            if what == "m" and not 1 <= value <= MAX_DIMS:
+                raise DecodeError(self.pos + struct.calcsize(fmt[:j + 1]),
+                                  f"m = {value} outside 1..{MAX_DIMS}")
+        self.pos += struct.calcsize(fmt)
+        if len(values) < len(names):  # the next field is cut short: raises
+            self.part(struct.calcsize("<" + codes[len(values)]), names[len(values)])
+        return values
 
-    def done(self):
-        if self.pos != len(self.buf):
+    def end(self):
+        if self.pos != len(self.data):
             raise DecodeError(self.pos, "trailing bytes after frame")
-
-
-def _check_header(r, magic, kind):
-    got = r.take(4, "magic")
-    if got != magic:
-        raise DecodeError(0, f"bad magic {got!r} for {kind} frame")
-    version = r.u16("version")
-    if version != WIRE_VERSION:
-        raise DecodeError(4, f"unsupported {kind} version {version}")
-
-
-def _check_dims(m, offset):
-    """The frame's vector width m, bounded before anything is shaped by it."""
-    if not 1 <= m <= MAX_DIMS:
-        raise DecodeError(offset, f"m = {m} outside 1..{MAX_DIMS}")
-
-
-def _head(data, head, fields, magic, kind):
-    """The fixed fields after magic and version, from one unpack.
-
-    A frame too short to hold them is read field by field instead, so it
-    fails at the first field that is bad or cut short, as any frame does:
-    bad magic, bad version, an m outside 1..MAX_DIMS, then truncation.
-    """
-    if len(data) < head.size:
-        r = _Reader(data)
-        _check_header(r, magic, kind)
-        for code, what in zip(head.format[4:], fields):
-            raw = r.take(struct.calcsize(code), what)
-            if what == "m":
-                _check_dims(struct.unpack("<" + code, raw)[0], r.pos - len(raw))
-    got, version, *values = head.unpack_from(data)
-    if got != magic:
-        raise DecodeError(0, f"bad magic {got!r} for {kind} frame")
-    if version != WIRE_VERSION:
-        raise DecodeError(4, f"unsupported {kind} version {version}")
-    return values
-
-
-def _parts(data, pos, sizes):
-    """Where each (name, byte count) part of a frame body starts.
-
-    The parts follow each other from ``pos``, and the frame must end with
-    the last one.
-    """
-    starts = []
-    for what, n in sizes:
-        if pos + n > len(data):
-            raise DecodeError(pos, f"truncated while reading {what}")
-        starts.append(pos)
-        pos += n
-    if pos != len(data):
-        raise DecodeError(pos, "trailing bytes after frame")
-    return starts
 
 
 def _f64s(data, count, pos):
@@ -187,11 +156,12 @@ def encode_batch(batch):
 
 
 def decode_batch(data):
-    source_id, interval, count, m = _head(data, _BATCH_HEAD, _BATCH_FIELDS,
-                                          MAGIC_BATCH, "batch")
-    _check_dims(m, _HEADER.size + 8)  # m follows the u64 count
-    at_indices, at_vectors = _parts(data, _BATCH_HEAD.size, (
-        ("indices", 8 * count), ("vectors", 8 * count * m)))
+    c = _Cursor(data, MAGIC_BATCH, "batch")
+    _, source_id, interval, count, m = c.fields(
+        "HIIQQ", "version", "source_id", "interval", "count", "m")
+    at_indices = c.part(8 * count, "indices")
+    at_vectors = c.part(8 * count * m, "vectors")
+    c.end()
     batch = SampleBatch(
         source_id=source_id, interval=interval,
         local_indices=struct.unpack_from(f"<{count}Q", data, at_indices),
@@ -216,17 +186,19 @@ def encode_feedback(msg):
 
 
 def decode_feedback(data):
-    target, interval, m, r0, r1, declared = _head(
-        data, _FEEDBACK_HEAD, _FEEDBACK_FIELDS, MAGIC_FEEDBACK, "feedback")
-    _check_dims(m, _HEADER.size)
+    c = _Cursor(data, MAGIC_FEEDBACK, "feedback")
+    _, target, interval, m, r0, r1, declared = c.fields(
+        "HIIQQQQ", "version", "target_source", "interval", "m", "r0", "r1",
+        "element_count")
     triangle = (r0 * r0 + r0) // 2
     expected = triangle + r1 * m
     if declared != expected:
-        raise DecodeError(_FEEDBACK_HEAD.size - 8,  # the last u64
+        raise DecodeError(c.pos - 8,  # the last u64
                           f"element_count {declared} != {expected} from r0={r0} r1={r1} m={m}")
-    at_dims, at_block, at_values, at_vectors = _parts(data, _FEEDBACK_HEAD.size, (
-        ("selected dims", 8 * r0), ("principal block", 8 * triangle),
-        ("residual values", 8 * r1), ("residual vectors", 8 * r1 * m)))
+    at_dims, at_block, at_values, at_vectors = (
+        c.part(8 * r0, "selected dims"), c.part(8 * triangle, "principal block"),
+        c.part(8 * r1, "residual values"), c.part(8 * r1 * m, "residual vectors"))
+    c.end()
     packet = CsiPacket(dims=m,
                        selected_dims=struct.unpack_from(f"<{r0}Q", data, at_dims),
                        principal_block=_f64s(data, triangle, at_block),
@@ -252,13 +224,13 @@ def decode_error(data):
     handling (and the CLI its exit codes); any other class as DdppError.
     Only the class and message travel, not attributes such as ``pivot``.
     """
-    r = _Reader(data)
-    _check_header(r, MAGIC_ERROR, "error")
-    source_id = r.u32("source_id")
-    interval = r.u32("interval")
-    name = r.take(r.u32("name length"), "error name").decode("utf-8", "replace")
-    text = r.take(r.u32("message length"), "message").decode("utf-8", "replace")
-    r.done()
+    c = _Cursor(data, MAGIC_ERROR, "error")
+    _, source_id, interval, n = c.fields("HIII", "version", "source_id",
+                                         "interval", "name length")
+    name = data[c.part(n, "error name"):c.pos].decode("utf-8", "replace")
+    (n,) = c.fields("I", "message length")
+    text = data[c.part(n, "message"):c.pos].decode("utf-8", "replace")
+    c.end()
     cls = getattr(errors, name, None)
     if not (isinstance(cls, type) and issubclass(cls, DdppError)):
         cls, text = DdppError, f"{name}: {text}"
@@ -309,7 +281,10 @@ class TcpChannel:
         self._sock = sock
 
     def send(self, frame):
-        self._sock.sendall(struct.pack("<I", len(frame)) + frame)
+        try:
+            self._sock.sendall(struct.pack("<I", len(frame)) + frame)
+        except TimeoutError:
+            raise ProtocolError(f"peer stopped reading a {len(frame)}-byte frame") from None
 
     def recv(self):
         header = self._recv_exact(4)

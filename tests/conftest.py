@@ -13,8 +13,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from ddpp import csi, data, dpp, linalg, protocol  # noqa: E402
-from ddpp.errors import DecodeError, InvalidInputError  # noqa: E402
+from ddpp import csi, data, dpp, errors, linalg, protocol  # noqa: E402
+from ddpp.errors import DdppError, DecodeError, InvalidInputError  # noqa: E402
 
 
 def stepwise_exhaustive_greedy(L, k, preselected=()):
@@ -264,3 +264,20 @@ def field_by_field_decode_feedback(data):
     r.done()
     return protocol.FeedbackMsg(target_source=target, interval=interval,
                                 packet=packet.validate())
+
+
+def field_by_field_decode_error(data):
+    """Reference ``decode_error``: every field read and checked in turn.
+
+    Returns the class and message of the exception the frame reports.
+    """
+    r = _FieldReader(data)
+    r.head(protocol.MAGIC_ERROR, "error")
+    source_id, interval = r.uint("I", "source_id"), r.uint("I", "interval")
+    name = r.take(r.uint("I", "name length"), "error name").decode("utf-8", "replace")
+    text = r.take(r.uint("I", "message length"), "message").decode("utf-8", "replace")
+    r.done()
+    cls = getattr(errors, name, None)
+    if not (isinstance(cls, type) and issubclass(cls, DdppError)):
+        cls, text = DdppError, f"{name}: {text}"
+    return cls, f"source {source_id}, interval {interval}: {text}"

@@ -56,6 +56,25 @@ class TestGen:
         run_cli("gen", "--out", str(b), *GEN_ARGS)
         assert (a / "features.ddpm").read_bytes() == (b / "features.ddpm").read_bytes()
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--partition-policy", "uniform_random", "--spread", "0.2",
+             "--mean-sparsity", "1", "--norm-tail", "0"]])
+    def test_writes_the_global_order_generators_data(self, tmp_path, extra):
+        argv = ["gen", "--out", str(tmp_path / "gen"), *GEN_ARGS, *extra]
+        assert run_cli(*argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        Z, labels = data.synth_gaussian_mixture(
+            args.seed, args.n, args.m, args.clusters, spread=args.spread,
+            scale=args.scale, radius_jitter=args.radius_jitter,
+            norm_tail=args.norm_tail, mean_sparsity=args.mean_sparsity)
+        data.save_ddpm(tmp_path / "want.ddpm", Z, labels)
+        assert ((tmp_path / "gen" / "features.ddpm").read_bytes()
+                == (tmp_path / "want.ddpm").read_bytes())
+        part = data.partition(args.n, args.sources, policy=args.partition_policy,
+                              seed=args.seed, cluster_labels=labels,
+                              skew=args.skew)
+        assert (tmp_path / "gen" / "partition.json").read_text() == part.to_json()
+
     def test_divisibility_error_exit_code(self, tmp_path):
         code = run_cli("gen", "--out", str(tmp_path / "x"), "--n", "50",
                        "--sources", "7", "--m", "4", "--clusters", "2")

@@ -48,8 +48,9 @@ class TestCsv:
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1,2\nnan,4\n")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError) as err:
             data.load_features(path, fmt="csv")
+        assert err.value.row == 1
 
     def test_non_utf8_bytes_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -15,6 +15,23 @@ from ddpp.errors import (BudgetViolationError, DdppError, InvalidConfigError,
                          NotPsdError, ProtocolError)
 
 
+class UnreadSocket:
+    """A socket whose peer has stopped reading: every ``sendall`` times out.
+
+    Anything else goes to ``sock``, the real socket, if there is one.
+    """
+
+    def __init__(self, sock=None):
+        self.sock, self.sent = sock, []
+
+    def sendall(self, data):
+        self.sent.append(bytes(data))
+        raise TimeoutError("timed out")
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
 def config(**overrides):
     base = dict(n_sources=2, dims=8, total_select=8, intervals=2,
                 sparsity=8.0, seed=0)
@@ -280,6 +297,46 @@ class TestDdppPipeline:
         assert capsys.readouterr().err == (
             "error: peer stalled after 4 of 16 bytes\n")
         assert not self.source_threads()
+
+    def test_a_source_whose_sends_time_out_ends_quietly(self):
+        rows = np.random.default_rng(3).normal(size=(10, 8))
+        worker = engine.SourceWorker(0, rows, config(),
+                                     lambda k: dpp.greedy_map_rows(rows, k))
+        sock = UnreadSocket()
+        out = run_within(5, engine._source_loop, worker, protocol.TcpChannel(sock))
+        assert out.error is None and out.result is None
+        # the interval-1 batch, then the error frame reporting its timeout
+        assert [frame[4:8] for frame in sock.sent] == [protocol.MAGIC_BATCH,
+                                                       protocol.MAGIC_ERROR]
+
+    def test_a_tcp_send_that_times_out_exits_1(self, monkeypatch, tmp_path,
+                                              capsys):
+        # the center's feedback to source 0 times out: source 0 has
+        # stopped reading; the others wait for theirs until the center
+        # closes its ends
+        real = engine.tcp_pair
+        pairs = []
+
+        def tcp_pair():
+            center, source = real()
+            if not pairs:
+                center = protocol.TcpChannel(UnreadSocket(center._sock))
+            pairs.append(center)
+            return center, source
+
+        monkeypatch.setattr(engine, "tcp_pair", tcp_pair)
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        out = run_within(20, cli.main, [
+            "run", "--out", str(tmp_path / "run"), "--transport", "tcp",
+            "--strategies", "ddpp", "--seed-list", "0", "--N", "2",
+            "--kT", "4", "--tT", "2", "--m", "8", "--ni", "12",
+            "--clusters", "3"])
+        assert out.result == 1, out.error
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: peer stopped reading a ")
+        assert not self.source_threads() and not uncaught
 
     def test_source_step_forms_no_m_by_m_array(self):
         m, n_i = 300, 40

@@ -1,3 +1,4 @@
+import socket
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (field_by_field_decode_batch,
+from conftest import (field_by_field_decode_batch, field_by_field_decode_error,
                       field_by_field_decode_feedback, run_within)
 from ddpp import csi, protocol
 from ddpp.errors import (DdppError, DecodeError, InvalidInputError,
@@ -254,25 +255,40 @@ def feedback_frames(draw):
         packet=packet))
 
 
+@st.composite
+def error_frames(draw):
+    """A valid ``DDPE`` frame: a package or foreign error, any short message."""
+    cls = draw(st.sampled_from([NotPsdError, ProtocolError, InvalidInputError,
+                                ZeroDivisionError, KeyError]), label="class")
+    return protocol.encode_error(draw(_U32, label="source_id"),
+                                 draw(_U32, label="interval"),
+                                 cls(draw(st.text(max_size=12), label="message")))
+
+
 class TestFrameFuzz:
-    """Decoding a damaged batch or feedback frame ends as a field-by-field
-    read of it does (``conftest``'s reference decoders): the same message
-    back, or the same error at the same offset.  A frame that decodes is
-    valid, so it encodes back to its own bytes."""
+    """Decoding a damaged frame ends as a field-by-field read of it does
+    (``conftest``'s reference decoders): the same value back, or the same
+    error at the same offset.  A batch or feedback frame that decodes is
+    valid, so it encodes back to its own bytes; an error frame has no
+    encoder of its decoded exception, so that the reference's class and
+    message stand for it."""
 
     CODECS = {
         "DDPB": (batch_frames(), protocol.decode_batch, protocol.encode_batch,
                  field_by_field_decode_batch),
         "DDPF": (feedback_frames(), protocol.decode_feedback,
                  protocol.encode_feedback, field_by_field_decode_feedback),
+        "DDPE": (error_frames(), protocol.decode_error, None,
+                 field_by_field_decode_error),
     }
 
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=900, deadline=None)  # about 300 per frame type
     @given(kind=st.sampled_from(sorted(CODECS)), data=st.data())
     def test_a_damaged_frame_fails_where_a_field_by_field_read_fails(self, kind, data):
         frames, decode, encode, reference = self.CODECS[kind]
         frame = data.draw(frames, label="frame")
-        assert encode(decode(frame)) == frame
+        if encode is not None:
+            assert encode(decode(frame)) == frame
         bad = bytearray(frame)
         for _ in range(data.draw(st.integers(0, 4), label="flips")):
             pos = data.draw(st.integers(0, len(frame) - 1), label="pos")
@@ -289,10 +305,11 @@ class TestFrameFuzz:
     @pytest.mark.parametrize("kind", sorted(CODECS))
     def test_every_cut_of_a_frame_with_one_bad_head_byte_fails_alike(self, kind):
         # each fixed field in turn goes bad (magic, version, ids, counts, m,
-        # element count), and the frame is cut short anywhere around it
+        # element count, name length), and the frame is cut short anywhere
+        # around it
         _, decode, encode, reference = self.CODECS[kind]
         frame = _valid_frames()[kind][0]
-        head = {"DDPB": 30, "DDPF": 46}[kind]
+        head = {"DDPB": 30, "DDPF": 46, "DDPE": 18}[kind]
         for pos in range(head):
             bad = bytearray(frame)
             bad[pos] ^= 0xFF
@@ -301,7 +318,11 @@ class TestFrameFuzz:
 
 
 def same_outcome(decode, encode, reference, frame):
-    """``decode`` ends as the reference decoder does on ``frame``."""
+    """``decode`` ends as the reference decoder does on ``frame``.
+
+    Without an ``encode``, a decoded exception (an error frame's) has the
+    class and message the reference returns.
+    """
     try:
         got = decode(frame)
     except (DecodeError, InvalidInputError) as exc:
@@ -310,6 +331,9 @@ def same_outcome(decode, encode, reference, frame):
         assert str(want.value) == str(exc)  # a DecodeError names its offset
         assert getattr(want.value, "offset", None) == getattr(exc, "offset", None)
     else:
+        if encode is None:
+            assert (type(got), str(got)) == reference(frame)
+            return
         assert encode(got) == frame
         assert encode(reference(frame)) == frame
 
@@ -396,6 +420,20 @@ class TestChannels:
             assert str(out.error) == "peer stalled after 4 of 16 bytes"
             out = run_within(5, source.recv)  # nothing sent at all
             assert str(out.error) == "peer stalled after 0 of 4 bytes"
+        finally:
+            center.close()
+            source.close()
+
+    def test_a_tcp_peer_that_stops_reading_is_a_protocol_error(
+            self, monkeypatch):
+        monkeypatch.setattr(protocol, "TCP_TIMEOUT_S", 0.2)
+        center, source = protocol.tcp_pair()
+        try:  # small buffers: the frame cannot sit in them unread
+            center._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            source._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            out = run_within(5, center.send, bytes(4 << 20))
+            assert isinstance(out.error, ProtocolError), out.error
+            assert str(out.error) == "peer stopped reading a 4194304-byte frame"
         finally:
             center.close()
             source.close()
