@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -78,27 +79,31 @@ def _mixture(args):
                 radius_jitter=args.radius_jitter, norm_tail=args.norm_tail)
 
 
-def _check_mixture(args, n):
-    """Every generator setting, checked before anything is written."""
-    data._mixture_labels(n, args.clusters, args.mean_sparsity, skew=args.skew,
-                         **_mixture(args))
-
-
 def _read_data(args):
     """(features, labels) of the ``--data`` file; the format follows its name."""
     fmt = "ddpm" if args.data.endswith(".ddpm") else "csv"
     return data.load_features(args.data, fmt=fmt, label_column=args.label_column)
 
 
-def _partition(args, n_sources, Z, labels):
-    """``--data``'s split: the partition file, else the policy (by default
-    cluster_skewed if labels exist); it takes no unit seed."""
+def _partition(args, n_sources, seed, loaded=None):
+    """A campaign point's split, made as its dataset makes it.
+
+    A synthetic point's is ``seed``'s split of the generator's labels, which
+    checks every generator setting.  A ``--data`` point's (``loaded``, the
+    file's features and labels) is the partition file, else the policy (by
+    default cluster_skewed if labels exist); it takes no unit seed.
+    """
+    if loaded is None:
+        n = n_sources * args.ni
+        labels = data._mixture_labels(n, args.clusters, args.mean_sparsity,
+                                      **_mixture(args))
+        return data.partition(n, n_sources,
+                              policy=args.partition_policy or "cluster_skewed",
+                              seed=seed, cluster_labels=labels, skew=args.skew)
+    Z, labels = loaded
     if args.partition_file:
         with _open(args.partition_file, IngestError) as fh:
-            part = data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
-        if part.n_sources != n_sources:
-            raise InvalidConfigError("partition does not match the configured source count")
-        return part
+            return data.SourcePartition.from_json(fh.read()).validate(Z.shape[0])
     policy = args.partition_policy or (
         "cluster_skewed" if labels is not None else "uniform_random")
     return data.partition(Z.shape[0], n_sources, policy=policy,
@@ -115,9 +120,10 @@ def _dataset(args, seed, n_sources, loaded=None):
             policy=args.partition_policy or "cluster_skewed", skew=args.skew,
             mean_sparsity=args.mean_sparsity, positivity_k=args.kT,
             **_mixture(args))
-    Z, labels = loaded or _read_data(args)
-    return data.Dataset(features=Z, partition=_partition(args, n_sources, Z, labels),
-                        labels=labels, positivity_k=args.kT)
+    loaded = loaded or _read_data(args)
+    return data.Dataset(features=loaded[0], labels=loaded[1],
+                        partition=_partition(args, n_sources, None, loaded),
+                        positivity_k=args.kT)
 
 
 def _worker_count():
@@ -196,8 +202,7 @@ def _campaign_unit(args, seed, n_sources, dataset=None):
 
 
 def cmd_run(args):
-    seeds = (_int_list(args.seed_list) if args.seed_list is not None
-             else list(range(args.seeds)))
+    seeds = args.seed_list if args.seed_list is not None else list(range(args.seeds))
     if not (seeds and args.strategies and args.N and args.R):
         raise InvalidConfigError("need at least one seed, strategy, N and R")
     _check_seed(min(seeds), "seeds")
@@ -209,17 +214,12 @@ def cmd_run(args):
     if not loaded and args.ni < 1:
         raise InvalidConfigError(f"--ni must be positive, got {args.ni}")
     for N in args.N:  # a configuration error exits before any data is made
-        _unit_configs(args, seeds[0], N, dims)
-        if loaded:
-            _partition(args, N, *loaded)
-        else:
-            _check_mixture(args, N * args.ni)
+        _unit_configs(args, seeds[0], N, dims)[0].check_split(
+            _partition(args, N, seeds[0], loaded))
     workers = _worker_count()
-    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.jsonl")
-    gt_cache = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool, \
-            open(results_path, "w") as fh:  # single writer, submission order
+    gt_cache, fh = {}, None
+    with ThreadPoolExecutor(max_workers=workers) as pool, ExitStack() as files:
         for N in args.N:
             # one --data store alive at a time, shared by every seed
             shared = _dataset(args, None, N, loaded) if loaded else None
@@ -228,8 +228,11 @@ def cmd_run(args):
             shared = None
             for fut in futures:
                 lines, gt_key, gt_entry = fut.result()
-                for line in lines:
-                    fh.write(json.dumps(line) + "\n")
+                if fh is None:  # --out is made once a unit has lines to write
+                    os.makedirs(args.out, exist_ok=True)
+                    # single writer, in submission order
+                    fh = files.enter_context(open(results_path, "w"))
+                fh.writelines(json.dumps(line) + "\n" for line in lines)
                 gt_cache[gt_key] = gt_entry
     with open(os.path.join(args.out, "gt_cache.json"), "w") as fh:
         json.dump(gt_cache, fh, indent=1)
@@ -450,7 +453,8 @@ def build_parser():
     p.add_argument("--strategies", type=lambda s: s.split(","),
                    default=["ddpp", "greedi"])
     p.add_argument("--seeds", type=int, default=20, help="seed count 0..n-1")
-    p.add_argument("--seed-list", default=None, help="explicit seeds, comma separated")
+    p.add_argument("--seed-list", type=_int_list, default=None,
+                   help="explicit seeds, comma separated")
     p.add_argument("--N", type=_int_list, default=[10], help="source count sweep")
     p.add_argument("--R", type=_float_list, default=None,
                    help="sparsity sweep (default 0.75*kT/tT)")

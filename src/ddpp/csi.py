@@ -16,7 +16,7 @@ The center holds H as the orthonormal basis of what it received and
 builds both parts from one greedy MAP run on H; it forms no m x m matrix.
 
 Contract: finite float64 input, checked where data enters the package, and
-packets validated where they are built or decoded, not on every use.
+packets validated where a source decodes them, not where they are built.
 """
 
 import math
@@ -169,14 +169,10 @@ def split_budget(R, m, block_fraction=0.5):
     r0 is the largest block size whose packed triangle fits in
     block_fraction of the budget; r1 spends what remains on spectral terms.
     With a nonzero block fraction a packet is never empty: a single diagonal
-    element always fits in any valid budget.
+    element always fits in any valid budget.  The budget is a setting
+    ``ExperimentConfig.validate`` has checked: R*m finite and at least one
+    element, block_fraction in [0, 1].
     """
-    if not math.isfinite(R * m):
-        raise InvalidInputError(f"budget R*m = {R * m} must be finite")
-    if R * m < 1:
-        raise InvalidInputError("budget R*m must be at least one element")
-    if not 0 <= block_fraction <= 1:
-        raise InvalidInputError("block_fraction must lie in [0, 1]")
     budget = R * m
     # r(r+1)/2 <= F  <=>  (2r+1)^2 <= 8F+1, for the integer F below.
     r0 = min(m, (math.isqrt(8 * int(block_fraction * budget) + 1) - 1) // 2)
@@ -226,8 +222,7 @@ def _packet(H, selected, values=None, vectors=None):
         dims=H.dims, selected_dims=tuple(selected),
         principal_block=pack_lower_triangle(H.block(selected)),
         residual_values=np.zeros(0) if values is None else values,
-        residual_vectors=np.zeros((0, H.dims)) if vectors is None else vectors,
-    ).validate()
+        residual_vectors=np.zeros((0, H.dims)) if vectors is None else vectors)
 
 
 def compress(H, R, block_fraction=0.5):

@@ -35,14 +35,15 @@ class SourcePartition:
     def n_sources(self):
         return len(self.assignments)
 
-    def validate(self, n=None):
+    def validate(self, n):
+        """Refuse a row assigned twice, or any of rows 0..n-1 left out."""
         seen = set()
         for rows in self.assignments:
             dup = seen.intersection(rows)
             if dup:
                 raise InvalidInputError(f"samples {sorted(dup)[:4]} assigned twice")
             seen.update(rows)
-        if n is not None and seen != set(range(n)):
+        if seen != set(range(n)):
             raise InvalidInputError("partition does not cover the dataset exactly")
         return self
 
@@ -253,7 +254,6 @@ _DOMAINS = {
     "scale": (lambda v: v > 0, "positive"),
     "radius_jitter": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "norm_tail": (lambda v: v >= 0, "non-negative"),
-    "skew": (lambda v: 0 <= v <= 1, "in [0, 1]"),
 }
 
 
@@ -261,8 +261,8 @@ def _mixture_labels(n, n_clusters, mean_sparsity, **settings):
     """Sample g's cluster, g mod n_clusters, once the mixture's settings pass.
 
     The settings are configuration, so a bad one is ``InvalidConfigError``;
-    ``ddpp run`` and ``gen`` call this to check them before they write
-    anything.  ``settings`` names any of ``_DOMAINS``' settings.
+    ``ddpp run`` splits these labels to check a synthetic point before it
+    writes anything.  ``settings`` names any of ``_DOMAINS``' settings.
     """
     if not 1 <= n_clusters <= n:
         raise InvalidConfigError(f"cluster count {n_clusters} must lie in 1..{n}")
@@ -333,8 +333,7 @@ def synth_dataset(seed, n_sources, n, m, n_clusters, policy, skew,
     once, as a loaded file is; a non-finite draw or positivity probe is an
     ``InvalidConfigError`` naming those settings.
     """
-    labels = _mixture_labels(n, n_clusters, mean_sparsity, skew=skew,
-                             **mixture)
+    labels = _mixture_labels(n, n_clusters, mean_sparsity, **mixture)
     part = partition(n, n_sources, policy=policy, seed=seed,
                      cluster_labels=labels, skew=skew)
     order = _store_order(part)
@@ -378,25 +377,26 @@ def partition(n, n_sources, policy="uniform_random", seed=0,
     i a home cluster (i mod C) holding probability mass 1-skew of its quota
     and spreads the rest round-robin over the other clusters, in ring order
     after the home; it needs cluster labels.  Requires n divisible by
-    n_sources.
+    n_sources, and a finite skew in [0, 1] under either policy.  The split
+    is disjoint and covers 0..n-1 by construction.
     """
     if n_sources < 1:
         raise InvalidConfigError("need at least one source")
     if n % n_sources:
         raise InvalidConfigError(f"{n} samples do not split evenly over {n_sources} sources")
+    if not (math.isfinite(skew) and 0 <= skew <= 1):
+        raise InvalidConfigError(f"skew must be finite and in [0, 1], got {skew}")
     quota = n // n_sources
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAB]))
     if policy == "uniform_random":
         order = rng.permutation(n)
         parts = [tuple(sorted(order[i * quota:(i + 1) * quota].tolist()))
                  for i in range(n_sources)]
-        return SourcePartition(tuple(parts)).validate(n)
+        return SourcePartition(tuple(parts))
     if policy != "cluster_skewed":
         raise InvalidConfigError(f"unknown partition policy {policy!r}")
     if cluster_labels is None:
         raise InvalidConfigError("cluster_skewed partitioning needs cluster labels")
-    if not 0 <= skew <= 1:
-        raise InvalidConfigError("skew must lie in [0, 1]")
     labels = np.asarray(cluster_labels)
     n_clusters = int(labels.max()) + 1
     pools = [list(rng.permutation(np.flatnonzero(labels == c)).tolist())
@@ -416,7 +416,7 @@ def partition(n, n_sources, policy="uniform_random", seed=0,
         need = _fill(parts[i], pools, ring, quota - len(parts[i]))
         # The ring drains only when every foreign pool is empty.
         _fill(parts[i], pools, [home], need)
-    return SourcePartition(tuple(tuple(sorted(p)) for p in parts)).validate(n)
+    return SourcePartition(tuple(tuple(sorted(p)) for p in parts))
 
 
 # Calibrated generator/partition settings for the benchmark campaigns.

@@ -95,6 +95,17 @@ class ExperimentConfig:
     def per_source_quota(self):
         return self.total_select // self.n_sources
 
+    def check_split(self, partition):
+        """Refuse a split of other than N sources, or one whose source holds
+        fewer rows than its quota k_T/N; every strategy owes that many."""
+        if partition.n_sources != self.n_sources:
+            raise InvalidConfigError("partition does not match the configured source count")
+        for i, rows in enumerate(partition.assignments):
+            if len(rows) < self.per_source_quota:
+                raise InvalidConfigError(
+                    f"source {i} holds {len(rows)} samples, fewer than its quota "
+                    f"k_T/N = {self.per_source_quota}")
+
     def interval_quota(self, source_id, interval):
         """Picks source ``source_id`` owes in 1-based ``interval``.
 
@@ -228,9 +239,7 @@ class _Center:
     """
 
     def __init__(self, config, dataset):
-        config.validate()
-        if dataset.partition.n_sources != config.n_sources:
-            raise InvalidConfigError("partition does not match the configured source count")
+        config.validate().check_split(dataset.partition)
         if dataset.dims != config.dims:
             raise InvalidConfigError("dataset dimensionality does not match the config")
         self.config = config
@@ -387,16 +396,13 @@ def _schedule(center, transport, ground_truth, plans=None):
             if config.feedback_at(t):
                 for i, (center_end, _) in enumerate(pairs):
                     center_end.send(center.feedback(i, t))
-            frames = []  # one per source, in source order, as received
             for w, (center_end, source_end) in zip(workers, pairs):
                 if transport == "loopback":
                     w.serve(source_end, t)
                 frame = center_end.recv()
                 if frame[:4] == MAGIC_ERROR:
                     raise decode_error(frame)
-                frames.append(frame)
-            for i, frame in enumerate(frames):
-                center.receive(frame, i, t)
+                center.receive(frame, w.source_id, t)
     finally:
         # The center's ends close first: after a failure, that wakes every
         # source still waiting in recv, so the joins below do not wait.

@@ -28,8 +28,7 @@ decoded batch or packet has consistent shapes and finite values, or
 decoding raises.  One cursor reads every frame: each run of fixed fields
 in one unpack, each body part in place, and any failure at the offset
 where a field-by-field read would fail.  The encoders trust what the
-program built (a packet is validated where ``csi`` builds it) and check
-only a batch's indices.
+program built and check nothing: the receiver's decode does.
 
 A loopback channel is a pair of plain FIFOs for sources run inline on
 the center's thread, so its ``recv`` raises on an empty inbox rather than
@@ -70,14 +69,6 @@ class SampleBatch:
     interval: int
     local_indices: tuple
     vectors: np.ndarray
-
-    def validate(self):
-        """One unique index per vector row; the values are checked at decode."""
-        if len(self.local_indices) != self.vectors.shape[0]:
-            raise InvalidInputError("index count does not match vector rows")
-        if len(set(self.local_indices)) != len(self.local_indices):
-            raise InvalidInputError("batch indices must be unique")
-        return self
 
 
 @dataclass(frozen=True)
@@ -144,9 +135,7 @@ def _f64s(data, count, pos):
 
 
 def encode_batch(batch):
-    """A batch's frame; its vectors are the source's own rows, so only the
-    indices are checked here, and the receiver's decode checks the values."""
-    batch.validate()
+    """A batch's frame, unchecked: the receiver's decode checks it."""
     vectors = np.ascontiguousarray(batch.vectors, dtype="<f8")
     count, m = vectors.shape
     head = _BATCH_HEAD.pack(MAGIC_BATCH, WIRE_VERSION, batch.source_id,
@@ -162,18 +151,18 @@ def decode_batch(data):
     at_indices = c.part(8 * count, "indices")
     at_vectors = c.part(8 * count * m, "vectors")
     c.end()
-    batch = SampleBatch(
-        source_id=source_id, interval=interval,
-        local_indices=struct.unpack_from(f"<{count}Q", data, at_indices),
-        vectors=_f64s(data, count * m, at_vectors).reshape(count, m)).validate()
-    if not np.isfinite(batch.vectors).all():
+    indices = struct.unpack_from(f"<{count}Q", data, at_indices)
+    if len(set(indices)) != count:
+        raise InvalidInputError("batch indices must be unique")
+    vectors = _f64s(data, count * m, at_vectors).reshape(count, m)
+    if not np.isfinite(vectors).all():
         raise InvalidInputError("batch vectors contain non-finite entries")
-    return batch
+    return SampleBatch(source_id=source_id, interval=interval,
+                       local_indices=indices, vectors=vectors)
 
 
 def encode_feedback(msg):
-    """A feedback frame; its packet was validated where ``csi`` built it,
-    and the receiver's decode validates it again."""
+    """A feedback frame, unchecked: the receiver's decode validates its packet."""
     p = msg.packet
     r0 = p.block_size
     head = _FEEDBACK_HEAD.pack(MAGIC_FEEDBACK, WIRE_VERSION, msg.target_source,

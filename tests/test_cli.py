@@ -1,17 +1,22 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import counted, poison_feedback, run_within
 import ddpp
-from ddpp import cli, data
+from ddpp import cli, data, engine
 
 
 def run_cli(*argv):
@@ -770,7 +775,7 @@ class TestExitCodes:
         (["--partition-policy", "uniform_random", "--partition-seed", "-1"],
          "--partition-seed must be non-negative, got -1"),
         (["--label-column", "--partition-policy", "cluster_skewed",
-          "--skew", "nan"], "skew must lie in [0, 1]"),
+          "--skew", "nan"], "skew must be finite and in [0, 1], got nan"),
         (["--partition-policy", "cluster_skewed"],
          "cluster_skewed partitioning needs cluster labels"),
         (["--label-column", "--partition-file", "PART", "--N", "3", "--kT",
@@ -813,7 +818,7 @@ class TestExitCodes:
     ])
     def test_a_generator_overflow_is_a_configuration_error(
             self, tmp_path, capsys, flag, value, named):
-        # the data must be drawn to know, so this comes after --out
+        # the data must be drawn to know, so this comes from the unit
         assert run_cli("run", "--out", str(tmp_path / "out"), "--m", "8",
                        "--kT", "4", "--N", "2", "--ni", "12", "--clusters",
                        "3", "--seed-list", "0", flag, value) == 2
@@ -821,6 +826,59 @@ class TestExitCodes:
         assert len(err) == 1, err
         assert err[0].startswith("error: the generator settings (")
         assert named in err[0]
+
+    @pytest.mark.parametrize("setting, data_file, message", [
+        (["--scale", "1e200"], None, "overflows"),
+        (["--norm-tail", "1000"], None, "non-finite"),
+        ([], 1e200, "overflows"),  # a --data file whose probe Gram overflows
+    ], ids=["scale", "norm-tail", "data"])
+    def test_a_draw_time_failure_leaves_no_out(self, tmp_path, capsys,
+                                               setting, data_file, message):
+        out = tmp_path / "out"
+        if data_file:
+            path = tmp_path / "d.csv"
+            np.savetxt(path, data_file * np.random.default_rng(3).normal(
+                size=(24, 8)), delimiter=",")
+            setting = ["--data", str(path)]
+        code = run_cli("run", "--out", str(out), "--m", "8", "--kT", "4",
+                       "--N", "2", "--ni", "12", "--clusters", "3",
+                       "--seed-list", "0", *setting)
+        assert code == (1 if data_file else 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0], err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        (["--m", "64", "--kT", "40", "--ni", "12", "--clusters", "3"],
+         "source 0 holds 12 samples, fewer than its quota k_T/N = 20"),
+        (["--data", "DATA", "--kT", "6"],
+         "source 0 holds 2 samples, fewer than its quota k_T/N = 3"),
+    ], ids=["synthetic", "data"])
+    def test_a_source_below_its_quota_exits_2_before_out_is_made(
+            self, tmp_path, capsys, setting, message):
+        path, out = tmp_path / "d.csv", tmp_path / "out"
+        np.savetxt(path, np.random.default_rng(5).normal(size=(4, 8)),
+                   delimiter=",")
+        argv = [str(path) if a == "DATA" else a for a in setting]
+        assert run_cli("run", "--out", str(out), "--N", "2", "--seed-list",
+                       "0", *argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", engine.STRATEGIES)
+    def test_a_partition_file_below_the_quota_exits_2_before_out_is_made(
+            self, tmp_path, capsys, strategy):
+        # source 0 holds 1 of the 6 rows where k_T/N = 2 are owed
+        path, part, out = tmp_path / "d.csv", tmp_path / "p.json", tmp_path / "out"
+        np.savetxt(path, np.random.default_rng(6).normal(size=(6, 8)),
+                   delimiter=",")
+        part.write_text(data.SourcePartition(((0,), (1, 2, 3, 4, 5))).to_json())
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--partition-file", str(part), "--kT", "4", "--N", "2",
+                       "--R", "4", "--seeds", "1", "--strategies", strategy) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: source 0 holds 1 samples, fewer than its quota k_T/N = 2"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("selected, manifest, message", [
         ("0,1", {"resolved": {}}, "no integer selected_indices"),
@@ -959,3 +1017,67 @@ class TestSharedDataset:
             tracemalloc.stop()
         # the loaded file and one store (2.24 Z); a second store makes 3
         assert peak < 2.75 * Z.nbytes
+
+
+# The values each fuzzed flag draws; VALID is its tiny valid value, its
+# FUZZ_BASE entry, else the parser's default (the flag is left out).
+VALID = "valid"
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", VALID]
+FUZZ_BASE = {
+    "run": {"--m": "8", "--kT": "4", "--N": "2", "--ni": "12",
+            "--clusters": "3", "--seeds": "1", "--R": "4",
+            "--strategies": ",".join(engine.STRATEGIES)},
+    "gen": {"--sources": "2", "--ni": "12", "--m": "8", "--clusters": "3"},
+    "partition": {"--sources": "2"},
+}
+PATH_FLAGS = {"--out", "--data", "--config", "--partition-file"}
+
+
+def fuzzed_flags(command):
+    """Every flag of ``command`` that takes one value, as ``build_parser``
+    lists it, save switches, choices and file paths."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(a.option_strings[0] for a in sub.choices[command]._actions
+                  if a.option_strings and a.nargs is None and a.choices is None
+                  and a.option_strings[0] not in PATH_FLAGS)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", ["run", "gen", "partition"])
+    def test_every_flag_value_ends_in_one_error_line_and_an_exit_code(
+            self, command):
+        @settings(max_examples=100, derandomize=True, deadline=None,
+                  database=None)
+        @given(drawn=st.dictionaries(st.sampled_from(fuzzed_flags(command)),
+                                     st.sampled_from(FUZZ_VALUES), max_size=3),
+               with_data=st.booleans())
+        def check(drawn, with_data):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, "out")
+                values = {**FUZZ_BASE[command],
+                          **{f: v for f, v in drawn.items() if v != VALID}}
+                argv = [command, "--out", out, *(f"{f}={v}" for f, v in values.items())]
+                if command == "partition" or (command == "run" and with_data):
+                    path = os.path.join(tmp, "d.csv")
+                    np.savetxt(path, np.column_stack([
+                        np.random.default_rng(2).normal(size=(24, 8)),
+                        np.arange(24) % 3]), delimiter=",")
+                    argv += ["--data", path, "--label-column"]
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("always")
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:  # argparse's own refusal
+                        assert exc.code == 2, argv
+                        code = 2
+                lines = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
+                assert code in (0, 1, 2, 3), argv
+                assert len(lines) == (code != 0), (argv, err.getvalue())
+                assert "Traceback" not in err.getvalue(), argv
+                assert not caught, (argv, [str(w.message) for w in caught])
+                assert code != 2 or not os.path.exists(out), argv
+        check()

@@ -136,12 +136,6 @@ class TestSplitBudget:
     def test_minimal_budget(self):
         assert csi.split_budget(1 / 8, 8, 0.5) == (1, 0)
 
-    @pytest.mark.parametrize("R, m", [(math.nan, 8), (math.inf, 8),
-                                      (1e308, 512)])  # R*m overflows
-    def test_a_budget_that_is_not_finite_is_refused(self, R, m):
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            csi.split_budget(R, m)
-
     def test_zero_block_fraction_spends_all_on_spectral_terms(self):
         assert csi.split_budget(3.0, 16, 0.0) == (0, 3)
 

@@ -410,6 +410,16 @@ class TestDdppPipeline:
             assert picked < 8 and res.rank_exhausted
         assert res.to_json_dict()["rank_exhausted"] == res.rank_exhausted
 
+    @pytest.mark.parametrize("strategy", engine.STRATEGIES)
+    def test_a_source_below_its_quota_is_a_configuration_error(self, strategy):
+        # source 0 holds 1 row where k_T/N = 2 are owed, whatever the strategy
+        Z = np.random.default_rng(8).normal(size=(6, 8))
+        ds = data.Dataset(features=Z, partition=data.SourcePartition(
+            ((0,), (1, 2, 3, 4, 5))))
+        with pytest.raises(InvalidConfigError,
+                           match="source 0 holds 1 samples, fewer than its quota"):
+            engine.run_experiment(config(total_select=4, strategy=strategy), ds)
+
     def test_full_budget_proposed_matches_exact_packets(self):
         ds = small_dataset(seed=7, n_sources=2)
         exact = engine.run_ddpp(config(compression="none"), ds)

@@ -79,8 +79,9 @@ class TestBatchFrames:
     def test_duplicate_indices_rejected(self):
         b = protocol.SampleBatch(source_id=0, interval=1, local_indices=(1, 1),
                                  vectors=np.zeros((2, 2)))
-        with pytest.raises(InvalidInputError):
-            protocol.encode_batch(b)
+        frame = protocol.encode_batch(b)  # the encoder trusts its caller
+        with pytest.raises(InvalidInputError, match="unique"):
+            protocol.decode_batch(frame)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vectors_rejected_at_decode(self, bad):
