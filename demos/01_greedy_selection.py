@@ -14,7 +14,7 @@ L = Z @ Z.T
 
 k = 4
 greedy = dpp.greedy_map(L, k)
-exact = dpp.brute_force_map(L, k)
+exact = dpp.brute_force_map(Z, k)  # the kernel of Z's rows, L
 
 print(f"kernel: {L.shape[0]} samples, selecting {k}")
 print(f"greedy picks    : {greedy.indices}")

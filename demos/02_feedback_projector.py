@@ -20,7 +20,8 @@ Z = np.array([
 ])
 ds = data.Dataset(features=Z, partition=data.SourcePartition(((0, 1, 2), (3, 4, 5))))
 
-H = csi.compute_projector(Z[[0]], 2)
+# the projector off [3, 0], built in the identity frame, which holds any rows
+H = csi.projector_in_frame(Z[[0]], np.eye(2))
 print("projector after receiving [3, 0]:")
 print(H.matrix.round(6))
 # precode returns features whose Gram is the pre-coded kernel W W^T,

@@ -12,8 +12,9 @@ from ddpp import csi
 rng = np.random.default_rng(1)
 m = 48
 received = rng.normal(size=(9, m))
-H = csi.compute_projector(received, m)
-print(f"projector: {m} dims, rank {H.rank}")
+# the projector off the received rows, in the identity frame (it holds any rows)
+H = csi.projector_in_frame(received, np.eye(m))
+print(f"projector: {m} dims, rank {m - len(H.basis)}")
 
 for R in (1.0, 2.0, 4.0, 8.0, 24.0):
     r0, r1 = csi.split_budget(R, m, block_fraction=0.5)
@@ -26,7 +27,7 @@ for R in (1.0, 2.0, 4.0, 8.0, 24.0):
 print("\nalternative schemes at R=4:")
 for name, packet in [
         ("greedy block + residual", csi.compress(H, 4.0, 0.5)),
-        ("spectral only", csi.compress_svd(H, 4.0)),
+        ("spectral only (svd)", csi.compress(H, 4.0, block_fraction=0.0)),
         ("random sketch", csi.compress_random_sketch(H, 4.0, np.random.default_rng(2))),
 ]:
     err = np.linalg.norm(csi.reconstruct(packet) - H.matrix)

@@ -38,6 +38,15 @@ def _open(path, error):
         raise error(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _make_out(path, file=False):
+    """Make ``--out``: a directory, or with ``file`` a file, returned open
+    to write.  One that cannot be made is a configuration error."""
+    try:
+        return open(path, "w") if file else os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfigError(f"cannot make --out {path}: {exc.strerror}") from None
+
+
 def _config_flags(path, settings):
     """A config file's ``key=value`` lines as ``--key=value`` flags of ``run``.
 
@@ -150,7 +159,7 @@ def cmd_gen(args):
         args.seed, args.sources, n, args.m, args.clusters,
         policy=args.partition_policy, skew=args.skew,
         mean_sparsity=args.mean_sparsity, **_mixture(args))
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     data.save_ddpm(os.path.join(args.out, "features.ddpm"),
                    dataset.rows(range(n)), dataset.labels)
     with open(os.path.join(args.out, "partition.json"), "w") as fh:
@@ -165,7 +174,7 @@ def cmd_partition(args):
     Z, labels = _read_data(args)
     part = data.partition(Z.shape[0], args.sources, policy=args.partition_policy,
                           seed=args.seed, cluster_labels=labels, skew=args.skew)
-    with open(args.out, "w") as fh:
+    with _make_out(args.out, file=True) as fh:
         fh.write(part.to_json())
     print(f"wrote {args.out}")
     return 0
@@ -229,7 +238,7 @@ def cmd_run(args):
             for fut in futures:
                 lines, gt_key, gt_entry = fut.result()
                 if fh is None:  # --out is made once a unit has lines to write
-                    os.makedirs(args.out, exist_ok=True)
+                    _make_out(args.out)
                     # single writer, in submission order
                     fh = files.enter_context(open(results_path, "w"))
                 fh.writelines(json.dumps(line) + "\n" for line in lines)
@@ -292,7 +301,7 @@ def cmd_report(args):
             raise InvalidConfigError(f"--pairs entry {':'.join(pair)!r} is not a:b")
     # the scatter's dataset is rebuilt first: a bad setting then writes nothing
     scatter = _pca_scatter(args, lines) if args.pca_seed is not None else None
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     cells = {}
     for line in lines:
         key = (line["strategy"], line["N"], line["R"], line.get("m"))
@@ -383,7 +392,7 @@ def cmd_oracle(args):
                                  "such selections are singular")
     if not 1 <= args.k <= n:
         raise InvalidConfigError(f"k must be in 1..{min(n, m)}, got {args.k}")
-    result = dpp.brute_force_map(Z @ Z.T, args.k)
+    result = dpp.brute_force_map(Z, args.k)
     print(json.dumps({"indices": result.indices,
                       "logdet": result.stepwise_logdets[-1]}))
     return 0

@@ -12,8 +12,9 @@ A feedback message may carry at most R*m matrix elements.  The budget is
 split between a dense principal block on greedily chosen dimensions
 (r0 rows/columns, (r0^2+r0)/2 packed elements) and a truncated
 eigendecomposition of what the block misses (r1 vectors, r1*m elements).
-The center holds H as the orthonormal basis of what it received and
-builds both parts from one greedy MAP run on H; it forms no m x m matrix.
+The center holds H as the orthonormal basis of what it received
+(``projector_in_frame``) and builds both parts from one greedy MAP run on
+H; it forms no m x m matrix.  The svd ablation is that packet with no block.
 
 Contract: finite float64 input, checked where data enters the package, and
 packets validated where a source decodes them, not where they are built.
@@ -54,10 +55,6 @@ class Projector:
     @property
     def dims(self):
         return self.basis.shape[1]
-
-    @property
-    def rank(self):
-        return self.dims - self.basis.shape[0]
 
     def block(self, dims):
         """H restricted to rows and columns ``dims``: I - Q_S^T Q_S."""
@@ -131,35 +128,15 @@ def unpack_lower_triangle(packed, r):
     return B
 
 
-def compute_projector(Z_Y, m):
-    """Projector onto the orthogonal complement of rowspace(Z_Y).
-
-    Built from an orthonormal basis rather than the textbook inverse of
-    Z_Y Z_Y^T so that linearly dependent received samples are handled.
-    An empty Z_Y yields the identity (nothing to suppress); rows spanning
-    all m dimensions get the basis I, so H is the exact zero, not rounding
-    noise.
-    """
-    if np.size(Z_Y) == 0:
-        return Projector(basis=np.zeros((0, m)))
-    if Z_Y.shape[1] != m:
-        raise InvalidInputError(f"expected {m} columns, got {Z_Y.shape[1]}")
-    return _spanned(orthonormal_row_basis(Z_Y))
-
-
 def projector_in_frame(Z_Y, frame):
-    """``compute_projector`` for rows inside the span of ``frame``'s rows.
+    """Projector off rowspace(Z_Y), for rows in the span of ``frame``'s.
 
-    ``frame`` has orthonormal rows, m wide.  The rank-revealing SVD runs
-    on Z_Y's coordinates in it, q x r rather than q x m; they have Z_Y's
-    singular values, so the rank rule reads the same values.  Many row
-    sets inside one span share a frame, which ``linalg.extend_frame`` grows.
+    ``frame`` has orthonormal rows, m wide (the identity holds any rows).
+    The rank-revealing SVD runs on Z_Y's coordinates in it, q x r, not
+    q x m, with Z_Y's singular values.  No rows give I; rows spanning all
+    m dimensions get the basis I, so H is exactly 0.
     """
-    return _spanned(orthonormal_row_basis(Z_Y @ frame.T) @ frame)
-
-
-def _spanned(Q):
-    """The projector of basis Q; a basis of all m dimensions becomes I."""
+    Q = orthonormal_row_basis(Z_Y @ frame.T) @ frame
     return Projector(basis=np.eye(Q.shape[1]) if Q.shape[0] == Q.shape[1] else Q)
 
 
@@ -234,23 +211,17 @@ def compress(H, R, block_fraction=0.5):
     r0-pick greedy would choose.  Its Cholesky rows after them, the only
     frame rows it builds, are the residual's frame of E
     (``_residual_terms``).
+
+    With a block fraction of 0 it is the svd ablation: H's nonzero
+    eigenvalues are all 1, so the greedy frame of its columns is a top
+    eigenbasis.  Past rank(H) the eigensolver of ``_residual_terms`` runs
+    on span(Q), where H's values are rounding, and drops them.
     """
     r0, r1 = split_budget(R, H.dims, block_fraction)
     greedy = dpp.greedy_map_projector(H.basis, r0 + r1, frame_from=r0)
     selected = sorted(greedy.indices[:r0])
     return _packet(H, selected,
                    *_residual_terms(H, selected, greedy.frame, r1))
-
-
-def compress_svd(H, R):
-    """Ablation: spend the whole budget on floor(R) eigenvectors of H.
-
-    H's nonzero eigenvalues are all 1, so any orthonormal frame of its range
-    is a top eigenbasis; the greedy frame of H's columns is a canonical one,
-    capped by rank(H).
-    """
-    frame = dpp.greedy_map_projector(H.basis, min(int(R), H.dims)).frame
-    return _packet(H, (), np.ones(len(frame)), frame)
 
 
 def compress_random_sketch(H, R, rng):

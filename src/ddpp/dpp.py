@@ -262,23 +262,21 @@ def greedy_map_projector(B, k, frame_from=0):
     return MapResult(indices=chosen, stepwise_logdets=logdets, frame=frame)
 
 
-def brute_force_map(L, k):
-    """Exact MAP by enumerating every k-subset; ties break lexicographically.
+def brute_force_map(Z, k):
+    """Exact MAP of the kernel Z Z^T over every k-subset of Z's rows, each
+    subset's kernel from its own rows; ties break lexicographically.
 
     Guarded: refuses instances with more than 10^6 subsets.
     """
-    n = L.shape[0]
+    n = Z.shape[0]
     if not 0 < k <= n:
         raise InvalidInputError(f"k must be in 1..{n}, got {k}")
     if math.comb(n, k) > BRUTE_FORCE_GUARD:
         raise TooLargeError(f"C({n},{k}) exceeds {BRUTE_FORCE_GUARD} subsets")
-    best, best_det = None, -np.inf
-    for subset in itertools.combinations(range(n), k):
-        d = float(np.linalg.det(L[np.ix_(subset, subset)]))
-        if d > best_det:
-            best, best_det = subset, d
-    sub = L[np.ix_(best, best)]
-    return MapResult(indices=list(best), stepwise_logdets=_prefix_logdets(sub))
+    kernels = ((list(J), Z[list(J)] @ Z[list(J)].T)
+               for J in itertools.combinations(range(n), k))
+    best, sub = max(kernels, key=lambda pair: np.linalg.det(pair[1]))
+    return MapResult(indices=best, stepwise_logdets=_prefix_logdets(sub))
 
 
 def _prefix_logdets(sub):

@@ -305,8 +305,8 @@ class _Center:
         H = dataset.memo(("basis", *ids), build) if self.shared else build()
         if config.compression == "proposed":
             packet = csi.compress(H, config.sparsity, config.block_fraction)
-        elif config.compression == "svd":
-            packet = csi.compress_svd(H, config.sparsity)
+        elif config.compression == "svd":  # the same packet, no block
+            packet = csi.compress(H, config.sparsity, block_fraction=0.0)
         elif config.compression == "random_sketch":
             packet = csi.compress_random_sketch(H, config.sparsity,
                                                 self.sketch_rng)

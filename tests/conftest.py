@@ -47,6 +47,11 @@ def psd_sqrt(M):
     return linalg.symmetrize((V * np.sqrt(w)) @ V.T)
 
 
+def projector(Z_Y):
+    """H off Z_Y's rows, built in the identity frame, which holds any rows."""
+    return csi.projector_in_frame(Z_Y, np.eye(Z_Y.shape[1]))
+
+
 def svd_residual_terms(H, selected, r1):
     """The residual terms as a second greedy on an SVD basis built them.
 

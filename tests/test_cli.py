@@ -167,6 +167,26 @@ class TestRun:
         run_cli("run", "--out", str(b), *RUN_ARGS)
         assert read_jsonl(a / "results.jsonl") == read_jsonl(b / "results.jsonl")
 
+    @pytest.mark.parametrize("R", [2, 8])
+    def test_svd_is_a_proposed_run_with_no_block(self, tmp_path, R):
+        # H has rank 7 at interval 2 and 6 at interval 3 (one and two
+        # foreign rows at m = 8): R = 2 stays below it, R = 8 passes it
+        args = ["--strategies", "ddpp", "--seeds", "3", "--N", "2",
+                "--kT", "6", "--tT", "3", "--m", "8", "--ni", "12",
+                "--clusters", "4", "--R", str(R)]
+        svd, empty = tmp_path / "svd", tmp_path / "empty"
+        assert run_cli("run", "--out", str(svd), *args,
+                       "--compression", "svd") == 0
+        assert run_cli("run", "--out", str(empty), *args,
+                       "--block-fraction", "0") == 0
+        text = (svd / "results.jsonl").read_text()
+        assert text.count('"compression": "svd"') == 3
+        assert text.replace('"compression": "svd"', '"compression": "proposed"') \
+            == (empty / "results.jsonl").read_text()
+        per_source = sum(min(R, 8 - q) * 8 for q in (1, 2))
+        assert {ln["downlink_elements"] for ln in read_jsonl(
+            svd / "results.jsonl")} == {2 * per_source}
+
     def test_single_interval_ddpp_equals_greedi(self, tmp_path):
         out = tmp_path / "deg"
         run_cli("run", "--out", str(out), "--strategies", "ddpp,greedi",
@@ -509,6 +529,23 @@ class TestOracleAndTtest:
         captured = capsys.readouterr()
         assert captured.out == "" and f"k must be in 1..2, got {k}" in captured.err
 
+    def test_oracle_forms_no_n_by_n_kernel(self, tmp_path, capsys):
+        # each subset's kernel comes from its own k rows: the 3 000 x 3 000
+        # Gram alone would take 72 MB
+        n = 3000
+        Z = np.random.default_rng(9).normal(size=(n, 2))
+        path = tmp_path / "d.csv"
+        np.savetxt(path, Z, delimiter=",")
+        tracemalloc.start()
+        try:
+            assert run_cli("oracle", "--data", str(path), "--k", "1") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 20
+        out = json.loads(capsys.readouterr().out)
+        assert out["indices"] == [int(np.argmax(np.einsum("ij,ij->i", Z, Z)))]
+
     def test_ttest_subcommand(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("run", "--out", str(out), "--strategies", "ddpp,random",
@@ -684,7 +721,33 @@ BAD_INVOCATIONS = {
 }
 
 
+# Each makes its --out, OUT; DATA is a readable csv and RESULTS a results
+# file of one GOOD_RESULT line.
+MAKES_OUT = {
+    "gen": ["gen", "--out", "OUT", *GEN_ARGS],
+    "partition": ["partition", "--data", "DATA", "--sources", "2",
+                  "--out", "OUT"],
+    "run": ["run", "--out", "OUT", *RUN_ARGS],
+    "report": ["report", "--results", "RESULTS", "--out", "OUT"],
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", sorted(MAKES_OUT))
+    def test_an_out_under_a_file_is_one_error_line_and_exit_2(
+            self, tmp_path, capsys, command):
+        data_path = tmp_path / "d.csv"
+        np.savetxt(data_path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        results = tmp_path / "results.jsonl"
+        results.write_text(json.dumps(GOOD_RESULT) + "\n")
+        out = results / "out"  # a path under a regular file
+        paths = {"OUT": out, "DATA": data_path, "RESULTS": results}
+        argv = [str(paths.get(a, a)) for a in MAKES_OUT[command]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot make --out {out}: Not a directory"]
+
     @pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
     def test_a_bad_invocation_is_one_error_line_and_exit_2(self, tmp_path,
                                                            capsys, name):
@@ -1029,8 +1092,11 @@ FUZZ_BASE = {
             "--strategies": ",".join(engine.STRATEGIES)},
     "gen": {"--sources": "2", "--ni": "12", "--m": "8", "--clusters": "3"},
     "partition": {"--sources": "2"},
+    "report": {},
+    "oracle": {"--k": "2"},
+    "ttest": {"--a": "ddpp", "--b": "greedi"},
 }
-PATH_FLAGS = {"--out", "--data", "--config", "--partition-file"}
+PATH_FLAGS = {"--out", "--data", "--config", "--partition-file", "--results"}
 
 
 def fuzzed_flags(command):
@@ -1044,9 +1110,18 @@ def fuzzed_flags(command):
 
 
 class TestFuzz:
-    @pytest.mark.parametrize("command", ["run", "gen", "partition"])
+    @pytest.fixture(scope="class")
+    def results(self, tmp_path_factory):
+        """A two-seed campaign's results.jsonl, its manifest beside it."""
+        out = tmp_path_factory.mktemp("fuzz") / "run"
+        base = {**FUZZ_BASE["run"], "--seeds": "2"}
+        assert cli.main(["run", "--out", str(out),
+                         *(f"{f}={v}" for f, v in base.items())]) == 0
+        return str(out / "results.jsonl")
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
     def test_every_flag_value_ends_in_one_error_line_and_an_exit_code(
-            self, command):
+            self, command, results):
         @settings(max_examples=100, derandomize=True, deadline=None,
                   database=None)
         @given(drawn=st.dictionaries(st.sampled_from(fuzzed_flags(command)),
@@ -1057,8 +1132,13 @@ class TestFuzz:
                 out = os.path.join(tmp, "out")
                 values = {**FUZZ_BASE[command],
                           **{f: v for f, v in drawn.items() if v != VALID}}
-                argv = [command, "--out", out, *(f"{f}={v}" for f, v in values.items())]
-                if command == "partition" or (command == "run" and with_data):
+                argv = [command, *(f"{f}={v}" for f, v in values.items())]
+                if command in ("gen", "partition", "run", "report"):
+                    argv += ["--out", out]
+                if command in ("report", "ttest"):
+                    argv += ["--results", results]
+                if command in ("partition", "oracle") or (
+                        command == "run" and with_data):
                     path = os.path.join(tmp, "d.csv")
                     np.savetxt(path, np.column_stack([
                         np.random.default_rng(2).normal(size=(24, 8)),

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import counted, psd_sqrt, small_dataset, svd_residual_terms
+from conftest import (counted, projector, psd_sqrt, small_dataset,
+                      svd_residual_terms)
 from ddpp import csi, dpp, engine, linalg
 from ddpp.errors import InvalidInputError, NotPsdError
 
@@ -22,19 +23,22 @@ def embed_block(block, selected, m):
 
 def random_projector(rng, m, held_rows):
     Z_Y = rng.normal(size=(held_rows, m))
-    return csi.compute_projector(Z_Y, m), Z_Y
+    return projector(Z_Y), Z_Y
 
 
-class TestComputeProjector:
+class TestProjectorOfRows:
+    """H in the identity frame, which holds any rows; its rank is m minus
+    its basis's rows."""
+
     def test_empty_input_gives_identity(self):
-        H = csi.compute_projector(np.zeros((0, 4)), 4)
+        H = projector(np.zeros((0, 4)))
         assert np.array_equal(H.matrix, np.eye(4))
-        assert H.rank == 4
+        assert H.dims - len(H.basis) == 4
 
     def test_axis_aligned_row(self):
-        H = csi.compute_projector(np.array([[1.0, 0.0, 0.0]]), 3)
+        H = projector(np.array([[1.0, 0.0, 0.0]]))
         assert H.matrix == pytest.approx(np.diag([0.0, 1.0, 1.0]), abs=1e-12)
-        assert H.rank == 2
+        assert H.dims - len(H.basis) == 2
 
     def test_annihilates_held_rows_and_fixes_complement(self):
         rng = np.random.default_rng(200)
@@ -53,26 +57,22 @@ class TestComputeProjector:
             assert np.max(np.abs(M @ M - M)) <= 1e-7
             w = np.linalg.eigvalsh(M)
             assert np.all((np.abs(w) <= 1e-7) | (np.abs(w - 1) <= 1e-7))
-            assert H.rank == 8 - rows
+            assert H.dims - len(H.basis) == 8 - rows
 
     def test_rank_deficient_held_rows(self):
         rng = np.random.default_rng(202)
         base = rng.normal(size=(2, 7))
         Z_Y = np.vstack([base, base[0] + base[1]])  # rank 2, 3 rows
-        H = csi.compute_projector(Z_Y, 7)
-        assert H.rank == 5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            csi.compute_projector(np.ones((2, 3)), 4)
+        H = projector(Z_Y)
+        assert H.dims - len(H.basis) == 5
 
     def test_rows_spanning_every_dimension_give_exact_zero(self, monkeypatch):
         # nothing is left uncovered: the packet must be empty, not a block
         # of rounding noise charged to the budget
         rng = np.random.default_rng(203)
-        H = csi.compute_projector(rng.normal(size=(6, 6)), 6)
-        assert H.rank == 0 and not H.matrix.any()
-        packets = (csi.compress(H, R=2.0), csi.compress_svd(H, R=2.0))
+        H = projector(rng.normal(size=(6, 6)))
+        assert H.dims - len(H.basis) == 0 and not H.matrix.any()
+        packets = (csi.compress(H, R=2.0), csi.compress(H, 2.0, 0.0))
         assert [p.element_count for p in packets] == [0, 0]
         # a run whose center sends only such packets counts no downlink
         # elements, only the two frames' 46-byte headers
@@ -97,17 +97,16 @@ class TestProjectorInFrame:
     @given(m=st.integers(1, 9), rows=st.integers(1, 12),
            duplicates=st.integers(0, 3), data=st.data(),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_compute_projector(self, m, rows, duplicates, data, seed):
+    def test_matches_a_dense_basis(self, m, rows, duplicates, data, seed):
         # rows from 12 can span all of m = 9, and duplicates repeat a row
         # or combine two, so subsets may be rank-deficient
         received = held_rows(np.random.default_rng(seed), m, rows, duplicates)
         ids = data.draw(st.lists(st.integers(0, rows - 1), unique=True))
         frame = first_frame(received)
         H = csi.projector_in_frame(received[ids], frame)
-        reference = csi.compute_projector(received[ids], m)
-        assert H.basis.shape == reference.basis.shape
-        assert np.allclose(H.basis.T @ H.basis,
-                           reference.basis.T @ reference.basis,
+        reference = linalg.orthonormal_row_basis(received[ids])
+        assert H.basis.shape == reference.shape
+        assert np.allclose(H.basis.T @ H.basis, reference.T @ reference,
                            rtol=0, atol=1e-12)
 
     def test_rows_spanning_every_dimension_give_basis_i(self):
@@ -267,7 +266,7 @@ class TestCompressReconstruct:
     def test_svd_variant_exact_at_full_rank_budget(self):
         rng = np.random.default_rng(225)
         H, _ = random_projector(rng, 10, 3)  # rank 7
-        packet = csi.compress_svd(H, R=8)
+        packet = csi.compress(H, R=8, block_fraction=0.0)
         assert np.max(np.abs(csi.reconstruct(packet) - H.matrix)) <= 1e-9
 
     def test_random_sketch_block_dims_within_budget(self):
@@ -374,16 +373,16 @@ def check_compress_against_dense(H, R, block_fraction):
 
 
 def check_svd_against_dense(H, R):
-    packet = csi.compress_svd(H, R)
-    M = H.matrix
-    _, values, vectors = dense_residual_terms(M, [], min(int(R), H.dims))
-    assert_matches_dense(H, packet, M, values, vectors)
-    assert packet.residual_rank == min(int(R), H.rank)
+    """The svd ablation, compress with no block: min(r1, rank H) top
+    eigenvectors of H."""
+    r1, rank = check_compress_against_dense(H, R, 0.0)
+    assert rank == H.dims - len(H.basis)
+    assert csi.compress(H, R, 0.0).residual_rank == min(r1, rank)
 
 
 class TestDenseReference:
-    """compress and compress_svd take no m x m eigensolver; a dense eigh of
-    the residual (of H, for svd) is the reference."""
+    """compress takes no m x m eigensolver; a dense eigh of the residual (of
+    H itself for the svd ablation's empty block) is the reference."""
 
     @pytest.mark.parametrize("m, rows, duplicates, R, bf, beyond_E", [
         (6, 4, 0, 3.0, 0.0, True),     # r0 = 0, r1 = 3 > dim E = 2
@@ -397,7 +396,7 @@ class TestDenseReference:
     def test_fixed_cases(self, monkeypatch, m, rows, duplicates, R, bf,
                          beyond_E):
         rng = np.random.default_rng(260 + m + rows)
-        H = csi.compute_projector(held_rows(rng, m, rows, duplicates), m)
+        H = projector(held_rows(rng, m, rows, duplicates))
         factored = counted(monkeypatch, "orthonormal_row_basis", csi)
         r1, dim_e = check_compress_against_dense(H, R, bf)
         assert (r1 > dim_e) == beyond_E
@@ -412,7 +411,7 @@ class TestDenseReference:
     def test_random_small_projectors(self, m, rows, duplicates, elements, bf,
                                      seed):
         rng = np.random.default_rng(seed)
-        H = csi.compute_projector(held_rows(rng, m, rows, duplicates), m)
+        H = projector(held_rows(rng, m, rows, duplicates))
         R = min(elements, m * m) / m
         check_compress_against_dense(H, R, bf)
         check_svd_against_dense(H, R)
@@ -421,8 +420,8 @@ class TestDenseReference:
         # the frame depends on the projector, not on the basis it came from
         rng = np.random.default_rng(270)
         Z = rng.normal(size=(5, 16))
-        a = csi.compress(csi.compute_projector(Z, 16), R=3.0)
-        b = csi.compress(csi.compute_projector(rng.normal(size=(5, 5)) @ Z, 16),
+        a = csi.compress(projector(Z), R=3.0)
+        b = csi.compress(projector(rng.normal(size=(5, 5)) @ Z),
                          R=3.0)
         assert a.selected_dims == b.selected_dims
         assert a.residual_vectors == pytest.approx(b.residual_vectors, abs=1e-9)
@@ -468,7 +467,7 @@ class TestPrecode:
         for _ in range(5):
             Z = rng.normal(size=(10, 8))
             A, Y = [0, 1, 2], [6, 8, 9]
-            H = csi.compute_projector(Z[Y], 8)
+            H = projector(Z[Y])
             Zt = csi.precode(Z, csi.exact_packet(H), momentum=False)
             lhs = np.linalg.det(Zt[A] @ Zt[A].T)
             rhs = np.linalg.det(Z[A] @ H.matrix @ Z[A].T)
@@ -481,7 +480,7 @@ class TestPrecode:
         for _ in range(5):
             Z_S = rng.normal(size=(12, 9))
             Z_Y = rng.normal(size=(4, 9))
-            H = csi.compute_projector(Z_Y, 9)
+            H = projector(Z_Y)
             Zt = csi.precode(Z_S, csi.exact_packet(H), momentum=False)
             local = dpp.greedy_map(Zt @ Zt.T, 4)
             stacked = np.vstack([Z_S, Z_Y])
@@ -493,15 +492,14 @@ class TestPrecode:
 
 
 # Every packet shape a source can receive: each compression, and the
-# proposed one with an empty block or an empty residual.
+# proposed one with an empty block (the svd ablation) or an empty residual.
 PACKETS = pytest.mark.parametrize("make", [
     lambda H: csi.compress(H, R=3.5, block_fraction=0.5),
     lambda H: csi.compress(H, R=3.5, block_fraction=0.0),  # r0 = 0
     lambda H: csi.compress(H, R=2.0, block_fraction=1.0),  # r1 = 0
-    lambda H: csi.compress_svd(H, R=3),
     lambda H: csi.compress_random_sketch(H, R=3.0, rng=np.random.default_rng(1)),
     csi.exact_packet,
-], ids=["compress", "r0=0", "r1=0", "svd", "random_sketch", "exact"])
+], ids=["compress", "r0=0", "r1=0", "random_sketch", "exact"])
 
 
 class TestSubspacePrecode:

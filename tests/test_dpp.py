@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (counted, kernel_row_projector_greedy,
+from conftest import (counted, kernel_row_projector_greedy, projector,
                       stepwise_exhaustive_greedy)
 from ddpp import csi, data, dpp, linalg
 from ddpp.errors import InvalidInputError, TooLargeError
@@ -333,25 +333,33 @@ class TestLazyGreedy:
 
 class TestBruteForceMap:
     def test_diagonal(self):
-        res = dpp.brute_force_map(np.diag([3.0, 2.0, 1.0]), 2)
+        res = dpp.brute_force_map(np.diag(np.sqrt([3.0, 2.0, 1.0])), 2)
         assert res.indices == [0, 1]
         assert res.stepwise_logdets[-1] == pytest.approx(math.log(6.0), abs=1e-12)
 
     def test_k_equals_n_returns_everything(self):
         rng = np.random.default_rng(110)
-        L = random_psd(rng, 5)
-        res = dpp.brute_force_map(L, 5)
+        Z = rng.normal(size=(5, 5))
+        res = dpp.brute_force_map(Z, 5)
         assert res.indices == list(range(5))
         assert res.stepwise_logdets[-1] == pytest.approx(
-            np.linalg.slogdet(L)[1], abs=1e-9)
+            np.linalg.slogdet(Z @ Z.T)[1], abs=1e-9)
 
     def test_exact_dominates_greedy(self):
         rng = np.random.default_rng(111)
         for _ in range(10):
-            L = random_psd(rng, 8)
-            exact = dpp.brute_force_map(L, 3)
-            greedy = dpp.greedy_map(L, 3)
+            Z = rng.normal(size=(8, 8))
+            exact = dpp.brute_force_map(Z, 3)
+            greedy = dpp.greedy_map(Z @ Z.T, 3)
             assert exact.stepwise_logdets[-1] >= greedy.stepwise_logdets[-1] - 1e-9
+
+    def test_picks_as_an_enumeration_of_the_kernel(self):
+        # each subset's kernel comes from its own rows, not from Z Z^T
+        Z = np.random.default_rng(112).normal(size=(9, 4))
+        L = Z @ Z.T
+        best = max(itertools.combinations(range(9), 3),
+                   key=lambda J: np.linalg.det(L[np.ix_(J, J)]))
+        assert dpp.brute_force_map(Z, 3).indices == list(best)
 
     def test_combinatorial_guard(self):
         with pytest.raises(TooLargeError):
@@ -401,7 +409,7 @@ class TestDeterminantIdentities:
         for _ in range(10):
             Z = rng.normal(size=(9, 7))
             A, Y = [0, 2, 4], [5, 7, 8]
-            H = csi.compute_projector(Z[Y], 7).matrix
+            H = projector(Z[Y]).matrix
             lhs = np.linalg.det(Z[A + Y] @ Z[A + Y].T)
             rhs = np.linalg.det(Z[Y] @ Z[Y].T) * np.linalg.det(Z[A] @ H @ Z[A].T)
             assert lhs == pytest.approx(rhs, rel=1e-6)

@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (comparable, counted, poison_feedback, run_within,
-                      small_dataset, stepwise_exhaustive_greedy)
+from conftest import (comparable, counted, poison_feedback, projector,
+                      run_within, small_dataset, stepwise_exhaustive_greedy)
 from ddpp import cli, csi, data, dpp, engine, linalg, protocol
 from ddpp.errors import (BudgetViolationError, DdppError, InvalidConfigError,
                          NotPsdError, ProtocolError)
@@ -173,7 +173,7 @@ class TestDdppPipeline:
         fed = engine.run_ddpp(cfg, ds)
         # interval 1: source 0 sends its largest row; the projector built on
         # it is diag(0, 1), verified against the hand computation
-        H = csi.compute_projector(Z[[0]], 2)
+        H = projector(Z[[0]])
         assert H.matrix == pytest.approx(np.diag([0.0, 1.0]), abs=1e-12)
         assert fed.selected_global_indices == [0, 5]
         blind = engine.run_experiment(config(dims=2, total_select=2, sparsity=2.0,
@@ -341,7 +341,7 @@ class TestDdppPipeline:
     def test_source_step_forms_no_m_by_m_array(self):
         m, n_i = 300, 40
         rng = np.random.default_rng(8)
-        H = csi.compute_projector(rng.normal(size=(20, m)), m)
+        H = projector(rng.normal(size=(20, m)))
         frame = protocol.encode_feedback(protocol.FeedbackMsg(
             target_source=0, interval=2, packet=csi.compress(H, R=2.0)))
         rows = rng.normal(size=(n_i, m))
@@ -541,8 +541,7 @@ class TestDownlinkChecks:
         (lambda f: dataclasses.replace(f, interval=3),
          "names source 1, interval 3"),
         (lambda f: dataclasses.replace(
-            f, packet=csi.exact_packet(csi.compute_projector(np.zeros((0, 9)),
-                                                             9))),
+            f, packet=csi.exact_packet(projector(np.zeros((0, 9))))),
          "width 9, expected 8"),
     ], ids=["target_source", "interval", "width"])
     @pytest.mark.parametrize("transport", ["loopback", "tcp"])
@@ -786,7 +785,6 @@ class TestSharedLocalGreedy:
         cfg = config(n_sources=3, total_select=6, intervals=intervals)
         extended = counted(monkeypatch, "extend_frame", engine)
         framed = counted(monkeypatch, "projector_in_frame", csi)
-        built = counted(monkeypatch, "compute_projector", csi)
         engine.run_ddpp(cfg, ds)
         rounds = intervals - 1
         assert (len(extended), len(framed)) == (rounds, 3 * rounds)
@@ -797,7 +795,6 @@ class TestSharedLocalGreedy:
                             ds)
             assert (len(extended), len(framed)) == (rounds - 1, 3 * (rounds - 1))
             assert all(len(args[0]) for args, _ in extended)
-        assert built == []
 
     def test_the_kept_first_round_projector_comes_from_the_dataset_rows(self):
         # the key fixes the value: the memo is built from the dataset's rows
@@ -836,7 +833,7 @@ class TestSharedLocalGreedy:
     @pytest.mark.parametrize("n_sources", [2, 3, 4])
     @pytest.mark.parametrize("intervals", [3, 4])
     @pytest.mark.parametrize("rank", [None, 5])
-    def test_every_projector_matches_compute_projector(
+    def test_every_projector_matches_a_dense_basis(
             self, monkeypatch, n_sources, intervals, rank):
         # at every interval each source's H is the projector off the rows
         # the others sent; with rank 5 the received rows, copies among
@@ -861,8 +858,8 @@ class TestSharedLocalGreedy:
         engine.run_ddpp(cfg, ds)
         assert len(calls) == len(projectors) == n_sources * (intervals - 1)
         for ids, (args, _) in zip(calls, projectors):
-            reference = csi.compute_projector(ds.rows(ids), 16)
-            assert np.linalg.norm(args[0].matrix - reference.matrix) <= 1e-10
+            Q = linalg.orthonormal_row_basis(ds.rows(ids))
+            assert np.linalg.norm(args[0].matrix - (np.eye(16) - Q.T @ Q)) <= 1e-10
 
 
 class TestOneGramPass:

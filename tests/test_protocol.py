@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (field_by_field_decode_batch, field_by_field_decode_error,
-                      field_by_field_decode_feedback, run_within)
+                      field_by_field_decode_feedback, projector, run_within)
 from ddpp import csi, protocol
 from ddpp.errors import (DdppError, DecodeError, InvalidInputError,
                          NotPositiveDefiniteError, NotPsdError, ProtocolError)
@@ -23,7 +23,7 @@ def random_batch(rng, count=4, m=3):
 
 def random_packet(rng, m=8):
     Z_Y = rng.normal(size=(3, m))
-    H = csi.compute_projector(Z_Y, m)
+    H = projector(Z_Y)
     return csi.compress(H, R=2.5, block_fraction=0.5)
 
 
