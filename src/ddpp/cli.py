@@ -21,7 +21,7 @@ from . import __version__, data, dpp, engine, metrics
 from .errors import (BudgetViolationError, DdppError, DegenerateInputError,
                      IngestError, InvalidConfigError, InvalidInputError,
                      NotPositiveDefiniteError, NotPsdError,
-                     ScalingViolationError)
+                     ScalingViolationError, TooLargeError)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -45,6 +45,17 @@ def _make_out(path, file=False):
         return open(path, "w") if file else os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise InvalidConfigError(f"cannot make --out {path}: {exc.strerror}") from None
+
+
+def _check_out(path):
+    """Refuse, making nothing, an ``--out`` directory ``_make_out`` could not
+    make: its nearest existing ancestor must be a writable directory."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not (os.path.isdir(head) and os.access(head, os.W_OK | os.X_OK)):
+        raise InvalidConfigError(f"cannot make --out {path}: " + (
+            "Permission denied" if os.path.isdir(head) else "Not a directory"))
 
 
 def _config_flags(path, settings):
@@ -215,6 +226,7 @@ def cmd_run(args):
     if not (seeds and args.strategies and args.N and args.R):
         raise InvalidConfigError("need at least one seed, strategy, N and R")
     _check_seed(min(seeds), "seeds")
+    _check_out(args.out)
     if args.partition_file and not args.data:
         raise InvalidConfigError("--partition-file needs --data")
     _check_seed(args.partition_seed, "--partition-seed")
@@ -529,7 +541,7 @@ def main(argv=None):
         return args.func(args)
     except DdppError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, InvalidConfigError):
+        if isinstance(exc, (InvalidConfigError, TooLargeError)):  # oracle's --k
             return EXIT_CONFIG
         return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else 1
 

@@ -31,14 +31,12 @@ from .errors import InvalidInputError
 from .linalg import (RANK_TOL, clamp_psd, orthonormal_row_basis, psd_eigh,
                      spectral_decomp, symmetrize)
 
-# A principal block of at least COMPLEMENT_MIN_DIMS dims whose complement
-# I - B has rank at most dims // COMPLEMENT_RANK_DIVISOR is rooted through
-# it; otherwise one eigh is faster (measured crossover, one BLAS thread).
-# Alone, the complement wins from 64 dims up; with two source threads
-# (tcp) its greedy's Python loop holds the GIL that eigh releases, and it
-# breaks even only at about 128.
+# A principal block of at least COMPLEMENT_MIN_DIMS dims is rooted through
+# its complement I - B; below, one eigh is faster (measured crossover, one
+# BLAS thread).  Alone, the complement wins from 64 dims up; with two source
+# threads (tcp) its greedy's Python loop holds the GIL that eigh releases,
+# and it breaks even only at about 128.
 COMPLEMENT_MIN_DIMS = 128
-COMPLEMENT_RANK_DIVISOR = 2
 
 
 @dataclass(frozen=True)
@@ -265,13 +263,11 @@ def _block_root(B, momentum):
     (1 elsewhere), and F = f(1) I + L^T U diag(g) U^T L is symmetric with
     F F = f(B)^2, for f(w) = (2 w^{1/2} + w)^{1/2} with momentum, w^{1/2}
     without, and g = (f(w) - f(1)) / s, written free of cancellation.  B's
-    eigh runs instead below that size, past r0 // COMPLEMENT_RANK_DIVISOR
-    pivots, or when C - L^T L leaves the greedy's floor (C is not PSD: B
-    has an eigenvalue above 1).
+    eigh runs instead below that size, or when C - L^T L leaves the
+    greedy's floor (C is not PSD: B has an eigenvalue above 1).
     """
     r0 = len(B)
-    L = (_complement_factor(B, r0 // COMPLEMENT_RANK_DIVISOR)
-         if r0 >= COMPLEMENT_MIN_DIMS else None)
+    L = _complement_factor(B) if r0 >= COMPLEMENT_MIN_DIMS else None
     if L is None:
         return _root_factor(B, momentum)
     s, U = np.linalg.eigh(L @ L.T)
@@ -290,16 +286,16 @@ def _block_root(B, momentum):
     return F
 
 
-def _complement_factor(B, k):
-    """L with I - B = L^T L, from at most k pivots; None if none fits.
+def _complement_factor(B):
+    """L with I - B = L^T L, t x r0; None if C = I - B is not PSD.
 
-    The greedy's pivoted Cholesky of C = I - B, kept when the residual
-    C - L^T L lies within the greedy's floor; C is freed on return, before
-    the caller's factor is built.
+    The greedy's pivoted Cholesky of C, up to r0 pivots, kept when the
+    residual C - L^T L lies within the greedy's floor, as a PSD C's does;
+    C is freed on return, before the caller's factor is built.
     """
     C = np.negative(B)
     C.flat[::len(B) + 1] += 1.0
-    L, floor = dpp.pivoted_cholesky(C, k)
+    L, floor = dpp.pivoted_cholesky(C, len(B))
     C -= L.T @ L  # the residual, in C's buffer
     return L if -floor <= C.min() and C.max() <= floor else None
 

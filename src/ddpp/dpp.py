@@ -6,8 +6,8 @@ squared pivot d_i^2 = L_ii - ||c_i||^2, which is exactly the determinant
 gain of adding i.  Consuming an item costs one kernel row and a rank-one
 update over all n candidates, so k picks run in O(k^2 n) plus k row reads,
 with k factor rows of n.  The rows of items held from earlier calls are
-fetched in one batch.  ``greedy_map_rows`` on features Z forms the kernel
-for few rows and many picks, else streams Z or reads only rows that can win.
+fetched in one batch.  ``greedy_map_rows`` on features Z never forms the
+kernel: it streams Z, or on large Z reads only rows that can win.
 ``greedy_map_projector`` runs on a projector I - B^T B in B's q
 coordinates and reads no kernel row at all.
 
@@ -29,10 +29,8 @@ EARLY_STOP_REL = 1e-12
 
 BRUTE_FORCE_GUARD = 10**6
 
-# greedy_map_rows forms Z Z^T when n <= m and n <= GRAM_ROWS_PER_PICK *
-# (held + k), else goes lazy from LAZY_MIN_ENTRIES entries of Z up: below,
-# a kernel row per pick beats the lazy bookkeeping (crossovers, 2-core VM).
-GRAM_ROWS_PER_PICK = 8
+# greedy_map_rows goes lazy from LAZY_MIN_ENTRIES entries of Z up: below,
+# a kernel row per pick beats the lazy bookkeeping (crossover, 2-core VM).
 LAZY_MIN_ENTRIES = 1 << 17
 # Rows of Z one lazy refresh block gathers, in bytes: 256 KB blocks raised a
 # paper-64 run's peak RSS by 0.8 MB, 64 KB ones by 0.15 MB (same VM).
@@ -161,8 +159,7 @@ def _lazy_greedy(Z, k, preselected=()):
 def greedy_map(L, k, preselected=()):
     """Greedy MAP selection of k items maximizing log det of the kernel L.
 
-    Reads one row of L per pick (``greedy_map_rows`` runs it on Z Z^T for
-    few rows and many picks).  ``preselected`` items condition the geometry
+    Reads one row of L per pick.  ``preselected`` items condition the geometry
     first (their gains are consumed but they are not reported), implementing
     selection given an already-held set.  Bitwise-equal gains break toward
     the lowest index; between gains equal only in exact arithmetic, rounding
@@ -186,26 +183,17 @@ def pivoted_cholesky(L, k):
     return _greedy(diag, lambda idx: L[idx], k, (), frame=True).frame, floor
 
 
-def forms_gram(n, m, picks):
-    """Whether ``greedy_map_rows`` of ``picks`` (held + k) on n x m Z forms Z Z^T."""
-    return n <= m and n <= GRAM_ROWS_PER_PICK * picks
-
-
 def greedy_map_rows(Z, k, preselected=()):
-    """greedy_map on the kernel Z Z^T, in one of three forms by Z's shape.
+    """greedy_map on the kernel Z Z^T, never formed, in one of two forms.
 
-    With n <= m rows and n <= GRAM_ROWS_PER_PICK * (held + k) it *is*
-    greedy_map(Z Z^T), the n x n kernel formed once.  Otherwise the kernel
-    is never formed.  From LAZY_MIN_ENTRIES entries of Z up, a pick reads
-    only the rows that could win it (about 30 of a 5 000-row ground truth),
-    keeping n-vectors and an m-wide frame.  Below, it reads Z[preselected]
-    Z^T once and one matvec over all of Z per pick, keeping (held + k)
-    Cholesky rows of n.  The kernel's rank is at most Z's width.  The forms
-    round differently, so exact ties may break differently between them.
+    From LAZY_MIN_ENTRIES entries of Z up, a pick reads only the rows that
+    could win it (about 30 of a 5 000-row ground truth), keeping n-vectors
+    and an m-wide frame.  Below, it reads Z[preselected] Z^T once and one
+    matvec over all of Z per pick, keeping (held + k) Cholesky rows of n.
+    The kernel's rank is at most Z's width.  The forms round differently,
+    so exact ties may break differently between them.
     """
     n, m = Z.shape
-    if forms_gram(n, m, len(preselected) + k):
-        return greedy_map(Z @ Z.T, k, preselected)
     if n * m >= LAZY_MIN_ENTRIES:
         return _lazy_greedy(Z, k, preselected)
     diag = np.einsum("ij,ij->i", Z, Z)

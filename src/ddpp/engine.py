@@ -428,9 +428,10 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
 
 
 def rd_diversity(rows, epsilon, gram=None):
-    """Rate-distortion style diversity of a whole source; overwrites ``gram``."""
+    """Rate-distortion style diversity of a whole source; overwrites ``gram``,
+    Z Z^T, else factors Z^T Z (the same determinant, no larger at n_i >= m)."""
     n_i, m = rows.shape
-    M = gram if gram is not None else rows @ rows.T if n_i < m else rows.T @ rows
+    M = rows.T @ rows if gram is None else gram
     M *= m / (n_i * epsilon)  # I + c M, built in place; Cholesky reads one triangle
     M.flat[::M.shape[0] + 1] += 1.0
     return logdet_psd(M)
@@ -439,10 +440,10 @@ def rd_diversity(rows, epsilon, gram=None):
 def _share_gram(dataset, i, rows, k, epsilon):
     """Memoize source i's k-greedy and ``epsilon`` probe from one Gram of its rows.
 
-    Only where the greedy forms Z_i Z_i^T (``dpp.forms_gram``) and the probe
-    factors it too (n_i < m); at other shapes sharing only adds work.
+    Only where n_i < m, so the probe factors Z_i Z_i^T; the greedy runs on
+    it too.  No other code forms a source's n_i x n_i Gram.
     """
-    if rows.shape[0] < rows.shape[1] and dpp.forms_gram(*rows.shape, k):
+    if rows.shape[0] < rows.shape[1]:
         def both():
             G = rows @ rows.T
             dataset.memo(("greedy", i, k), lambda: dpp.greedy_map(G, k))

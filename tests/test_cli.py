@@ -529,6 +529,18 @@ class TestOracleAndTtest:
         captured = capsys.readouterr()
         assert captured.out == "" and f"k must be in 1..2, got {k}" in captured.err
 
+    def test_oracle_refuses_k_past_the_subset_guard(self, tmp_path, capsys,
+                                                     monkeypatch):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(10).normal(size=(3000, 2)),
+                   delimiter=",")
+        dets = counted(monkeypatch, "det", np.linalg)
+        assert run_cli("oracle", "--data", str(path), "--k", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and dets == []  # no subset scored
+        assert captured.err.splitlines() == [
+            "error: C(3000,2) exceeds 1000000 subsets"]
+
     def test_oracle_forms_no_n_by_n_kernel(self, tmp_path, capsys):
         # each subset's kernel comes from its own k rows: the 3 000 x 3 000
         # Gram alone would take 72 MB
@@ -747,6 +759,18 @@ class TestExitCodes:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot make --out {out}: Not a directory"]
+
+    def test_run_refuses_an_out_under_a_file_before_any_unit(
+            self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        units = counted(monkeypatch, "run_ground_truth", engine)
+        assert run_cli("run", "--out", str(out), *RUN_ARGS) == 2
+        assert units == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot make --out {out}: Not a directory"]
+        assert blocker.read_text() == "" and not out.exists()
 
     @pytest.mark.parametrize("name", sorted(BAD_INVOCATIONS))
     def test_a_bad_invocation_is_one_error_line_and_exit_2(self, tmp_path,

@@ -669,7 +669,24 @@ class TestComplementRoot:
             kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
 
     @pytest.mark.parametrize("momentum", [True, False])
-    @pytest.mark.parametrize("case", ["eigenvalue above 1", "rank above r0/2",
+    @pytest.mark.parametrize("held", [80, 139])
+    def test_a_complement_of_any_rank_takes_the_complement_route(
+            self, monkeypatch, momentum, held):
+        # 80 pivots is past r0 / 2, 139 all but one of r0
+        rng = np.random.default_rng(256)
+        r0 = 140
+        B = csi.Projector(basis=csi.orthonormal_row_basis(
+            rng.normal(size=(held, r0)))).matrix
+        packet = make_packet(r0, range(r0), B, [], [])
+        solved = counted(monkeypatch, "eigh", np.linalg)
+        Z = self.features(rng, r0)
+        out = csi.precode(Z, packet, momentum)
+        assert sorted(len(args[0]) for args, _ in solved) == [0, held]
+        assert kernel(out) == pytest.approx(
+            kernel(dense_precode(Z, packet, momentum)), abs=1e-6)
+
+    @pytest.mark.parametrize("momentum", [True, False])
+    @pytest.mark.parametrize("case", ["eigenvalue above 1",
                                       "zero-diagonal complement, B_01 < 0",
                                       "zero-diagonal complement, B_01 > 0"])
     def test_other_blocks_take_the_eigensolver(self, monkeypatch, momentum,
@@ -679,11 +696,9 @@ class TestComplementRoot:
         if case.startswith("zero-diagonal"):  # eigenvalues 1.5, 0.5, 1
             B = np.eye(r0)  # no pivot: the residual is all of I - B
             B[0, 1] = B[1, 0] = 0.5 if case.endswith("> 0") else -0.5
-        else:
-            held = 10 if case == "eigenvalue above 1" else 80  # > 140 // 2
+        else:  # I - B is indefinite
             B = csi.Projector(basis=csi.orthonormal_row_basis(
-                rng.normal(size=(held, r0)))).matrix
-        if case == "eigenvalue above 1":  # I - B is indefinite
+                rng.normal(size=(10, r0)))).matrix
             v = rng.normal(size=r0)
             B += 0.5 * np.outer(v, v) / (v @ v)
         packet = make_packet(r0, range(r0), B, [], [])

@@ -295,10 +295,10 @@ class TestLazyGreedy:
             assert short.indices == full.indices[:k]
             assert short.stepwise_logdets == full.stepwise_logdets[:k]
 
-    # 3 held + 40 picks: up to 8 * 43 = 344 rows form the Gram, if m >= n
+    # lazy from 2^17 = 131 072 entries of Z up, whether n <= m or not
     @pytest.mark.parametrize("shape, path", [((345, 512), "_lazy_greedy"),
                                              ((344, 64), "_greedy"),
-                                             ((344, 512), "greedy_map")])
+                                             ((344, 512), "_lazy_greedy")])
     def test_the_public_entry_takes_the_path_its_shape_calls_for(
             self, monkeypatch, shape, path):
         Z = np.random.default_rng(115).normal(size=shape)
@@ -308,25 +308,24 @@ class TestLazyGreedy:
                    for name in ("greedy_map", "_lazy_greedy", "_greedy")}
         assert_same_run(dpp.greedy_map_rows(Z, 40, held), want)
         taken = {name: len(calls) for name, calls in entered.items()}
-        taken["_greedy"] -= taken["greedy_map"]  # the Gram path's own entry
         assert taken == {name: int(name == path) for name in taken}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_the_gram_path_agrees_with_the_lazy_greedy(self, data):
-        # n <= m continuous rows of inner rank r, full (r = n) or not.  The
-        # gains, not their logs, are compared: the log of a pivot far below
-        # the largest diagonal magnifies its rounding.
+        # greedy_map on Z Z^T, as a source's shared Gram runs it, on n <= m
+        # continuous rows of inner rank r, full (r = n) or not.  The gains,
+        # not their logs, are compared: the log of a pivot far below the
+        # largest diagonal magnifies its rounding.
         n = data.draw(st.integers(1, 24), label="n")
         m = data.draw(st.integers(n, 30), label="m")
         r = data.draw(st.integers(1, n), label="r")
         held = data.draw(st.lists(st.integers(0, n - 1), unique=True,
                                   max_size=min(n, 6)), label="held")
-        k = data.draw(st.integers(max(0, -(-n // 8) - len(held)), 15),
-                      label="k")  # n <= 8 (held + k): the Gram side
+        k = data.draw(st.integers(0, 15), label="k")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         Z = rng.normal(size=(n, r)) @ rng.normal(size=(r, m))
-        assert_same_above_noise(dpp.greedy_map_rows(Z, k, held),
+        assert_same_above_noise(dpp.greedy_map(Z @ Z.T, k, held),
                                 dpp._lazy_greedy(Z, k, held),
                                 float(np.max(np.einsum("ij,ij->i", Z, Z))))
 

@@ -863,14 +863,15 @@ class TestSharedLocalGreedy:
 
 
 class TestOneGramPass:
-    """greedymax and maxdiv score a source from one Gram where both form it.
+    """greedymax and maxdiv score a source from one Gram where n_i < m.
 
-    That is where the k_T-greedy forms Z_i Z_i^T (n_i <= m and
-    n_i <= 8 k_T) and the probe factors the same product (n_i < m).  The
-    rows must equal those of runs that share nothing, at every shape.
+    There the probe factors Z_i Z_i^T, and the k_T-greedy runs on the same
+    product, however few its picks.  The rows must equal those of runs
+    that share nothing, at every shape.
     """
 
-    # (dims, rows per source, k_T): the pass applies only to "shared"
+    # (dims, rows per source, k_T): the pass applies where n_i < m, so to
+    # "shared" and to "short greedy" (n_i > 8 k_T) too
     SHAPES = {"shared": (24, 20, 4), "square": (20, 20, 4),
               "tall": (8, 20, 8), "short greedy": (48, 40, 2)}
 
@@ -886,8 +887,7 @@ class TestOneGramPass:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_rows_match_runs_that_share_nothing(self, monkeypatch, shape):
         dims, n_i, k_T = self.SHAPES[shape]
-        assert (n_i < dims and dpp.forms_gram(n_i, dims, k_T)) == (
-            shape == "shared")
+        assert (n_i < dims) == (shape in ("shared", "short greedy"))
 
         def fresh():
             return small_dataset(seed=41, n_sources=2, dims=dims,
@@ -902,9 +902,37 @@ class TestOneGramPass:
         separate = self.rows(fresh(), both, k_T)
         assert together == reverse == alone == separate
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_the_pass_forms_a_gram_at_every_n_i_below_m(self, monkeypatch,
+                                                         shape):
+        dims, n_i, k_T = self.SHAPES[shape]
+        ds = small_dataset(seed=44, n_sources=2, dims=dims, per_source=n_i,
+                           total_select=k_T)
+        grams = counted(monkeypatch, "greedy_map", dpp)
+        row_greedies = counted(monkeypatch, "greedy_map_rows", dpp)
+        self.rows(ds, ("greedymax", "maxdiv"), k_T)
+        shared = n_i < dims
+        assert [args[0].shape for args, _ in grams] == [(n_i, n_i)] * 2 * shared
+        # the ground truth, then each source's greedy where no Gram is shared
+        assert len(row_greedies) == 1 + 2 * (not shared)
+
+    @pytest.mark.parametrize("flags", [["--compression", "none", "--R", "16"],
+                                       ["--R", "12", "--tT", "3"]],
+                             ids=["none", "high-R"])
+    def test_no_row_greedy_forms_a_gram(self, tmp_path, monkeypatch, flags):
+        # these campaigns pre-code rows to 30 x 32, n <= m, for 4 to 6 picks
+        grams = counted(monkeypatch, "greedy_map", dpp)
+        row_greedies = counted(monkeypatch, "greedy_map_rows", dpp)
+        assert cli.main(["run", "--out", str(tmp_path), "--strategies", "ddpp",
+                         *flags, "--m", "16", "--N", "2,3", "--ni", "30",
+                         "--kT", "12", "--clusters", "6",
+                         "--seed-list", "0,1,2"]) == 0
+        assert (30, 32) in {args[0].shape for args, _ in row_greedies}
+        assert grams == []
+
     def test_a_unit_runs_each_source_greedy_and_probe_once(self, monkeypatch):
-        # every strategy of one unit: only greedymax's k_T = 6 greedies form
-        # a Gram (20 <= 8 * 6), one per source, and each probe factors the
+        # every strategy of one unit: only greedymax's k_T = 6 greedies run
+        # on a Gram (20 < 24), one per source, and each probe factors the
         # very array its source's greedy ran on
         ds = small_dataset(seed=42, n_sources=3, dims=24, per_source=20,
                            total_select=6)

@@ -17,9 +17,9 @@ def random_psd(rng, n, rank=None):
 
 class TestGram:
     def test_exactly_symmetric(self):
-        # greedy_map_rows' Gram path (a 500 x 512 source) and ``ddpp oracle``
-        # hand Z @ Z.T to greedies that read rows as columns: numpy must
-        # return it bitwise symmetric, with no symmetrize pass.
+        # a source's shared Gram (500 x 512, ``engine._share_gram``) and
+        # ``ddpp oracle`` hand Z @ Z.T to greedies that read rows as columns:
+        # numpy must return it bitwise symmetric, with no symmetrize pass.
         rng = np.random.default_rng(8)
         for shape in ((500, 512), (6, 2)):
             Z = rng.normal(size=shape)
