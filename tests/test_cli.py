@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -21,14 +22,6 @@ from ddpp import cli, data, engine
 
 def run_cli(*argv):
     return cli.main(list(argv))
-
-
-def exit_code(*argv):
-    """``main``'s return value, or the code argparse exits with."""
-    try:
-        return run_cli(*argv)
-    except SystemExit as exc:
-        return exc.code
 
 
 def read_jsonl(path):
@@ -211,11 +204,13 @@ class TestRun:
         assert len(lines) == 1
         assert lines[0]["strategy"] == "greedi"
 
-    def test_unknown_config_key_exit_code(self, tmp_path):
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("warp_speed=9\n")
         assert run_cli("run", "--out", str(tmp_path / "x"),
                        "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:1: no config key 'warp_speed'"]
 
     def test_config_file_loses_to_a_flag_at_its_default(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -233,11 +228,42 @@ class TestRun:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"{key}={value}\n")
         out = str(tmp_path / "x")
-        assert exit_code("run", "--out", out, flag, value) == 2
-        from_flag = capsys.readouterr().err.splitlines()[-1]
-        assert exit_code("run", "--out", out, "--config", str(cfg)) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == from_flag
-        assert f"argument {flag}" in from_flag
+        assert run_cli("run", "--out", out, flag, value) == 2
+        from_flag = capsys.readouterr().err.splitlines()
+        assert run_cli("run", "--out", out, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == from_flag
+        assert len(from_flag) == 1 and f"error: argument {flag}: " in from_flag[0]
+
+    @pytest.mark.parametrize("line, message", [
+        ("no_momentum=ture", "switch no_momentum is not 1/true/yes/on or "
+                             "0/false/no/off: 'ture'"),
+        ("label-column=2", "switch label-column is not 1/true/yes/on or "
+                           "0/false/no/off: '2'"),
+        ("config=other.cfg", "no config key 'config'"),
+    ], ids=["no-momentum", "label-column", "config"])
+    def test_a_bad_config_line_exits_2_naming_its_file_and_line(
+            self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# a comment\n{line}\n")
+        out = tmp_path / "x"
+        assert run_cli("run", "--out", str(out), "--config", str(cfg),
+                       *RUN_ARGS) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, flags, on", [
+        ("no_momentum=YES\n", [], True), ("no_momentum=off\n", [], False),
+        ("no-momentum=0\n", ["--no-momentum"], True), ("", [], False)])
+    def test_a_config_switch_value_sets_it_as_the_flag_does(self, tmp_path, lines,
+                                                           flags, on):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "run"
+        assert run_cli("run", "--out", str(out), "--config", str(cfg),
+                       *RUN_ARGS, *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved"]["no_momentum"] is on
 
     def test_malformed_partition_file_exit_code(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -356,6 +382,71 @@ class TestRun:
         out = tmp_path / "pooled"
         assert run_cli("run", "--out", str(out), *RUN_ARGS) == 0
         assert len(read_jsonl(out / "results.jsonl")) == 4
+
+
+# Every run row of cli.SETTINGS but --out and --config, at a valid value
+# other than its default (True: the switch is on); DATA and PART are files.
+ROUND_TRIP = {
+    "--data": "DATA", "--label-column": True, "--partition-file": "PART",
+    "--partition-seed": "3", "--strategies": "ddpp,maxdiv", "--seeds": "1",
+    "--seed-list": "3,4", "--N": "2", "--R": "3,5", "--kT": "6", "--tT": "3",
+    "--epsilon": "1e-5", "--block-fraction": "0.25", "--compression": "svd",
+    "--no-momentum": True, "--transport": "tcp", "--ni": "12", "--m": "8",
+    "--clusters": "3", "--spread": "0.1", "--scale": "5.0",
+    "--radius-jitter": "0.1", "--norm-tail": "0.3", "--mean-sparsity": "0.5",
+    "--partition-policy": "uniform_random", "--skew": "0.2",
+}
+
+
+def as_flags(settings):
+    """``settings``, {flag: value, or True for a switch that is on}, as argv."""
+    return [a for f, v in settings.items() for a in ([f] if v is True else [f, v])]
+
+
+class TestConfigRoundTrip:
+    def test_every_run_row_is_set_off_its_default(self):
+        rows = {row.flag for row in cli.SETTINGS if "run" in row.defaults}
+        assert set(ROUND_TRIP) == rows - {"--out", "--config"}
+        parse = cli.build_parser().parse_args
+        default = parse(["run", "--out", "x"])
+        given = parse(["run", "--out", "x", *as_flags(ROUND_TRIP)])
+        for flag in ROUND_TRIP:
+            dest = flag[2:].replace("-", "_")
+            assert getattr(given, dest) != getattr(default, dest), flag
+
+    # the synthetic run leaves out the two files, --partition-file needing --data
+    @pytest.mark.parametrize("leave_out", [(), ("--data", "--partition-file")],
+                             ids=["data", "synthetic"])
+    def test_a_config_file_runs_as_its_flags_do(self, tmp_path, leave_out):
+        path, part = tmp_path / "d.csv", tmp_path / "p.json"
+        np.savetxt(path, np.column_stack([
+            np.random.default_rng(4).normal(size=(24, 8)), np.arange(24) % 3]),
+            delimiter=",")
+        part.write_text(data.partition(24, 2, seed=9).to_json())
+        files = {"DATA": str(path), "PART": str(part)}
+        settings = {f: files.get(v, v) for f, v in ROUND_TRIP.items()
+                    if f not in leave_out}
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(f"{f[2:].replace('-', '_')}={'yes' if v is True else v}\n"
+                               for f, v in settings.items()))
+        out = tmp_path / "run"
+        outputs = []
+        for argv in (as_flags(settings), ["--config", str(cfg)]):
+            shutil.rmtree(out, ignore_errors=True)
+            assert run_cli("run", "--out", str(out), *argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["command"], manifest["resolved"]["config"]  # how it ran
+            outputs.append([manifest] + [(out / name).read_bytes() for name in
+                                         ("results.jsonl", "gt_cache.json")])
+        assert outputs[0] == outputs[1]
+        rep = tmp_path / "rep"
+        assert run_cli("report", "--results", str(out / "results.jsonl"),
+                       "--out", str(rep), "--pca-seed", "3") == 0
+        rows = (rep / "pca_seed3.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 24
+        flagged = [i for i, r in enumerate(rows) if r.endswith(",1")]
+        selected = read_jsonl(out / "results.jsonl")[0]["selected_indices"]
+        assert flagged == sorted(selected) and len(flagged) == 6
 
 
 class TestProbeMemo:
@@ -520,14 +611,17 @@ class TestOracleAndTtest:
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds dims 2" in captured.err
 
-    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    @pytest.mark.parametrize("k, message", [
+        ("0", "argument --k: must be at least 1, got 0"),
+        ("-1", "argument --k: must be at least 1, got -1"),
+        ("3", "k must be in 1..2, got 3")], ids=["0", "-1", "3"])
     def test_oracle_refuses_k_outside_one_to_the_row_count(self, tmp_path,
-                                                           capsys, k):
+                                                           capsys, k, message):
         path = tmp_path / "d.csv"
         path.write_text("3,0,1\n0,2,1\n")  # 2 rows, 3 wide
         assert run_cli("oracle", "--data", str(path), f"--k={k}") == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"k must be in 1..2, got {k}" in captured.err
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_oracle_refuses_k_past_the_subset_guard(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -707,13 +801,10 @@ class TestRefusedInput:
 # Each is an invocation the CLI refuses as a configuration error, the
 # changes it makes to line 2 of RESULTS, and what its error names.  RESULTS
 # is a results file of two GOOD_RESULT lines.
-POSITIVE = "must be positive"
 BAD_INVOCATIONS = {
-    "gen --sources 0": (["gen", "--out", "OUT", "--sources", "0"], {},
-                        POSITIVE),
-    "gen --m 0": (["gen", "--out", "OUT", "--m", "0"], {}, POSITIVE),
-    "gen --ni 0": (["gen", "--out", "OUT", "--ni", "0"], {}, POSITIVE),
-    "gen --n 0": (["gen", "--out", "OUT", "--n", "0"], {}, POSITIVE),
+    **{f"gen {flag} 0": (["gen", "--out", "OUT", flag, "0"], {},
+                         f"argument {flag}: must be at least 1, got 0")
+       for flag in ("--sources", "--m", "--ni", "--n")},
     "report rde": (["report", "--results", "RESULTS", "--out", "OUT"],
                    {"rde": "x"}, "wrong type: rde = 'x'"),
     "report seed": (["report", "--results", "RESULTS", "--out", "OUT"],
@@ -734,31 +825,68 @@ BAD_INVOCATIONS = {
 
 
 # Each makes its --out, OUT; DATA is a readable csv and RESULTS a results
-# file of one GOOD_RESULT line.
+# file of one GOOD_RESULT line, with a run's manifest beside it.
 MAKES_OUT = {
     "gen": ["gen", "--out", "OUT", *GEN_ARGS],
     "partition": ["partition", "--data", "DATA", "--sources", "2",
                   "--out", "OUT"],
     "run": ["run", "--out", "OUT", *RUN_ARGS],
     "report": ["report", "--results", "RESULTS", "--out", "OUT"],
+    "report --pca-seed": ["report", "--results", "RESULTS", "--out", "OUT",
+                          "--pca-seed", "0"],
 }
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("command", sorted(MAKES_OUT))
     def test_an_out_under_a_file_is_one_error_line_and_exit_2(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys, monkeypatch, command):
         data_path = tmp_path / "d.csv"
         np.savetxt(data_path, np.random.default_rng(8).normal(size=(24, 6)),
                    delimiter=",")
         results = tmp_path / "results.jsonl"
-        results.write_text(json.dumps(GOOD_RESULT) + "\n")
+        results.write_text(json.dumps(
+            {**GOOD_RESULT, "selected_indices": [0, 1]}) + "\n")
+        run = cli.build_parser().parse_args(["run", "--out", "x", *RUN_ARGS])
+        (tmp_path / "manifest.json").write_text(json.dumps({"resolved": {
+            k: v for k, v in vars(run).items() if k != "func"}}))
         out = results / "out"  # a path under a regular file
         paths = {"OUT": out, "DATA": data_path, "RESULTS": results}
         argv = [str(paths.get(a, a)) for a in MAKES_OUT[command]]
+        drawn = counted(monkeypatch, "synth_dataset", data)
+        loaded = counted(monkeypatch, "load_features", data)
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: cannot make --out {out}: Not a directory"]
+        assert drawn == [] and loaded == []  # refused before any data
+
+    def test_partition_refuses_an_out_in_a_missing_directory_before_loading(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        out = tmp_path / "p.json"
+        out.write_text("old")
+        argv = ["partition", "--data", str(path), "--sources", "2", "--out"]
+        assert run_cli(*argv, str(out)) == 0  # an existing file is replaced
+        assert data.SourcePartition.from_json(out.read_text()).n_sources == 2
+        capsys.readouterr()
+        loaded = counted(monkeypatch, "load_features", data)
+        missing = tmp_path / "missing" / "p.json"
+        assert run_cli(*argv, str(missing)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot make --out {missing}: No such file or directory"]
+        assert loaded == [] and not missing.parent.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_ddpp_threads_below_one_exits_2_as_a_non_integer_does(
+            self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("DDPP_THREADS", threads)
+        out = tmp_path / "out"
+        assert run_cli("run", "--out", str(out), *RUN_ARGS) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: DDPP_THREADS must be a positive integer, got {threads!r}"]
+        assert not out.exists()
 
     def test_run_refuses_an_out_under_a_file_before_any_unit(
             self, tmp_path, capsys, monkeypatch):
@@ -792,9 +920,9 @@ class TestExitCodes:
         (["--R", "inf"], "must be finite"),
         (["--R", "1e308"], "must be finite"),  # R*m overflows at m = 8
         (["--epsilon", "inf"], "must be finite"),
-        (["--tT", "0"], "--tT must be at least 1"),
-        (["--seed-list", "-1"], "seeds must be non-negative"),
-        (["--ni", "0"], "--ni must be positive, got 0"),
+        (["--tT", "0"], "argument --tT: must be at least 1, got 0"),
+        (["--seed-list", "-1"], "argument --seed-list: must be at least 0, got -1"),
+        (["--ni", "0"], "argument --ni: must be at least 1, got 0"),
         (["--clusters", "0"], "cluster count 0 must lie in 1..24"),
         (["--clusters", "25"], "cluster count 25 must lie in 1..24"),
         (["--mean-sparsity", "0"], "mean_sparsity must lie in (0, 1]"),
@@ -855,12 +983,12 @@ class TestExitCodes:
                     "--out", str(out)]
         assert run_cli(*argv, "--seed", "-1") == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: --seed must be non-negative, got -1"]
+        assert err == ["error: argument --seed: must be at least 0, got -1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, message", [
         (["--partition-policy", "uniform_random", "--partition-seed", "-1"],
-         "--partition-seed must be non-negative, got -1"),
+         "argument --partition-seed: must be at least 0, got -1"),
         (["--label-column", "--partition-policy", "cluster_skewed",
           "--skew", "nan"], "skew must be finite and in [0, 1], got nan"),
         (["--partition-policy", "cluster_skewed"],
@@ -1106,8 +1234,10 @@ class TestSharedDataset:
         assert peak < 2.75 * Z.nbytes
 
 
-# The values each fuzzed flag draws; VALID is its tiny valid value, its
-# FUZZ_BASE entry, else the parser's default (the flag is left out).
+# The values a fuzzed flag draws.  A flag whose parse has a domain (a lower
+# bound ``low``) draws its edge from each side and the non-finite values, as
+# DOMAIN_VALUES lists them; any other draws FUZZ_VALUES.  VALID is its
+# FUZZ_BASE value, else its default (the flag is left out).
 VALID = "valid"
 FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", VALID]
 FUZZ_BASE = {
@@ -1120,17 +1250,62 @@ FUZZ_BASE = {
     "oracle": {"--k": "2"},
     "ttest": {"--a": "ddpp", "--b": "greedi"},
 }
+# Where every value just inside each domain runs: N = k_T = 1 takes one
+# sample of one dimension.
+EDGE_BASE = {
+    "run": {"--m": "8", "--kT": "1", "--N": "1", "--tT": "1", "--ni": "12",
+            "--clusters": "1", "--seeds": "1", "--R": "1"},
+    "gen": {"--sources": "1", "--ni": "2", "--m": "2", "--clusters": "1"},
+    "partition": {"--sources": "1"},
+    "oracle": {"--k": "1"},
+}
 PATH_FLAGS = {"--out", "--data", "--config", "--partition-file", "--results"}
 
 
+def domain_values(row):
+    """{value: whether it lies outside the domain} of a row with one."""
+    low = row.parse.low
+    return {str(low): False, str(low - 1): True, "nan": True, "inf": True,
+            "-inf": True}
+
+
 def fuzzed_flags(command):
-    """Every flag of ``command`` that takes one value, as ``build_parser``
-    lists it, save switches, choices and file paths."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return sorted(a.option_strings[0] for a in sub.choices[command]._actions
-                  if a.option_strings and a.nargs is None and a.choices is None
-                  and a.option_strings[0] not in PATH_FLAGS)
+    """Every ``cli.SETTINGS`` row of ``command`` that takes a value, save
+    file paths, with the values it draws."""
+    return {row.flag: (domain_values(row) if getattr(row.parse, "low", None)
+                       is not None else dict.fromkeys(FUZZ_VALUES))
+            for row in cli.SETTINGS if command in row.defaults
+            and row.parse is not bool and row.flag not in PATH_FLAGS}
+
+
+def fuzz_argv(command, values, tmp, results=None, with_data=False):
+    """``command`` with ``values``, its paths filled in: --out under
+    ``tmp``, ``results``, and where needed or ``with_data`` a labelled csv
+    written under ``tmp``."""
+    argv = [command, *(f"{f}={v}" for f, v in values.items())]
+    if command in ("gen", "partition", "run", "report"):
+        argv += ["--out", os.path.join(tmp, "out")]
+    if command in ("report", "ttest"):
+        argv += ["--results", results]
+    if command in ("partition", "oracle") or with_data:
+        path = os.path.join(tmp, "d.csv")
+        np.savetxt(path, np.column_stack([
+            np.random.default_rng(2).normal(size=(24, 8)),
+            np.arange(24) % 3]), delimiter=",")
+        argv += ["--data", path, "--label-column"]
+    return argv
+
+
+def main_quietly(argv):
+    """``cli.main``'s exit code and stderr; warnings are collected."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    return code, err.getvalue()
 
 
 class TestFuzz:
@@ -1146,42 +1321,43 @@ class TestFuzz:
     @pytest.mark.parametrize("command", sorted(FUZZ_BASE))
     def test_every_flag_value_ends_in_one_error_line_and_an_exit_code(
             self, command, results):
+        flags = fuzzed_flags(command)
+        drawn_pair = st.sampled_from(sorted(flags)).flatmap(
+            lambda f: st.tuples(st.just(f), st.sampled_from(sorted(flags[f]))))
+
         @settings(max_examples=100, derandomize=True, deadline=None,
                   database=None)
-        @given(drawn=st.dictionaries(st.sampled_from(fuzzed_flags(command)),
-                                     st.sampled_from(FUZZ_VALUES), max_size=3),
+        @given(drawn=st.lists(drawn_pair, max_size=3, unique_by=lambda p: p[0]),
                with_data=st.booleans())
         def check(drawn, with_data):
             with tempfile.TemporaryDirectory() as tmp:
-                out = os.path.join(tmp, "out")
                 values = {**FUZZ_BASE[command],
-                          **{f: v for f, v in drawn.items() if v != VALID}}
-                argv = [command, *(f"{f}={v}" for f, v in values.items())]
-                if command in ("gen", "partition", "run", "report"):
-                    argv += ["--out", out]
-                if command in ("report", "ttest"):
-                    argv += ["--results", results]
-                if command in ("partition", "oracle") or (
-                        command == "run" and with_data):
-                    path = os.path.join(tmp, "d.csv")
-                    np.savetxt(path, np.column_stack([
-                        np.random.default_rng(2).normal(size=(24, 8)),
-                        np.arange(24) % 3]), delimiter=",")
-                    argv += ["--data", path, "--label-column"]
-                err = io.StringIO()
-                with warnings.catch_warnings(record=True) as caught, \
-                        contextlib.redirect_stderr(err), \
-                        contextlib.redirect_stdout(io.StringIO()):
-                    warnings.simplefilter("always")
-                    try:
-                        code = cli.main(argv)
-                    except SystemExit as exc:  # argparse's own refusal
-                        assert exc.code == 2, argv
-                        code = 2
-                lines = [ln for ln in err.getvalue().splitlines() if "error:" in ln]
+                          **{f: v for f, v in drawn if v != VALID}}
+                argv = fuzz_argv(command, values, tmp, results,
+                                 with_data=command == "run" and with_data)
+                code, err = main_quietly(argv)
+                lines = [ln for ln in err.splitlines() if "error:" in ln]
                 assert code in (0, 1, 2, 3), argv
-                assert len(lines) == (code != 0), (argv, err.getvalue())
-                assert "Traceback" not in err.getvalue(), argv
-                assert not caught, (argv, [str(w.message) for w in caught])
-                assert code != 2 or not os.path.exists(out), argv
+                assert len(lines) == (code != 0), (argv, err)
+                assert "Traceback" not in err, argv
+                assert code != 2 or not os.path.exists(
+                    os.path.join(tmp, "out")), argv
+                if any(flags[f][v] for f, v in drawn):  # outside a domain
+                    assert code == 2 and lines[0].startswith(
+                        "error: argument --"), (argv, err)
         check()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command in sorted(EDGE_BASE)
+        for flag, values in fuzzed_flags(command).items()
+        if VALID not in values for value in values])
+    def test_a_flag_exits_2_exactly_outside_its_domain(self, tmp_path, command,
+                                                       flag, value):
+        outside = fuzzed_flags(command)[flag][value]
+        argv = fuzz_argv(command, {**EDGE_BASE[command], flag: value},
+                         str(tmp_path))
+        code, err = main_quietly(argv)
+        assert code == (2 if outside else 0), (argv, err)
+        if outside:
+            assert err.startswith(f"error: argument {flag}: "), err
+            assert len(err.splitlines()) == 1, err
