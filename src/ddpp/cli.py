@@ -50,9 +50,12 @@ def _make_out(path, file=False):
 
 def _check_out(path, file=False):
     """Refuse, making nothing, an ``--out`` ``_make_out`` could not make: a file's
-    directory, or a directory's nearest existing ancestor, must be writable."""
+    directory, or a directory's nearest existing ancestor, must be writable,
+    and a file must not be an existing directory."""
     head = os.path.abspath(path)
     if file:
+        if os.path.isdir(head):
+            raise InvalidConfigError(f"cannot make --out {path}: Is a directory")
         head = os.path.dirname(head)
     else:
         while not os.path.lexists(head):

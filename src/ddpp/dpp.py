@@ -109,17 +109,19 @@ def _lazy_greedy(Z, k, preselected=()):
     sqrt(gain)); a gain ||z_i||^2 - ||U z_i||^2 is stamped with the frame
     size it was computed at.  Gains only fall as U grows, so a stale gain
     bounds the current one, and a pick refreshes the stale gains that reach
-    the best current one (ties too: argmax favors the lower index).  Held
-    items, the floor and the rank cap (Z's width) act as there.
+    the best current one (ties too: argmax favors the lower index).  Each
+    consumed item costs one projection c = U z_j, giving its gain and its
+    frame row (z_j - c U) / sqrt(gain).  Held items go first, in a loop of
+    their own; the floor and the rank cap (Z's width) act as in ``_greedy``.
     """
     n, m = Z.shape
     norms = np.einsum("ij,ij->i", Z, Z)
     gain = norms.copy()
     preselected, floor = _start(gain, k, preselected)
-    held, t = len(preselected), 0
-    frame = np.empty((min(held + k, m), m))
+    frame = np.empty((min(len(preselected) + k, m), m))
     stamp = np.zeros(n, dtype=np.intp)
     block = max(1, REFRESH_BYTES // (8 * m))
+    t = 0
 
     def refresh(idx):
         for part in (idx[a:a + block] for a in range(0, idx.size, block)):
@@ -127,32 +129,35 @@ def _lazy_greedy(Z, k, preselected=()):
             gain[part] = norms[part] - np.einsum("ij,ij->i", proj, proj)
         stamp[idx] = t
 
-    chosen, logdets, total = [], [], 0.0
-    for step in range(held + k):
-        if step < held:
-            j = preselected[step]
-            refresh(np.array([j]))
-        elif not n or t == m:
-            break
-        else:
-            j = int(gain.argmax())
-            if stamp[j] < t and gain[j] > floor:
-                refresh(np.array([j]))
-                stale = np.flatnonzero(gain >= max(gain[j], floor))
-                refresh(stale[stamp[stale] < t])
-                j = int(gain.argmax())
-            if gain[j] <= floor:
-                break
-        d2 = float(gain[j])
-        if d2 > floor and t < m:
-            c = frame[:t] @ Z[j]
-            frame[t] = (Z[j] - c @ frame[:t]) / math.sqrt(d2)
+    def project(j):  # refreshes j's gain; returns c = U z_j
+        c = frame[:t] @ Z[j]
+        gain[j], stamp[j] = norms[j] - np.einsum("i,i->", c, c), t
+        return c
+
+    def consume(j, c):  # pins j's gain, after its frame row if one is due
+        nonlocal t
+        if t < m and gain[j] > floor:
+            frame[t] = (Z[j] - c @ frame[:t]) / math.sqrt(gain[j])
             t += 1
         gain[j] = -np.inf
-        if step >= held:
-            chosen.append(j)
-            total += math.log(d2)
-            logdets.append(total)
+
+    for j in preselected:  # a held gain is its norm until projected here
+        consume(j, project(j) if t < m and gain[j] > floor else None)
+    chosen, gains = [], []
+    while len(chosen) < k and n and t < m:
+        j, c = int(gain.argmax()), None
+        if stamp[j] < t and gain[j] > floor:
+            c = project(j)
+            stale = np.flatnonzero(gain >= max(gain[j], floor))
+            refresh(stale[stamp[stale] < t])
+            if (best := int(gain.argmax())) != j:
+                j, c = best, None
+        if gain[j] <= floor:
+            break
+        chosen.append(j)
+        gains.append(float(gain[j]))
+        consume(j, frame[:t] @ Z[j] if c is None else c)
+    logdets = list(itertools.accumulate(map(math.log, gains)))
     return MapResult(indices=chosen, stepwise_logdets=logdets)
 
 

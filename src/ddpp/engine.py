@@ -472,8 +472,9 @@ def run_experiment(config, dataset, transport="loopback", ground_truth=None):
         for i, r in enumerate(rows):  # whichever runs first scores both
             _share_gram(dataset, i, r, k_T, eps)
         if config.strategy == "greedymax":  # the best-scoring source greedy
-            scores = [dpp.subset_logdet(r, dataset.source_greedy(i, k_T).indices)
-                      for i, r in enumerate(rows)]
+            picks = [dataset.source_greedy(i, k_T).indices for i in range(len(rows))]
+            scores = [dpp.subset_logdet(r, p) if p else -np.inf  # none to send
+                      for r, p in zip(rows, picks)]
         else:  # the most diverse source, by probe
             scores = [dataset.memo(("probe", i, eps), lambda: rd_diversity(r, eps))
                       for i, r in enumerate(rows)]

@@ -277,6 +277,25 @@ class TestRun:
                            *RUN_ARGS[:-4], "--R", "4") == 1
             assert "partition" in capsys.readouterr().err
 
+    def test_greedymax_runs_with_an_all_zero_source(self, tmp_path,
+                                                    monkeypatch):
+        # Source 0's 30 rows are zero, so its greedy picks nothing.  The
+        # positivity probe is stubbed: a probe meeting a zero row is singular.
+        Z = np.random.default_rng(9).normal(size=(240, 16))
+        Z[:30] = 0.0
+        path, part = tmp_path / "d.csv", tmp_path / "p.json"
+        np.savetxt(path, Z, delimiter=",")
+        part.write_text(json.dumps({"assignments": [
+            list(range(a, a + 30)) for a in range(0, 240, 30)]}))
+        monkeypatch.setattr(data, "positivity_scale", lambda dataset, k: 1.0)
+        out = tmp_path / "x"
+        assert run_cli("run", "--out", str(out), "--data", str(path),
+                       "--partition-file", str(part), "--N", "8", "--kT", "8",
+                       "--tT", "2", "--strategies", "greedymax") == 0
+        lines = (out / "results.jsonl").read_text().splitlines()
+        assert lines and all(json.loads(line)["strategy"] == "greedymax"
+                             for line in lines)
+
     def test_budget_violation_exit_code(self, tmp_path):
         # uncompressed feedback cannot fit in R*m elements
         code = run_cli("run", "--out", str(tmp_path / "x"),
@@ -877,6 +896,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"error: cannot make --out {missing}: No such file or directory"]
         assert loaded == [] and not missing.parent.exists()
+
+    def test_partition_refuses_an_out_that_is_a_directory_before_loading(
+            self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "d.csv"
+        np.savetxt(path, np.random.default_rng(8).normal(size=(24, 6)),
+                   delimiter=",")
+        out = tmp_path / "p.json"
+        out.mkdir()
+        loaded = counted(monkeypatch, "load_features", data)
+        assert run_cli("partition", "--data", str(path), "--sources", "2",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot make --out {out}: Is a directory"]
+        assert loaded == [] and list(out.iterdir()) == []
 
     @pytest.mark.parametrize("threads", ["0", "-3", "two"])
     def test_ddpp_threads_below_one_exits_2_as_a_non_integer_does(

@@ -249,14 +249,29 @@ class TestLazyGreedy:
     def test_agrees_with_the_eager_greedy(self, data):
         # Full-rank rows: on a kernel of rank below Z's width, the pick
         # after the rank is spanned is rounding noise against the floor.
+        # A held row may repeat an earlier held row's direction (it is held,
+        # so never picked), and the held list may outrun Z's width.
         n = data.draw(st.integers(1, 40), label="n")
         m = data.draw(st.integers(1, 12), label="m")
         k = data.draw(st.integers(0, 15), label="k")
         held = data.draw(st.lists(st.integers(0, n - 1), unique=True,
-                                  max_size=min(n, 6)), label="held")
+                                  max_size=min(n, 16)), label="held")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         Z = rng.normal(size=(n, m))
-        assert_same_run(dpp._lazy_greedy(Z, k, held), eager_rows(Z, k, held))
+        spanning = held
+        if len(held) >= 2 and data.draw(st.booleans(), label="repeat"):
+            a, b = sorted(data.draw(st.lists(
+                st.integers(0, len(held) - 1), min_size=2, max_size=2,
+                unique=True), label="earlier, later"))
+            scale = data.draw(st.sampled_from([-2.0, 0.5, 3.0]), label="scale")
+            Z[held[b]] = scale * Z[held[a]]
+            spanning = held[:b] + held[b + 1:]
+        res = dpp._lazy_greedy(Z, k, held)
+        assert_same_run(res, eager_rows(Z, k, held))
+        assert_same_run(res, eager_rows(Z, k, spanning))  # repeat: no row
+        assert not set(res.indices) & set(held)
+        if len(spanning) >= m:  # the frame fills inside the held loop
+            assert res.indices == [] and res.stepwise_logdets == []
 
     def test_a_stale_lower_index_tied_on_its_bound_is_refreshed(self):
         # After row 0 (frame e0), row 2's gain falls from 29 to exactly 25,
@@ -276,7 +291,22 @@ class TestLazyGreedy:
         Z[5] = -2.0 * Z[0]
         res = dpp._lazy_greedy(Z, 5, [0, 5, 12])
         assert_same_run(res, eager_rows(Z, 5, [0, 12]))
-        assert len(res.indices) == 5
+        assert len(res.indices) == 5 and 5 not in res.indices
+
+    def test_held_items_past_the_width_fill_the_frame_and_leave_no_pick(self):
+        # Ten held rows in 8 dimensions, one repeating an earlier direction:
+        # the ninth distinct one fills the frame inside the held loop.
+        rng = np.random.default_rng(113)
+        Z = rng.normal(size=(30, 8))
+        Z[7] = 0.5 * Z[3]
+        held = [3, 7, 0, 11, 19, 2, 25, 14, 9, 28]
+        res = dpp._lazy_greedy(Z, 4, held)
+        assert res.indices == [] and res.stepwise_logdets == []
+        assert_same_run(res, eager_rows(Z, 4, held))
+        # one row short of the width: the one pick is not a held item
+        res = dpp._lazy_greedy(Z, 4, held[:8])
+        assert len(res.indices) == 1 and res.indices[0] not in held
+        assert_same_run(res, eager_rows(Z, 4, held[:8]))
 
     @pytest.mark.parametrize("n, m, rank", [(10, 25, 10), (40, 6, 6),
                                             (40, 12, 4)])

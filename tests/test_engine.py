@@ -633,6 +633,16 @@ class TestBaselines:
         assert len(nonzero) == 1 and nonzero[0] == 6 * 8
         assert res.ledger["probe_elements"] == 0
 
+    @pytest.mark.parametrize("dims", [8, 32])  # n_i = 20 rows: >= m, < m
+    def test_greedymax_passes_over_a_source_that_picks_nothing(self, dims):
+        Z = np.random.default_rng(14).normal(size=(40, dims))
+        part = data.partition(40, 2, policy="uniform_random", seed=14)
+        Z[list(part.assignments[0])] = 0.0
+        res = engine.run_experiment(config(dims=dims, strategy="greedymax"),
+                                    data.Dataset(features=Z, partition=part))
+        assert len(res.selected_global_indices) == 8
+        assert set(res.selected_global_indices) <= set(part.assignments[1])
+
     def test_maxdiv_charges_scalar_probes(self):
         ds = small_dataset(seed=12, n_sources=3, total_select=6)
         res = engine.run_experiment(config(n_sources=3, total_select=6,
