@@ -147,32 +147,69 @@ SETTINGS = (
 )
 
 
-def _config_flags(path):
-    """A config file's ``key=value`` lines as flags of ``run``: ``--key=value``,
-    or a switch's bare flag when its value is true.  A key names any ``run``
-    flag but ``--config``; blank lines and # comments are ignored."""
+def _run_flags(settings):
+    """``(where, key, value)`` text settings as flags of ``run``: ``--key=value``,
+    or a switch's bare flag when its value is on.  A key names any ``run``
+    flag but ``--config``; ``where`` heads the error that refuses one."""
     parse = {row.flag: row.parse for row in SETTINGS
              if "run" in row.defaults and row.flag != "--config"}
     flags = []
+    for where, key, value in settings:
+        flag = "--" + key.replace("_", "-")
+        if flag not in parse:
+            raise InvalidConfigError(f"{where}: no config key {key!r}")
+        if parse[flag] is not bool:
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise InvalidConfigError(f"{where}: switch {key} is not "
+                                     f"1/true/yes/on or 0/false/no/off: {value!r}")
+    return flags
+
+
+def _config_lines(path):
+    """A config file's ``key=value`` settings; blank lines and # comments are ignored."""
     with _open(path, InvalidConfigError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            flag = "--" + key.replace("_", "-")
-            if flag not in parse:
-                raise InvalidConfigError(f"{path}:{lineno}: no config key {key!r}")
-            if parse[flag] is not bool:
-                flags.append(f"{flag}={value}")
-            elif value.lower() in ("1", "true", "yes", "on"):
-                flags.append(flag)
-            elif value.lower() not in ("0", "false", "no", "off"):
-                raise InvalidConfigError(f"{path}:{lineno}: switch {key} is not "
-                                         f"1/true/yes/on or 0/false/no/off: {value!r}")
-    return flags
+            if line and not line.startswith("#"):
+                if "=" not in line:
+                    raise InvalidConfigError(f"{path}:{lineno}: expected key=value")
+                key, _, value = (part.strip() for part in line.partition("="))
+                yield f"{path}:{lineno}", key, value
+
+
+def _manifest(results):
+    """The path and ``resolved`` object of the manifest beside ``results``."""
+    path = os.path.join(os.path.dirname(os.path.abspath(results)), "manifest.json")
+    with _open(path, InvalidConfigError) as fh:
+        try:
+            resolved = json.load(fh)["resolved"]
+        except (ValueError, TypeError, KeyError):  # not JSON, not an object, or none
+            resolved = None
+    if not isinstance(resolved, dict):
+        raise InvalidConfigError(f"{path}: not a JSON object with a 'resolved' object")
+    return path, resolved
+
+
+def _manifest_settings(path, resolved):
+    """``run``'s settings as the manifest in ``--out`` resolved them, parsed as
+    flags; each but ``out`` and ``config`` must be there and parse back to itself."""
+    keys = [row.flag[2:].replace("-", "_") for row in SETTINGS
+            if "run" in row.defaults and row.flag not in ("--out", "--config")]
+    if missing := [k for k in keys if k not in resolved]:
+        raise InvalidConfigError(f"{path}: no {missing[0]!r} setting")
+    flags = _run_flags((path, k, ",".join(map(str, v)) if type(v) is list else str(v))
+                       for k in keys if (v := resolved[k]) is not None)
+    try:
+        settings = _parser().parse_args(["run", "--out", os.path.dirname(path), *flags])
+    except InvalidConfigError as exc:
+        raise InvalidConfigError(f"{path}: {exc}") from None
+    if wrong := [k for k in keys if getattr(settings, k) != resolved[k]]:
+        raise InvalidConfigError(f"{path}: {wrong[0]} = {resolved[wrong[0]]!r} "
+                                 "is not a value its flag parses to")
+    return settings
 
 
 def _mixture(args):
@@ -266,13 +303,13 @@ def cmd_partition(args):
 
 
 def _unit_configs(args, seed, n_sources, dims):
-    """Validated configs of one campaign unit, one per (R, strategy) pair."""
+    """Configs of one campaign unit, one per (R, strategy) pair."""
     return [engine.ExperimentConfig(
         n_sources=n_sources, dims=dims, total_select=args.kT,
         intervals=args.tT, sparsity=R, epsilon=args.epsilon,
         block_fraction=args.block_fraction, strategy=strategy,
         compression=args.compression, seed=seed,
-        momentum=not args.no_momentum).validate()
+        momentum=not args.no_momentum)
         for R in args.R for strategy in args.strategies]
 
 
@@ -362,11 +399,9 @@ def _load_results(path, metric="rde"):
                 line = None
             if not isinstance(line, dict):
                 raise InvalidConfigError(f"{path}:{lineno}: not a JSON object")
-            missing = [k for k in _RESULT_TYPES if k != "m" and k not in line]
-            if missing:
+            if missing := [k for k in _RESULT_TYPES if k != "m" and k not in line]:
                 raise InvalidConfigError(f"{path}:{lineno}: no {', '.join(missing)}")
-            wrong = [k for k, t in types.items() if type(line.get(k)) not in t]
-            if wrong:
+            if wrong := [k for k, t in types.items() if type(line.get(k)) not in t]:
                 raise InvalidConfigError(f"{path}:{lineno}: wrong type: " + ", ".join(
                     f"{k} = {line[k]!r}" for k in wrong))
             lines.append(line)
@@ -394,11 +429,9 @@ def cmd_report(args):
         writer.writerow(["strategy", "N", "R", "m", "mean_rde", "std_rde", "n"])
         for key in sorted(cells, key=str):
             vals = [v for v in cells[key] if v is not None]
-            if vals:
-                row = [f"{np.mean(vals):.6f}", f"{np.std(vals, ddof=1) if len(vals) > 1 else 0.0:.6f}", len(vals)]
-            else:
-                row = ["NA", "NA", 0]
-            writer.writerow(list(key) + row)
+            sd = np.std(vals, ddof=1) if len(vals) > 1 else 0.0
+            writer.writerow(list(key) + ([f"{np.mean(vals):.6f}", f"{sd:.6f}", len(vals)]
+                                         if vals else ["NA", "NA", 0]))
     with open(os.path.join(args.out, "ttest.csv"), "w", newline="") as fh:
         writer = csvmod.writer(fh)
         writer.writerow(["strategy_a", "strategy_b", "N", "R", "t", "p"])
@@ -432,34 +465,16 @@ def _pca_scatter(args, lines):
     The dataset is rebuilt the way the run built it: loaded from the run's
     ``--data`` file when it had one, otherwise regenerated from the seed.
     """
-    manifest_path = os.path.join(os.path.dirname(os.path.abspath(args.results)),
-                                 "manifest.json")
-    with _open(manifest_path, InvalidConfigError) as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError:
-            manifest = None
-    resolved = manifest.get("resolved") if isinstance(manifest, dict) else None
-    if not isinstance(resolved, dict):
-        raise InvalidConfigError(
-            f"{manifest_path}: not a JSON object with a 'resolved' object")
-    match = [ln for ln in lines
-             if ln["seed"] == args.pca_seed and ln["strategy"] == args.pca_strategy]
-    if not match:
+    line = next((ln for ln in lines if ln["seed"] == args.pca_seed
+                 and ln["strategy"] == args.pca_strategy), None)
+    if line is None:
         raise InvalidConfigError(
             f"no result for seed {args.pca_seed} strategy {args.pca_strategy!r}")
-    line = match[0]
     chosen = line.get("selected_indices")
     if type(chosen) is not list or any(type(i) is not int for i in chosen):
         raise InvalidConfigError(f"{args.results}: no integer selected_indices "
                                  f"for seed {args.pca_seed} {args.pca_strategy}")
-    ns = argparse.Namespace(**resolved)
-    try:
-        dataset = _dataset(ns, args.pca_seed, line["N"])
-    except AttributeError as exc:  # a setting the run resolved is missing
-        if exc.obj is not ns:
-            raise
-        raise InvalidConfigError(f"{manifest_path}: no {exc.name!r} setting") from None
+    dataset = _dataset(_manifest_settings(*args.manifest), args.pca_seed, line["N"])
     coords = metrics.pca2d(dataset.rows(range(dataset.n)))
     chosen = set(chosen)
     labels = dataset.labels if dataset.labels is not None else np.zeros(dataset.n, dtype=int)
@@ -483,10 +498,9 @@ def cmd_oracle(args):
 
 def cmd_ttest(args):
     lines = _load_results(args.results, args.metric)
-    xs = [ln[args.metric] for ln in lines
-          if ln["strategy"] == args.a and ln.get(args.metric) is not None]
-    ys = [ln[args.metric] for ln in lines
-          if ln["strategy"] == args.b and ln.get(args.metric) is not None]
+    xs, ys = ([ln[args.metric] for ln in lines
+               if ln["strategy"] == s and ln.get(args.metric) is not None]
+              for s in (args.a, args.b))
     if len(xs) < 2 or len(ys) < 2:
         raise InvalidConfigError("need at least two observations per strategy")
     t, p = metrics.welch_ttest(xs, ys)
@@ -537,7 +551,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "run" and args.config:
             at = argv.index("run") + 1  # the file's flags first: the command line wins
-            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+            args = parser.parse_args(
+                argv[:at] + _run_flags(_config_lines(args.config)) + argv[at:])
+        if args.command == "report" and args.pca_seed is not None:
+            args.manifest = _manifest(args.results)  # the run's settings
         args.argv = argv  # the manifest's "command"
         return args.func(args)
     except DdppError as exc:

@@ -145,7 +145,7 @@ def split_budget(R, m, block_fraction=0.5):
     block_fraction of the budget; r1 spends what remains on spectral terms.
     With a nonzero block fraction a packet is never empty: a single diagonal
     element always fits in any valid budget.  The budget is a setting
-    ``ExperimentConfig.validate`` has checked: R*m finite and at least one
+    ``ExperimentConfig`` checks when built: R*m finite and at least one
     element, block_fraction in [0, 1].
     """
     budget = R * m

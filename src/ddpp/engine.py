@@ -34,7 +34,7 @@ _SALT_STRATIFIED = 0x53
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved parameters of one experiment run."""
+    """Resolved parameters of one experiment run, checked when built."""
 
     n_sources: int
     dims: int
@@ -48,7 +48,7 @@ class ExperimentConfig:
     seed: int = 0
     momentum: bool = True
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_sources < 1 or self.dims < 1 or self.intervals < 1:
             raise InvalidConfigError("n_sources, dims and intervals must be positive")
         if self.total_select < 1:
@@ -70,13 +70,12 @@ class ExperimentConfig:
                 f"feedback budget R*m = {self.sparsity * self.dims:g} "
                 "is below one element")
         if not 0 < self.epsilon < math.inf:
-            raise InvalidConfigError(
-                f"epsilon must be finite and positive, got {self.epsilon}")
+            raise InvalidConfigError("epsilon must be finite and positive, "
+                                     f"got {self.epsilon}")
         if self.strategy not in STRATEGIES:
             raise InvalidConfigError(f"unknown strategy {self.strategy!r}")
         if self.compression not in COMPRESSIONS:
             raise InvalidConfigError(f"unknown compression {self.compression!r}")
-        return self
 
     def feedback_at(self, interval):
         """Whether the center sends feedback before 1-based ``interval``.
@@ -131,25 +130,16 @@ class ExperimentResult:
     rank_exhausted: bool
 
     def to_json_dict(self):
-        c = self.config
+        c, ledger = self.config, self.ledger
         return {
-            "strategy": c.strategy,
-            "seed": c.seed,
-            "rde": self.rde,
+            "strategy": c.strategy, "seed": c.seed, "rde": self.rde,
             "diversity": self.diversity_logdet,
-            "uplink_elements": self.ledger["uplink_elements"],
-            "downlink_elements": self.ledger["downlink_elements"],
-            "uplink_bytes": self.ledger["uplink_bytes"],
-            "downlink_bytes": self.ledger["downlink_bytes"],
-            "probe_elements": self.ledger["probe_elements"],
-            "k_T": c.total_select,
-            "N": c.n_sources,
-            "R": c.sparsity,
-            "m": c.dims,
-            "t_T": c.intervals,
-            "compression": c.compression,
-            "gt_logdet": self.gt_logdet,
-            "scale": self.scale,
+            **{k: ledger[k] for k in ("uplink_elements", "downlink_elements",
+                                      "uplink_bytes", "downlink_bytes",
+                                      "probe_elements")},
+            "k_T": c.total_select, "N": c.n_sources, "R": c.sparsity,
+            "m": c.dims, "t_T": c.intervals, "compression": c.compression,
+            "gt_logdet": self.gt_logdet, "scale": self.scale,
             "rank_exhausted": self.rank_exhausted,
             "selected_indices": [int(i) for i in self.selected_global_indices],
         }
@@ -158,21 +148,19 @@ class ExperimentResult:
 class SourceWorker:
     """Holds one source's rows and its send history; sees only its own source."""
 
-    def __init__(self, source_id, rows, config, greedy, plan=None):
-        self.source_id = source_id
-        self.rows = rows
-        self.config = config
-        self.plan = plan  # local ids the center chose, sent instead of picks
-        self.greedy = greedy  # k -> greedy_map_rows(rows, k), kept per unit
+    def __init__(self, source_id, rows, config, first):
+        self.source_id, self.rows, self.config = source_id, rows, config
+        self.first = first  # k -> the local ids sent before any feedback or send
         self.sent = []
 
     def step(self, interval, feedback_frame, k):
         """Consume optional feedback, pick k new items, return a batch frame.
 
-        A set ``plan`` replaces the picks; ``greedy`` makes them before any
-        feedback or send.  A feedback frame must name this source, the
-        current ``interval`` and a packet as wide as the source's rows.
+        ``first`` makes the picks before any feedback or send, a greedy on
+        the pre-coded rows the rest.  A feedback frame must name this source,
+        the current ``interval`` and a packet as wide as the source's rows.
         """
+        working = self.rows
         if feedback_frame is not None:
             msg = decode_feedback(feedback_frame)
             if (msg.target_source, msg.interval) != (self.source_id, interval):
@@ -186,13 +174,9 @@ class SourceWorker:
                     f"{msg.packet.dims}, expected {self.rows.shape[1]}")
             working = csi.precode(self.rows, msg.packet,
                                   momentum=self.config.momentum)
-        else:
-            working = self.rows
         new = []
-        if self.plan is not None:
-            new = list(self.plan)
-        elif k > 0 and feedback_frame is None and not self.sent:
-            new = self.greedy(k).indices
+        if k > 0 and feedback_frame is None and not self.sent:
+            new = self.first(k)
         elif k > 0:
             new = dpp.greedy_map_rows(working, k, preselected=self.sent).indices
         self.sent.extend(new)
@@ -239,11 +223,10 @@ class _Center:
     """
 
     def __init__(self, config, dataset):
-        config.validate().check_split(dataset.partition)
+        config.check_split(dataset.partition)
         if dataset.dims != config.dims:
             raise InvalidConfigError("dataset dimensionality does not match the config")
-        self.config = config
-        self.dataset = dataset
+        self.config, self.dataset = config, dataset
         self.received = {}  # global id -> source id, in arrival order
         self.uplink = [0] * config.n_sources
         self.downlink = [0] * config.n_sources
@@ -308,8 +291,7 @@ class _Center:
         elif config.compression == "svd":  # the same packet, no block
             packet = csi.compress(H, config.sparsity, block_fraction=0.0)
         elif config.compression == "random_sketch":
-            packet = csi.compress_random_sketch(H, config.sparsity,
-                                                self.sketch_rng)
+            packet = csi.compress_random_sketch(H, config.sparsity, self.sketch_rng)
         else:
             packet = csi.exact_packet(H)
         budget = config.sparsity * m
@@ -376,12 +358,13 @@ def _schedule(center, transport, ground_truth, plans=None):
 
     ``loopback`` serves each source inline on this thread over in-process
     FIFOs; ``tcp`` runs each in its own thread behind a socket.  Selections
-    are identical in both, as a source sees only its own frames.
+    are identical in both, as a source sees only its own frames.  A source's
+    first picks are its entry of ``plans``, else its memoized greedy.
     """
     config, dataset = center.config, center.dataset
     workers = [SourceWorker(i, dataset.source_rows(i), config,
-                            lambda k, i=i: dataset.source_greedy(i, k),
-                            plans[i] if plans else None)
+                            (lambda k, p=plans[i]: p) if plans else
+                            lambda k, i=i: dataset.source_greedy(i, k).indices)
                for i in range(config.n_sources)]
     if transport not in ("loopback", "tcp"):
         raise InvalidConfigError(f"unknown transport {transport!r}")
@@ -421,9 +404,8 @@ def run_ddpp(config, dataset, transport="loopback", ground_truth=None):
     Only a ``ddpp`` config runs here; ``run_experiment`` runs any strategy.
     """
     if config.strategy != "ddpp":
-        raise InvalidConfigError(
-            f"run_ddpp runs the ddpp strategy, not {config.strategy!r}; "
-            "use run_experiment")
+        raise InvalidConfigError(f"run_ddpp runs the ddpp strategy, not "
+                                 f"{config.strategy!r}; use run_experiment")
     return _schedule(_Center(config, dataset), transport, ground_truth)
 
 

@@ -1,4 +1,4 @@
-"""One traced unit of two benchmark workloads, run as a tier-1 test.
+"""One traced unit of each benchmark workload, run as a tier-1 test.
 
 The benchmark (``perfbench/``) reaches into the package by name: its
 tracer patches public functions and methods, and its checks read result

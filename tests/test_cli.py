@@ -468,6 +468,40 @@ class TestConfigRoundTrip:
         assert flagged == sorted(selected) and len(flagged) == 6
 
 
+class TestRunDefaults:
+    def test_run_defaults_are_the_config_defaults(self):
+        # perfbench's paper workloads build configs from the dataclass
+        # defaults, its deep-feedback workload from the flags
+        args = cli.build_parser().parse_args(
+            ["run", "--out", "x", "--strategies", "ddpp", "--R", "4", "--kT", "8"])
+        [cfg] = cli._unit_configs(args, 0, 2, 8)
+        assert cfg == engine.ExperimentConfig(n_sources=2, dims=8, total_select=8,
+                                              sparsity=4.0)
+        assert (cfg.epsilon, cfg.block_fraction, cfg.intervals, cfg.compression,
+                cfg.momentum) == (1e-6, 0.5, 2, "proposed", True)
+
+
+class TestOneSource:
+    @pytest.mark.parametrize("m, ni, kT", [(24, 20, 4), (48, 40, 8), (16, 12, 6)])
+    def test_greedi_and_greedymax_lines_match_in_either_order(
+            self, tmp_path, monkeypatch, m, ni, kT):
+        # at N = 1 greedi's quota is k_T: the first of the two to run fills
+        # the memo entry both read, by the rows' greedy or, at n_i < m, the
+        # greedy on the source's Gram; the lines must not depend on which
+        grams = counted(monkeypatch, "greedy_map", ddpp.dpp)
+        lines = {}
+        for order in ("greedi,greedymax", "greedymax,greedi"):
+            out = tmp_path / order
+            assert run_cli("run", "--out", str(out), "--strategies", order,
+                           "--N", "1", "--m", str(m), "--ni", str(ni),
+                           "--kT", str(kT), "--clusters", "4",
+                           "--seed-list", ",".join(map(str, range(60)))) == 0
+            lines[order] = sorted((out / "results.jsonl").read_text().splitlines())
+            assert len(lines[order]) == 120
+            assert len(grams) == (0 if order.startswith("greedi,") else 60)
+        assert lines["greedi,greedymax"] == lines["greedymax,greedi"]
+
+
 class TestProbeMemo:
     def test_an_r_sweep_probes_each_source_once_per_unit(self, tmp_path,
                                                          monkeypatch):
@@ -804,6 +838,32 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert f"{run / 'manifest.json'}: no {missing!r} setting" in err
         assert not (tmp_path / "out" / "pca_seed0.csv").exists()
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("m", "abc", "argument --m: invalid int value: 'abc'"),
+        ("spread", "wide", "argument --spread: invalid float value: 'wide'"),
+        ("ni", 0, "argument --ni: must be at least 1, got 0"),
+        ("no_momentum", "maybe", "switch no_momentum is not 1/true/yes/on"),
+        ("ni", [3], "ni = [3] is not a value its flag parses to"),
+        ("ni", None, "ni = None is not a value its flag parses to"),
+        ("no_momentum", "yes", "no_momentum = 'yes' is not a value"),
+    ])
+    def test_a_manifest_setting_its_flag_refuses_is_a_typed_error(
+            self, tmp_path, capsys, setting, value, message):
+        run = tmp_path / "run"
+        assert run_cli("run", "--out", str(run), "--strategies", "ddpp",
+                       "--N", "2", "--kT", "4", "--m", "8", "--ni", "12",
+                       "--clusters", "4", "--seed-list", "0") == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["resolved"][setting] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli("report", "--results", str(run / "results.jsonl"),
+                       "--out", str(out), "--pca-seed", "0") == 2
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {run / 'manifest.json'}: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["ddpp", "ddpp:greedi:x"])
     def test_a_malformed_pairs_entry_is_a_typed_error(self, tmp_path, capsys,

@@ -42,44 +42,59 @@ def config(**overrides):
 class TestConfig:
     def test_divisibility_over_sources(self):
         with pytest.raises(InvalidConfigError):
-            config(n_sources=3, total_select=8).validate()
+            config(n_sources=3, total_select=8)
 
     def test_divisibility_over_intervals(self):
         with pytest.raises(InvalidConfigError):
-            config(intervals=3, total_select=8).validate()
+            config(intervals=3, total_select=8)
 
     def test_unknown_strategy(self):
         with pytest.raises(InvalidConfigError):
-            config(strategy="psychic").validate()
+            config(strategy="psychic")
 
     def test_unknown_compression(self):
         with pytest.raises(InvalidConfigError):
-            config(compression="zip").validate()
+            config(compression="zip")
 
     def test_feedback_budget_below_one_element(self):
         # R*m = 0.5 < 1: split_budget could not build a packet
         with pytest.raises(InvalidConfigError, match="below one element"):
-            config(sparsity=1 / 16).validate()
+            config(sparsity=1 / 16)
         with pytest.raises(InvalidConfigError):
-            config(sparsity=0.0).validate()
-        config(sparsity=1 / 8).validate()  # exactly one element
+            config(sparsity=0.0)
+        config(sparsity=1 / 8)  # exactly one element
         # nothing is fed back: the budget is never used
-        config(sparsity=0.0, strategy="greedi").validate()
-        config(sparsity=0.0, intervals=1).validate()
-        config(sparsity=0.0, n_sources=1).validate()
+        config(sparsity=0.0, strategy="greedi")
+        config(sparsity=0.0, intervals=1)
+        config(sparsity=0.0, n_sources=1)
 
     def test_block_fraction_outside_unit_interval(self):
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(InvalidConfigError, match="block_fraction"):
-                config(block_fraction=bad).validate()
-        config(block_fraction=0.0).validate()
-        config(block_fraction=1.0).validate()
+                config(block_fraction=bad)
+        config(block_fraction=0.0)
+        config(block_fraction=1.0)
 
     def test_selection_larger_than_dims(self):
         # every k_T-subset in m < k_T dims is singular: nothing to select for
         with pytest.raises(InvalidConfigError, match="exceeds dims"):
-            config(dims=8, total_select=10).validate()
-        config(dims=8, total_select=8).validate()
+            config(dims=8, total_select=10)
+        config(dims=8, total_select=8)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(n_sources=0), "n_sources, dims and intervals must be positive"),
+        (dict(total_select=0), "total_select must be positive"),
+        (dict(n_sources=3, total_select=6, intervals=4),
+         "total_select must divide evenly over intervals"),
+        (dict(sparsity=float("inf")), "sparsity budget R*m must be finite and "
+                                      "non-negative, got R = inf"),
+        (dict(epsilon=0.0), "epsilon must be finite and positive, got 0.0"),
+        (dict(strategy="psychic"), "unknown strategy 'psychic'"),
+    ])
+    def test_an_invalid_config_cannot_be_built(self, overrides, message):
+        with pytest.raises(InvalidConfigError) as caught:
+            config(**overrides)
+        assert str(caught.value) == message
 
     def test_feedback_schedule(self):
         cfg = config(n_sources=2, intervals=4)
@@ -88,7 +103,7 @@ class TestConfig:
         assert not any(alone.feedback_at(t) for t in (1, 2, 3, 4))
 
     def test_interval_quota_even_split(self):
-        cfg = config(n_sources=2, total_select=12, intervals=2)
+        cfg = config(n_sources=2, dims=12, total_select=12, intervals=2)
         assert [cfg.interval_quota(0, t) for t in (1, 2)] == [3, 3]
 
     def test_interval_quota_staggers_remainders(self):
@@ -301,7 +316,7 @@ class TestDdppPipeline:
     def test_a_source_whose_sends_time_out_ends_quietly(self):
         rows = np.random.default_rng(3).normal(size=(10, 8))
         worker = engine.SourceWorker(0, rows, config(),
-                                     lambda k: dpp.greedy_map_rows(rows, k))
+                                     lambda k: dpp.greedy_map_rows(rows, k).indices)
         sock = UnreadSocket()
         out = run_within(5, engine._source_loop, worker, protocol.TcpChannel(sock))
         assert out.error is None and out.result is None
@@ -346,7 +361,7 @@ class TestDdppPipeline:
             target_source=0, interval=2, packet=csi.compress(H, R=2.0)))
         rows = rng.normal(size=(n_i, m))
         worker = engine.SourceWorker(
-            0, rows, config(dims=m), lambda k: dpp.greedy_map_rows(rows, k))
+            0, rows, config(dims=m), lambda k: dpp.greedy_map_rows(rows, k).indices)
         tracemalloc.start()
         try:
             worker.step(2, frame, 4)
